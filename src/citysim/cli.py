@@ -118,6 +118,10 @@ def simulate_scenario(scenario: Scenario, out_dir: str | Path) -> tuple[TimeSeri
 
 
 def _run_config(config: SimConfig) -> TimeSeriesLog:
+    # pool.map pickles its function by reference, so it must be defined at
+    # module level. Passing `run` itself would break once cli.run is
+    # rebound to a wrapper that cannot be pickled; this function looks
+    # `run` up in the worker at call time instead.
     return run(config)
 
 

@@ -1,8 +1,9 @@
 """Closed-form life events and reproduction rules.
 
 Lifespan, mating gap, and the mating success threshold are deterministic
-functions of happiness (and population pressure); reproduction is the only
-stochastic piece and takes an explicit random generator.
+functions of happiness (and population pressure); each takes happiness as a
+scalar or an array. Reproduction and the probabilistic success rule are the
+stochastic pieces and take an explicit random generator.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError, Person, TraitVector
+from .core import ConfigurationError, TraitVector
 
 __all__ = [
     "DemographicsParams",
@@ -89,41 +90,43 @@ class DemographicsParams:
 _DEFAULTS = DemographicsParams()
 
 
-def _logistic(t: float) -> float:
-    # Split on sign so the exponential never overflows.
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _logistic(t: float | np.ndarray) -> float | np.ndarray:
+    # exp(-|t|) never overflows; both branches agree at t = 0.
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def lifespan(h: float, params: DemographicsParams | None = None) -> float:
+def lifespan(
+    h: float | np.ndarray, params: DemographicsParams | None = None
+) -> float | np.ndarray:
     """Time a person born with happiness h lives; 0 means dead at birth."""
     p = params or _DEFAULTS
-    return max(0.0, p.lifespan_a * (1.0 - p.lifespan_b * math.exp(-h)))
+    return np.maximum(0.0, p.lifespan_a * (1.0 - p.lifespan_b * np.exp(-h)))
 
 
-def mating_gap(h: float, params: DemographicsParams | None = None) -> float:
+def mating_gap(
+    h: float | np.ndarray, params: DemographicsParams | None = None
+) -> float | np.ndarray:
     """Recovery time before a person with happiness h can mate again."""
     p = params or _DEFAULTS
-    return p.gap_a / (max(h, 0.0) + p.gap_epsilon)
+    return p.gap_a / (np.maximum(h, 0.0) + p.gap_epsilon)
 
 
 def mating_success_threshold(
-    pop_size: int,
-    h_male: float,
-    h_female: float,
+    pop_size: float | np.ndarray,
+    h_male: float | np.ndarray,
+    h_female: float | np.ndarray,
     params: DemographicsParams | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Minimum happiness both partners need for a mating to succeed.
 
     Grows linearly with population size (crowding) and steeply as either
     partner's happiness drops below zero.
     """
     p = params or _DEFAULTS
-    if pop_size < 0:
+    if np.any(np.asarray(pop_size) < 0):
         raise ConfigurationError(f"pop_size must be nonnegative, got {pop_size}")
-    worst = max(
+    worst = np.maximum(
         1.0 - _logistic(p.success_scale * h_male),
         1.0 - _logistic(p.success_scale * h_female),
     )
@@ -131,20 +134,23 @@ def mating_success_threshold(
 
 
 def mating_succeeds(
-    pop_size: int,
-    male: Person,
-    female: Person,
+    pop_size: float | np.ndarray,
+    h_male: float | np.ndarray,
+    h_female: float | np.ndarray,
     params: DemographicsParams | None = None,
     rng: np.random.Generator | None = None,
-) -> bool:
-    """Whether a matched pair actually produces a child this round."""
+) -> bool | np.ndarray:
+    """Whether matched pairs actually produce a child this round.
+
+    The probabilistic rule draws one uniform per pair, in pair order.
+    """
     p = params or _DEFAULTS
-    m = mating_success_threshold(pop_size, male.happiness, female.happiness, p)
+    m = mating_success_threshold(pop_size, h_male, h_female, p)
     if p.success_rule == "deterministic":
-        return min(male.happiness, female.happiness) >= m
+        return np.minimum(h_male, h_female) >= m
     if rng is None:
         raise ConfigurationError("probabilistic success_rule needs a random generator")
-    return float(rng.random()) < 1.0 - min(max(m, 0.0), 1.0)
+    return rng.random(np.shape(m)) < 1.0 - np.clip(m, 0.0, 1.0)
 
 
 def _trait_values(x, *, what: str) -> np.ndarray:

@@ -20,27 +20,19 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import (
-    ConfigurationError,
-    ConsistencyError,
-    InteractionMatrix,
-    Person,
-    Sex,
-    TraitVector,
-)
-from .demographics import DemographicsParams, born_batch
+from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector
+from .demographics import DemographicsParams, born_batch, lifespan, mating_gap, mating_succeeds
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
-from .society import LearningRateSchedule, effective_lambda_value
+from .society import LearningRateSchedule, effective_lambda_value, society_update
 
 __all__ = [
     "PopulationGroup",
     "MatchingConfig",
     "SimConfig",
     "TimeSeriesLog",
+    "Roster",
     "named_stream",
     "init_population",
-    "available",
-    "update_pop",
     "run",
     "write_population_csv",
     "write_run_outputs",
@@ -183,6 +175,12 @@ class SimConfig:
             )
         if self.success_pop_scope == "block" and self.grid is None:
             raise ConfigurationError("block-scoped mating success requires a grid")
+        flex = self.schedule.flexibility_trait_index
+        if self.schedule.kind == "dynamic" and flex >= self.interaction.individual_dim:
+            raise ConfigurationError(
+                f"schedule.flexibility_trait_index {flex} out of range for "
+                f"{self.interaction.individual_dim} individual traits"
+            )
 
     @property
     def total_initial(self) -> int:
@@ -191,7 +189,7 @@ class SimConfig:
 
 @dataclass
 class TimeSeriesLog:
-    """Per-round record of the run, plus initial/final population snapshots.
+    """Per-round record of the run, plus the initial and final rosters.
 
     Rows are appended at t=0, then at every log_every-th round and always at
     the final round. births and deaths accumulate everything since the
@@ -213,8 +211,8 @@ class TimeSeriesLog:
     society_names: tuple[str, ...]
     status: str
     grid_rows: np.ndarray | None = None
-    initial_population: list[Person] = field(default_factory=list)
-    final_population: list[Person] = field(default_factory=list)
+    initial_population: Roster | None = None
+    final_population: Roster | None = None
 
     @property
     def extinct(self) -> bool:
@@ -287,25 +285,10 @@ def _json_float(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-def _logistic_vec(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _lifespan_vec(h: np.ndarray, d: DemographicsParams) -> np.ndarray:
-    return np.maximum(0.0, d.lifespan_a * (1.0 - d.lifespan_b * np.exp(-h)))
-
-
-def _gap_vec(h: np.ndarray, d: DemographicsParams) -> np.ndarray:
-    return d.gap_a / (np.maximum(h, 0.0) + d.gap_epsilon)
-
-
-class _Roster:
-    """Columnar population store; rows are living (or dying-this-round) people."""
+class Roster:
+    """Columnar population store, one row per person: id, sex (0 male,
+    1 female), traits, frozen happiness, birth/death/next-available times
+    and, on a grid, the home block."""
 
     __slots__ = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "loc")
 
@@ -323,65 +306,16 @@ class _Roster:
     def size(self) -> int:
         return self.ids.shape[0]
 
-    def compress(self, keep: np.ndarray) -> None:
-        self.ids = self.ids[keep]
-        self.sex = self.sex[keep]
-        self.traits = self.traits[keep]
-        self.happiness = self.happiness[keep]
-        self.birth = self.birth[keep]
-        self.death = self.death[keep]
-        self.avail = self.avail[keep]
-        if self.loc is not None:
-            self.loc = self.loc[keep]
+    def take(self, keep: np.ndarray) -> "Roster":
+        """The rows where keep is true, as a new roster with copied columns."""
+        columns = (getattr(self, name) for name in self.__slots__)
+        return Roster(*(None if col is None else col[keep] for col in columns))
 
-    def extend(self, other: "_Roster") -> None:
-        self.ids = np.concatenate([self.ids, other.ids])
-        self.sex = np.concatenate([self.sex, other.sex])
-        self.traits = np.concatenate([self.traits, other.traits])
-        self.happiness = np.concatenate([self.happiness, other.happiness])
-        self.birth = np.concatenate([self.birth, other.birth])
-        self.death = np.concatenate([self.death, other.death])
-        self.avail = np.concatenate([self.avail, other.avail])
-        if self.loc is not None:
-            self.loc = np.concatenate([self.loc, other.loc])
-
-
-def _roster_from_persons(people: Sequence[Person], with_grid: bool) -> _Roster:
-    n = len(people)
-    loc = None
-    if with_grid:
-        loc = np.array([p.location for p in people], dtype=np.int64).reshape(n, 2)
-    return _Roster(
-        ids=np.array([p.id for p in people], dtype=np.int64),
-        sex=np.array([int(p.sex) for p in people], dtype=np.int8),
-        traits=np.stack([p.traits.values for p in people]) if n else np.zeros((0, 0)),
-        happiness=np.array([p.happiness for p in people], dtype=np.float64),
-        birth=np.array([p.birth_time for p in people], dtype=np.float64),
-        death=np.array([p.death_time for p in people], dtype=np.float64),
-        avail=np.array([p.next_available_time for p in people], dtype=np.float64),
-        loc=loc,
-    )
-
-
-def _persons_from_roster(roster: _Roster) -> list[Person]:
-    people = []
-    for i in range(roster.size):
-        loc = None
-        if roster.loc is not None:
-            loc = (int(roster.loc[i, 0]), int(roster.loc[i, 1]))
-        people.append(
-            Person(
-                id=int(roster.ids[i]),
-                sex=Sex(int(roster.sex[i])),
-                traits=TraitVector(roster.traits[i]),
-                happiness=float(roster.happiness[i]),
-                birth_time=float(roster.birth[i]),
-                death_time=float(roster.death[i]),
-                next_available_time=float(roster.avail[i]),
-                location=loc,
-            )
-        )
-    return people
+    def extend(self, other: "Roster") -> None:
+        for name in self.__slots__:
+            col = getattr(self, name)
+            if col is not None:
+                setattr(self, name, np.concatenate([col, getattr(other, name)]))
 
 
 def init_population(
@@ -389,15 +323,15 @@ def init_population(
     rng: np.random.Generator | None = None,
     sex_rng: np.random.Generator | None = None,
     location_rng: np.random.Generator | None = None,
-) -> list[Person]:
+) -> Roster:
     """Founding roster at t=0.
 
     Traits draw per coordinate from each group's normal (then clip into
     [0, 1]); sexes are uniform; happiness freezes against theta0; death and
     availability times come straight from the demographic formulas. Draw
     order: all trait normals group by group, then all sexes in one batch,
-    then all grid locations in one batch. Persons are returned in group
-    order, so id ranges identify the founding groups.
+    then all grid locations in one batch. Rows are in group order, and ids
+    are row numbers, so id ranges identify the founding groups.
     """
     if config.total_initial == 0:
         raise ConfigurationError("initial population is empty across all groups")
@@ -414,54 +348,29 @@ def init_population(
             loc=group.mean.values, scale=np.asarray(group.std), size=(group.count, group.mean.dim)
         )
         blocks.append(np.clip(raw, 0.0, 1.0))
-    traits = np.concatenate(blocks) if blocks else np.zeros((0, 8))
+    traits = np.concatenate(blocks)
     n = traits.shape[0]
-    sexes = sex_rng.integers(0, 2, size=n)
+    sexes = sex_rng.integers(0, 2, size=n).astype(np.int8)
     locations = None
     if config.grid is not None:
         locations = location_rng.integers(
             0, np.asarray(config.grid, dtype=np.int64), size=(n, 2)
         )
     happiness = traits @ gain0
-    deaths = _lifespan_vec(happiness, d)
-    avail = d.maturity_age * config.mating_period
-    people = []
-    for i in range(n):
-        people.append(
-            Person(
-                id=i,
-                sex=Sex(int(sexes[i])),
-                traits=TraitVector(traits[i]),
-                happiness=float(happiness[i]),
-                birth_time=0.0,
-                death_time=float(deaths[i]),
-                next_available_time=float(avail),
-                location=None if locations is None else (int(locations[i, 0]), int(locations[i, 1])),
-            )
-        )
-    return people
-
-
-def available(population: Sequence[Person], t: float) -> tuple[list[Person], list[Person]]:
-    """Living, matured, recovered people at time t, split (males, females)."""
-    Y = [p for p in population if p.is_alive(t) and p.next_available_time <= t and p.sex is Sex.MALE]
-    Z = [p for p in population if p.is_alive(t) and p.next_available_time <= t and p.sex is Sex.FEMALE]
-    return Y, Z
-
-
-def update_pop(
-    population: Sequence[Person], births: Sequence[Person], t: float
-) -> list[Person]:
-    """Merged roster with this round's births added and expiries removed."""
-    merged = list(population) + list(births)
-    ids = [p.id for p in merged]
-    if len(set(ids)) != len(ids):
-        raise ConsistencyError("duplicate person id in population update")
-    return [p for p in merged if p.death_time > t]
+    return Roster(
+        ids=np.arange(n, dtype=np.int64),
+        sex=sexes,
+        traits=traits,
+        happiness=happiness,
+        birth=np.zeros(n),
+        death=lifespan(happiness, d),
+        avail=np.full(n, d.maturity_age * config.mating_period),
+        loc=locations,
+    )
 
 
 def _match_pairs(
-    roster: _Roster,
+    roster: Roster,
     yi: np.ndarray,
     zi: np.ndarray,
     gain: np.ndarray,
@@ -470,77 +379,69 @@ def _match_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices (into the roster) of the matched male/female pairs."""
     mcfg = config.matching
-    p_mut = config.demographics.mutation_prob
     if mcfg.mode is MatchMode.OPTIMAL:
-        a = roster.traits[yi] @ gain
-        b = roster.traits[zi] @ gain
-        iy, iz = rank_pair_indices(a, b)
+        iy, iz = rank_pair_indices(roster.traits[yi] @ gain, roster.traits[zi] @ gain)
         return yi[iy], zi[iz]
-    if mcfg.mode is MatchMode.NOISY:
-        W = expected_pair_weights(roster.traits[yi], roster.traits[zi], gain, p_mut)
-        W = W + streams["noise"].normal(0.0, mcfg.noise_sigma, size=W.shape)
+
+    def solve(by: np.ndarray, bz: np.ndarray, noise: np.random.Generator | None):
+        # Expected-payoff weights plus a noise draw, or (noise None) minus
+        # the locality penalty, then one exact assignment.
+        W = expected_pair_weights(
+            roster.traits[by], roster.traits[bz], gain, config.demographics.mutation_prob
+        )
+        if noise is None:
+            W = W - mcfg.gamma * grid_distances(roster.loc[by], roster.loc[bz], mcfg.distance)
+        else:
+            W = W + noise.normal(0.0, mcfg.noise_sigma, size=W.shape)
+        # scipy returns the row indices sorted, so pairs come in male order.
         rows, cols = linear_sum_assignment(W, maximize=True)
-        order = np.argsort(rows)
-        return yi[rows[order]], zi[cols[order]]
-    if mcfg.mode is MatchMode.PARTITIONED:
-        rng = streams["partition"]
-        perm_y = rng.permutation(len(yi))
-        perm_z = rng.permutation(len(zi))
-        size = mcfg.partition_size
-        sel_y, sel_z = [], []
-        # Male block i meets female block i; surplus blocks sit out. Same
-        # block and noise draw order as matching.partitioned_match.
-        for start in range(0, min(len(perm_y), len(perm_z)), size):
-            by = perm_y[start : start + size]
-            bz = perm_z[start : start + size]
-            W = expected_pair_weights(
-                roster.traits[yi[by]], roster.traits[zi[bz]], gain, p_mut
-            )
-            W = W + rng.normal(0.0, mcfg.noise_sigma, size=W.shape)
-            rows, cols = linear_sum_assignment(W, maximize=True)
-            order = np.argsort(rows)
-            sel_y.extend(yi[by[rows[order]]])
-            sel_z.extend(zi[bz[cols[order]]])
-        return np.asarray(sel_y, dtype=np.intp), np.asarray(sel_z, dtype=np.intp)
-    # locality
-    W = expected_pair_weights(roster.traits[yi], roster.traits[zi], gain, p_mut)
-    D = grid_distances(roster.loc[yi], roster.loc[zi], mcfg.distance)
-    rows, cols = linear_sum_assignment(W - mcfg.gamma * D, maximize=True)
-    order = np.argsort(rows)
-    return yi[rows[order]], zi[cols[order]]
+        return by[rows], bz[cols]
+
+    if mcfg.mode is MatchMode.LOCALITY:
+        return solve(yi, zi, None)
+    if mcfg.mode is MatchMode.NOISY:
+        return solve(yi, zi, streams["noise"])
+    # Partitioned: random blocks of partition_size per side; male block i
+    # meets female block i, and surplus blocks sit out. Draw order: male
+    # permutation, female permutation, then one noise matrix per block.
+    rng = streams["partition"]
+    perm_y = yi[rng.permutation(len(yi))]
+    perm_z = zi[rng.permutation(len(zi))]
+    size = mcfg.partition_size
+    blocks = [
+        solve(perm_y[start : start + size], perm_z[start : start + size], rng)
+        for start in range(0, min(len(yi), len(zi)), size)
+    ]
+    return tuple(np.concatenate(side) for side in zip(*blocks))
 
 
 def _success_mask(
-    roster: _Roster,
+    roster: Roster,
     sel_y: np.ndarray,
     sel_z: np.ndarray,
-    alive_count: int,
+    alive: np.ndarray,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
-    alive_mask: np.ndarray,
 ) -> np.ndarray:
-    d = config.demographics
-    hm = roster.happiness[sel_y]
-    hf = roster.happiness[sel_z]
+    """Which matched pairs bear a child. The crowding term counts everyone
+    alive, or with block scope the mean alive count of the partners' home
+    blocks."""
     if config.success_pop_scope == "global":
-        pop_term = d.success_a * alive_count
+        pop = int(alive.sum())
     else:
-        w, h = config.grid
-        counts = np.zeros((w, h), dtype=np.int64)
-        loc_alive = roster.loc[alive_mask]
+        counts = np.zeros(config.grid, dtype=np.int64)
+        loc_alive = roster.loc[alive]
         np.add.at(counts, (loc_alive[:, 0], loc_alive[:, 1]), 1)
         pop_y = counts[roster.loc[sel_y, 0], roster.loc[sel_y, 1]]
         pop_z = counts[roster.loc[sel_z, 0], roster.loc[sel_z, 1]]
-        pop_term = d.success_a * (pop_y + pop_z) / 2.0
-    worst = np.maximum(
-        1.0 - _logistic_vec(d.success_scale * hm),
-        1.0 - _logistic_vec(d.success_scale * hf),
+        pop = (pop_y + pop_z) / 2.0
+    return mating_succeeds(
+        pop,
+        roster.happiness[sel_y],
+        roster.happiness[sel_z],
+        config.demographics,
+        streams["success"],
     )
-    threshold = pop_term + worst
-    if d.success_rule == "deterministic":
-        return np.minimum(hm, hf) >= threshold
-    draws = streams["success"].random(sel_y.shape[0])
-    return draws < 1.0 - np.clip(threshold, 0.0, 1.0)
 
 
 def run(config: SimConfig) -> TimeSeriesLog:
@@ -556,13 +457,14 @@ def run(config: SimConfig) -> TimeSeriesLog:
     d = config.demographics
     E = config.interaction.entries
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
-    people = init_population(config, streams["init"], streams["sex"], streams["location"])
-    roster = _roster_from_persons(people, with_grid=config.grid is not None)
-    initial_snapshot = list(people)
-    theta = config.theta0.values.copy()
+    initial = init_population(config, streams["init"], streams["sex"], streams["location"])
+    # Bury anyone dead at birth before the first row. take() copies every
+    # column, so in-place updates to the roster never reach the snapshot.
+    roster = initial.take(initial.death > 0.0)
+    theta = config.theta0.values
     period = config.mating_period
     n_rounds = int(math.floor(config.max_time / period + 1e-9))
-    next_id = roster.size
+    next_id = initial.size
 
     times, pops, births_col, deaths_col = [], [], [], []
     tot_h, mean_h, mean_cur_h = [], [], []
@@ -586,7 +488,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             mean_h.append(float("nan"))
             mean_cur_h.append(float("nan"))
             trait_rows.append(np.full(config.interaction.individual_dim, np.nan))
-        theta_rows.append(theta.copy())
+        theta_rows.append(theta)
         if config.grid is not None:
             w, h = config.grid
             counts = np.zeros((w, h), dtype=np.int64)
@@ -600,8 +502,6 @@ def run(config: SimConfig) -> TimeSeriesLog:
                     mean_block = sums[gx, gy] / c if c else float("nan")
                     grid_rows.append((t, gx, gy, c, mean_block))
 
-    # Bury anyone dead at birth before the first row.
-    roster.compress(roster.death > 0.0)
     status = "completed"
     if roster.size == 0:
         status = "extinct"
@@ -615,7 +515,6 @@ def run(config: SimConfig) -> TimeSeriesLog:
         for k_round in range(1, n_rounds + 1):
             t = k_round * period
             alive = roster.death > t
-            alive_count = int(alive.sum())
             avail = alive & (roster.avail <= t)
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
@@ -625,9 +524,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 gain = E @ theta
                 sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams)
                 if sel_y.shape[0]:
-                    ok = _success_mask(
-                        roster, sel_y, sel_z, alive_count, config, streams, alive
-                    )
+                    ok = _success_mask(roster, sel_y, sel_z, alive, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]
                 n_children = sel_y.shape[0]
                 if n_children:
@@ -642,38 +539,37 @@ def run(config: SimConfig) -> TimeSeriesLog:
                             pick[:, None] == 0, roster.loc[sel_y], roster.loc[sel_z]
                         )
                     child_happiness = child_traits @ gain
-                    children = _Roster(
+                    children = Roster(
                         ids=np.arange(next_id, next_id + n_children, dtype=np.int64),
                         sex=child_sex,
                         traits=child_traits,
                         happiness=child_happiness,
                         birth=np.full(n_children, t),
-                        death=t + _lifespan_vec(child_happiness, d),
+                        death=t + lifespan(child_happiness, d),
                         avail=np.full(n_children, t + d.maturity_age * period),
                         loc=child_loc,
                     )
                     next_id += n_children
                     # Parents recover for t + gap(h) before their next match.
-                    roster.avail[sel_y] = t + _gap_vec(roster.happiness[sel_y], d)
-                    roster.avail[sel_z] = t + _gap_vec(roster.happiness[sel_z], d)
+                    roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
+                    roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
                     roster.extend(children)
 
             before = roster.size
             keep = roster.death > t
             n_dead = before - int(keep.sum())
             if n_dead:
-                roster.compress(keep)
+                roster = roster.take(keep)
             births_acc += n_children
             deaths_acc += n_dead
 
             if roster.size:
-                lam = effective_lambda_value(
-                    config.schedule,
-                    float(roster.traits[:, config.schedule.flexibility_trait_index].mean())
-                    if config.schedule.kind == "dynamic"
-                    else None,
-                )
-                theta = np.clip(theta + lam * (roster.traits.mean(axis=0) @ E), 0.0, 1.0)
+                flex = None
+                if config.schedule.kind == "dynamic":
+                    flex = roster.traits[:, config.schedule.flexibility_trait_index].mean()
+                lam = effective_lambda_value(config.schedule, flex)
+                x_bar = roster.traits.mean(axis=0)
+                theta = society_update(theta, x_bar, config.interaction, lam).values
             if roster.size == 0:
                 status = "extinct"
             elif (roster.sex == 0).all() or (roster.sex == 1).all():
@@ -701,34 +597,42 @@ def run(config: SimConfig) -> TimeSeriesLog:
         society_names=config.interaction.col_names,
         status=status,
         grid_rows=np.asarray(grid_rows) if config.grid is not None else None,
-        initial_population=initial_snapshot,
-        final_population=_persons_from_roster(roster),
+        initial_population=initial,
+        final_population=roster,
     )
     return log
 
 
-def write_population_csv(
-    people: Sequence[Person], path: str | Path, trait_names: Sequence[str]
-) -> None:
+def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence[str]) -> None:
     """Snapshot CSV: one row per person, trait columns named."""
     header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy," + ",".join(
         trait_names
     )
     lines = [header]
-    for p in people:
-        gx = "" if p.location is None else str(p.location[0])
-        gy = "" if p.location is None else str(p.location[1])
+    n = roster.size
+    loc = roster.loc.tolist() if roster.loc is not None else [("", "")] * n
+    rows = zip(
+        roster.ids.tolist(),
+        roster.sex.tolist(),
+        roster.birth.tolist(),
+        roster.death.tolist(),
+        roster.avail.tolist(),
+        roster.happiness.tolist(),
+        loc,
+        roster.traits.tolist(),
+    )
+    for pid, sex, birth, death, avail, happy, (gx, gy), traits in rows:
         cells = [
-            str(p.id),
-            "male" if p.sex is Sex.MALE else "female",
-            _fmt(p.birth_time),
-            _fmt(p.death_time),
-            _fmt(p.next_available_time),
-            _fmt(p.happiness),
-            gx,
-            gy,
+            str(pid),
+            "male" if sex == 0 else "female",
+            _fmt(birth),
+            _fmt(death),
+            _fmt(avail),
+            _fmt(happy),
+            str(gx),
+            str(gy),
         ]
-        cells.extend(_fmt(v) for v in p.traits.values)
+        cells.extend(_fmt(v) for v in traits)
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 

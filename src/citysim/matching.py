@@ -1,40 +1,23 @@
-"""Mate-pair weight matrices and exact assignment solving.
+"""Mate-pair weights, grid distances and rank pairing.
 
 The weight of pairing male i with female j is the expected child's payoff
 under the current society vector. Because the expectation is affine in the
 parents, w_ij = u_i + v_j + c is separable; the plain (noise-free) problem
 is therefore solvable by ranking, while the noisy and locality variants
-need a real rectangular assignment solve.
+need a real rectangular assignment solve, which the engine runs on these
+weights.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .core import (
-    ConfigurationError,
-    ConsistencyError,
-    InteractionMatrix,
-    Person,
-    TraitVector,
-)
-from .demographics import DemographicsParams, mating_succeeds
+from .core import ConfigurationError
 
 __all__ = [
     "MatchMode",
-    "MatchWeights",
-    "MatchPlan",
-    "build_weights",
-    "solve_assignment",
-    "rank_pairing_match",
-    "partitioned_match",
-    "plan_matings",
     "expected_pair_weights",
     "rank_pair_indices",
     "grid_distances",
@@ -46,52 +29,6 @@ class MatchMode(str, Enum):
     NOISY = "noisy"
     PARTITIONED = "partitioned"
     LOCALITY = "locality"
-
-
-@dataclass(frozen=True)
-class MatchWeights:
-    """Dense weight matrix between available males (rows) and females (columns)."""
-
-    weights: np.ndarray
-    y_ids: tuple[int, ...]
-    z_ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.weights, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ConfigurationError(f"weights must be a matrix, got shape {arr.shape}")
-        y = tuple(int(i) for i in self.y_ids)
-        z = tuple(int(i) for i in self.z_ids)
-        if arr.shape != (len(y), len(z)):
-            raise ConfigurationError(
-                f"weights shape {arr.shape} does not match {len(y)} male ids "
-                f"and {len(z)} female ids"
-            )
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ConfigurationError("weights contain non-finite entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "y_ids", y)
-        object.__setattr__(self, "z_ids", z)
-
-
-@dataclass(frozen=True)
-class MatchPlan:
-    """A partial matching: each id appears in at most one pair."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
-    mode: MatchMode
-
-    def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        males = [a for a, _ in pairs]
-        females = [b for _, b in pairs]
-        if len(set(males)) != len(males) or len(set(females)) != len(females):
-            raise ConsistencyError("match plan reuses a person id")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "total_weight", float(self.total_weight))
 
 
 def expected_pair_weights(
@@ -129,89 +66,6 @@ def grid_distances(
     raise ConfigurationError(f"unknown distance metric {metric!r}")
 
 
-def _trait_matrix(people: Sequence[Person], dim: int) -> np.ndarray:
-    if not people:
-        return np.zeros((0, dim))
-    return np.stack([p.traits.values for p in people])
-
-
-def _locations(people: Sequence[Person]) -> np.ndarray:
-    rows = []
-    for p in people:
-        if p.location is None:
-            raise ConfigurationError(
-                f"person {p.id} has no grid location; locality matching needs one"
-            )
-        rows.append(p.location)
-    if not rows:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
-
-
-def build_weights(
-    Y: Sequence[Person],
-    Z: Sequence[Person],
-    theta,
-    interaction: InteractionMatrix,
-    mode: MatchMode = MatchMode.OPTIMAL,
-    gamma: float = 1.0,
-    rng: np.random.Generator | None = None,
-    *,
-    params: DemographicsParams | None = None,
-    noise_sigma: float = 1.0,
-    distance: str = "hamming",
-) -> MatchWeights:
-    """Weight matrix for the configured matching mode.
-
-    Optimal mode uses the expected-child payoff alone; noisy mode adds one
-    independent Gaussian per cell; locality mode subtracts gamma times the
-    block distance. Partitioning restructures the problem rather than the
-    weights, so it has its own entry point (partitioned_match).
-    """
-    mode = MatchMode(mode)
-    if mode is MatchMode.PARTITIONED:
-        raise ConfigurationError("partitioned matching is built by partitioned_match")
-    p = (params or DemographicsParams()).mutation_prob
-    theta_values = theta.values if isinstance(theta, TraitVector) else np.asarray(theta, dtype=np.float64)
-    if theta_values.shape != (interaction.society_dim,):
-        raise ConfigurationError(
-            f"society vector has {theta_values.shape[0]} traits, "
-            f"interaction matrix expects {interaction.society_dim}"
-        )
-    gain = interaction.entries @ theta_values
-    W = expected_pair_weights(
-        _trait_matrix(Y, interaction.individual_dim),
-        _trait_matrix(Z, interaction.individual_dim),
-        gain,
-        p,
-    )
-    if mode is MatchMode.NOISY:
-        if rng is None:
-            raise ConfigurationError("noisy matching needs a random generator")
-        W = W + rng.normal(0.0, noise_sigma, size=W.shape)
-    elif mode is MatchMode.LOCALITY:
-        D = grid_distances(_locations(Y), _locations(Z), distance)
-        W = W - gamma * D
-    return MatchWeights(W, tuple(p_.id for p_ in Y), tuple(p_.id for p_ in Z))
-
-
-def solve_assignment(W: MatchWeights, mode: MatchMode = MatchMode.OPTIMAL) -> MatchPlan:
-    """Exact maximum-weight matching of the smaller side.
-
-    Rectangular matrices are fine; every row (or column, whichever side is
-    smaller) is matched. Never heuristic.
-    """
-    k = min(len(W.y_ids), len(W.z_ids))
-    if k == 0:
-        return MatchPlan((), 0.0, MatchMode(mode))
-    rows, cols = linear_sum_assignment(W.weights, maximize=True)
-    order = np.argsort(rows)
-    rows, cols = rows[order], cols[order]
-    pairs = tuple((W.y_ids[r], W.z_ids[c]) for r, c in zip(rows, cols))
-    total = float(W.weights[rows, cols].sum())
-    return MatchPlan(pairs, total, MatchMode(mode))
-
-
 def rank_pair_indices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices of an optimal matching for separable weights.
 
@@ -223,99 +77,3 @@ def rank_pair_indices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     iy = np.argsort(-a, kind="stable")[:k]
     iz = np.argsort(-b, kind="stable")[:k]
     return iy, iz
-
-
-def rank_pairing_match(
-    Y: Sequence[Person],
-    Z: Sequence[Person],
-    theta,
-    interaction: InteractionMatrix,
-    params: DemographicsParams | None = None,
-) -> MatchPlan:
-    """Optimal-mode matching without building the k_Y x k_Z matrix.
-
-    Exactly equivalent in total weight to solve_assignment over
-    build_weights(..., mode=OPTIMAL); O(k log k) instead of O(k^3).
-    """
-    prm = params or DemographicsParams()
-    theta_values = theta.values if isinstance(theta, TraitVector) else np.asarray(theta, dtype=np.float64)
-    gain = interaction.entries @ theta_values
-    a = _trait_matrix(Y, interaction.individual_dim) @ gain
-    b = _trait_matrix(Z, interaction.individual_dim) @ gain
-    iy, iz = rank_pair_indices(a, b)
-    alpha = (1.0 - prm.mutation_prob) / 2.0
-    const = prm.mutation_prob / 2.0 * float(np.sum(gain))
-    total = float(np.sum(alpha * (a[iy] + b[iz]) + const))
-    pairs = tuple((Y[i].id, Z[j].id) for i, j in zip(iy, iz))
-    return MatchPlan(pairs, total, MatchMode.OPTIMAL)
-
-
-def partitioned_match(
-    Y: Sequence[Person],
-    Z: Sequence[Person],
-    theta,
-    interaction: InteractionMatrix,
-    partition_size: int,
-    rng: np.random.Generator,
-    *,
-    params: DemographicsParams | None = None,
-    noise_sigma: float = 1.0,
-) -> MatchPlan:
-    """Random partition into blocks of at most partition_size, noisy-optimal
-    matching inside each block, union of the block plans.
-
-    Draw order: male permutation, female permutation, then one noise matrix
-    per block in block order. Males' block i meets females' block i; when
-    the sides have unequally many blocks, the surplus blocks sit out.
-    """
-    if partition_size < 1:
-        raise ConfigurationError(f"partition_size must be >= 1, got {partition_size}")
-    if not Y or not Z:
-        return MatchPlan((), 0.0, MatchMode.PARTITIONED)
-    perm_y = rng.permutation(len(Y))
-    perm_z = rng.permutation(len(Z))
-    blocks_y = [perm_y[i : i + partition_size] for i in range(0, len(perm_y), partition_size)]
-    blocks_z = [perm_z[i : i + partition_size] for i in range(0, len(perm_z), partition_size)]
-    pairs: list[tuple[int, int]] = []
-    total = 0.0
-    for by, bz in zip(blocks_y, blocks_z):
-        sub = build_weights(
-            [Y[i] for i in by],
-            [Z[j] for j in bz],
-            theta,
-            interaction,
-            MatchMode.NOISY,
-            rng=rng,
-            params=params,
-            noise_sigma=noise_sigma,
-        )
-        plan = solve_assignment(sub, MatchMode.PARTITIONED)
-        pairs.extend(plan.pairs)
-        total += plan.total_weight
-    return MatchPlan(tuple(pairs), total, MatchMode.PARTITIONED)
-
-
-def plan_matings(
-    plan: MatchPlan,
-    population: Sequence[Person],
-    params: DemographicsParams | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[Person, Person]]:
-    """Pairs from the plan that clear the mating success threshold.
-
-    The threshold sees the full current population size. A plan id that is
-    no longer in the population indicates a scheduler bug, not bad input.
-    """
-    prm = params or DemographicsParams()
-    by_id = {p.id: p for p in population}
-    pop_size = len(population)
-    survivors: list[tuple[Person, Person]] = []
-    for male_id, female_id in plan.pairs:
-        try:
-            male = by_id[male_id]
-            female = by_id[female_id]
-        except KeyError as exc:
-            raise ConsistencyError(f"match plan references unknown person id {exc}") from None
-        if mating_succeeds(pop_size, male, female, prm, rng):
-            survivors.append((male, female))
-    return survivors

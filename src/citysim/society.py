@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError, InteractionMatrix, Person, TraitVector
+from .core import ConfigurationError, InteractionMatrix, TraitVector
 
 __all__ = [
     "LearningRateSchedule",
     "society_update",
     "society_gradient",
-    "effective_lambda",
     "effective_lambda_value",
 ]
 
@@ -30,7 +29,9 @@ class LearningRateSchedule:
 
     fixed: lambda = base * multiplier.
     dynamic: lambda = base * multiplier * mean flexibility of the living
-    population (an empty population freezes the society entirely).
+    population (an empty population freezes the society entirely), read
+    from individual trait flexibility_trait_index; SimConfig checks that
+    index against the interaction matrix.
     """
 
     kind: Literal["fixed", "dynamic"] = "fixed"
@@ -90,21 +91,3 @@ def effective_lambda_value(
     if mean_flexibility is None:
         return 0.0
     return lam * float(mean_flexibility)
-
-
-def effective_lambda(
-    schedule: LearningRateSchedule, population: Sequence[Person]
-) -> float:
-    """Step size for this round; dynamic schedules read the living population."""
-    if schedule.kind == "fixed":
-        return effective_lambda_value(schedule, None)
-    if not population:
-        return 0.0
-    idx = schedule.flexibility_trait_index
-    if idx >= population[0].traits.dim:
-        raise ConfigurationError(
-            f"flexibility_trait_index {idx} out of range for "
-            f"{population[0].traits.dim} traits"
-        )
-    flex = float(np.mean([p.traits.values[idx] for p in population]))
-    return effective_lambda_value(schedule, flex)

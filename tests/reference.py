@@ -1,0 +1,231 @@
+"""Person-level oracle for the engine.
+
+reference_run() re-executes run() one Person record at a time: available
+people, pairing, a per-pair success gate, batched births, burial and the
+society step. It consumes the same named streams in the same order as
+run(), so the two must agree row for row; a disagreement points at a
+bookkeeping or ordering slip in the columnar engine. Only the tests use
+this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
+from citysim.demographics import born_batch, lifespan, mating_gap, mating_success_threshold
+from citysim.engine import init_population, named_stream
+from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
+from citysim.society import effective_lambda_value
+
+STREAMS = ("init", "sex", "born", "noise", "partition", "location", "success")
+
+
+def persons(roster) -> list[Person]:
+    """One Person per roster row, in row order."""
+    people = []
+    for i in range(roster.size):
+        loc = None
+        if roster.loc is not None:
+            loc = (int(roster.loc[i, 0]), int(roster.loc[i, 1]))
+        people.append(
+            Person(
+                id=int(roster.ids[i]),
+                sex=Sex(int(roster.sex[i])),
+                traits=TraitVector(roster.traits[i]),
+                happiness=float(roster.happiness[i]),
+                birth_time=float(roster.birth[i]),
+                death_time=float(roster.death[i]),
+                next_available_time=float(roster.avail[i]),
+                location=loc,
+            )
+        )
+    return people
+
+
+def available(population, t: float) -> tuple[list[Person], list[Person]]:
+    """Living, matured, recovered people at time t, split (males, females)."""
+    ready = [p for p in population if p.is_alive(t) and p.next_available_time <= t]
+    return (
+        [p for p in ready if p.sex is Sex.MALE],
+        [p for p in ready if p.sex is Sex.FEMALE],
+    )
+
+
+def update_pop(population, births, t: float) -> list[Person]:
+    """Merged roster with this round's births added and expiries removed."""
+    merged = list(population) + list(births)
+    ids = [p.id for p in merged]
+    if len(set(ids)) != len(ids):
+        raise ConsistencyError("duplicate person id in population update")
+    return [p for p in merged if p.death_time > t]
+
+
+def effective_lambda(schedule, population) -> float:
+    """Step size for this round; dynamic schedules average the living
+    population's flexibility trait."""
+    if schedule.kind == "fixed" or not population:
+        return effective_lambda_value(schedule, None)
+    idx = schedule.flexibility_trait_index
+    flex = float(np.mean([p.traits.values[idx] for p in population]))
+    return effective_lambda_value(schedule, flex)
+
+
+def _traits(people) -> np.ndarray:
+    return np.stack([p.traits.values for p in people])
+
+
+def _solve(W, Y, Z) -> list[tuple[Person, Person]]:
+    rows, cols = linear_sum_assignment(W, maximize=True)
+    order = np.argsort(rows)
+    return [(Y[i], Z[j]) for i, j in zip(rows[order], cols[order])]
+
+
+def partitioned_match(Y, Z, gain, mutation_prob, partition_size, noise_sigma, rng):
+    """Random partition into blocks of at most partition_size, noisy-optimal
+    matching inside each block, union of the block matchings.
+
+    Draw order: male permutation, female permutation, then one noise matrix
+    per block in block order. Males' block i meets females' block i; when
+    the sides have unequally many blocks, the surplus blocks sit out.
+    """
+    if partition_size < 1:
+        raise ConfigurationError(f"partition_size must be >= 1, got {partition_size}")
+    if not Y or not Z:
+        return []
+    perm_y = rng.permutation(len(Y))
+    perm_z = rng.permutation(len(Z))
+    blocks_y = [perm_y[i : i + partition_size] for i in range(0, len(perm_y), partition_size)]
+    blocks_z = [perm_z[i : i + partition_size] for i in range(0, len(perm_z), partition_size)]
+    pairs = []
+    for by, bz in zip(blocks_y, blocks_z):
+        sub_y = [Y[i] for i in by]
+        sub_z = [Z[j] for j in bz]
+        W = expected_pair_weights(_traits(sub_y), _traits(sub_z), gain, mutation_prob)
+        W = W + rng.normal(0.0, noise_sigma, size=W.shape)
+        pairs.extend(_solve(W, sub_y, sub_z))
+    return pairs
+
+
+def reference_pairs(Y, Z, gain, config, streams) -> list[tuple[Person, Person]]:
+    """Matched (male, female) pairs under the configured matching mode."""
+    m = config.matching
+    p_mut = config.demographics.mutation_prob
+    if m.mode is MatchMode.OPTIMAL:
+        iy, iz = rank_pair_indices(_traits(Y) @ gain, _traits(Z) @ gain)
+        return [(Y[i], Z[j]) for i, j in zip(iy, iz)]
+    if m.mode is MatchMode.PARTITIONED:
+        return partitioned_match(
+            Y, Z, gain, p_mut, m.partition_size, m.noise_sigma, streams["partition"]
+        )
+    W = expected_pair_weights(_traits(Y), _traits(Z), gain, p_mut)
+    if m.mode is MatchMode.LOCALITY:
+        ly = np.array([p.location for p in Y])
+        lz = np.array([p.location for p in Z])
+        W = W - m.gamma * grid_distances(ly, lz, m.distance)
+    else:
+        W = W + streams["noise"].normal(0.0, m.noise_sigma, size=W.shape)
+    return _solve(W, Y, Z)
+
+
+def _succeeds(male, female, people, t, config, streams) -> bool:
+    """Success gate for one pair; the probabilistic rule draws one uniform."""
+    d = config.demographics
+    alive = [p for p in people if p.is_alive(t)]
+    if config.success_pop_scope == "global":
+        pop = len(alive)
+    else:
+        pop = (
+            sum(p.location == male.location for p in alive)
+            + sum(p.location == female.location for p in alive)
+        ) / 2.0
+    m = float(mating_success_threshold(pop, male.happiness, female.happiness, d))
+    if d.success_rule == "deterministic":
+        return min(male.happiness, female.happiness) >= m
+    return float(streams["success"].random()) < 1.0 - min(max(m, 0.0), 1.0)
+
+
+def reference_run(config):
+    """(rows, final population) of a Person-level re-execution of run().
+
+    Each row is (t, population, births, deaths, total happiness, mean
+    happiness, mean current happiness, theta, mean traits).
+    """
+    streams = {name: named_stream(config.seed, name) for name in STREAMS}
+    E = config.interaction.entries
+    d = config.demographics
+    theta = config.theta0.values.copy()
+    people = persons(init_population(config, streams["init"], streams["sex"], streams["location"]))
+    next_id = len(people)
+    people = [p for p in people if p.death_time > 0.0]
+    rows = []
+
+    def snapshot(t, births, deaths):
+        n = len(people)
+        if n:
+            traits = _traits(people)
+            tot = float(np.sum([p.happiness for p in people]))
+            mean_cur = float(np.mean(traits @ (E @ theta)))
+            means = traits.mean(axis=0)
+            rows.append((t, n, births, deaths, tot, tot / n, mean_cur, theta.copy(), means))
+        else:
+            rows.append((t, 0, births, deaths, 0.0, np.nan, np.nan, theta.copy(), None))
+
+    snapshot(0.0, 0, 0)
+    n_rounds = int(math.floor(config.max_time / config.mating_period + 1e-9))
+    if people and len({p.sex for p in people}) == 2:
+        for k in range(1, n_rounds + 1):
+            t = k * config.mating_period
+            Y, Z = available(people, t)
+            births = []
+            if Y and Z:
+                gain = E @ theta
+                ok_pairs = [
+                    (m, f)
+                    for m, f in reference_pairs(Y, Z, gain, config, streams)
+                    if _succeeds(m, f, people, t, config, streams)
+                ]
+                if ok_pairs:
+                    kids = born_batch(
+                        _traits([m for m, _ in ok_pairs]),
+                        _traits([f for _, f in ok_pairs]),
+                        streams["born"],
+                        d,
+                    )
+                    kid_sex = streams["sex"].integers(0, 2, size=len(ok_pairs))
+                    if config.grid is not None:
+                        pick = streams["location"].integers(0, 2, size=len(ok_pairs))
+                    kid_h = kids @ gain
+                    for i, (m, f) in enumerate(ok_pairs):
+                        loc = None
+                        if config.grid is not None:
+                            loc = m.location if pick[i] == 0 else f.location
+                        births.append(
+                            Person(
+                                id=next_id,
+                                sex=Sex(int(kid_sex[i])),
+                                traits=TraitVector(kids[i]),
+                                happiness=float(kid_h[i]),
+                                birth_time=t,
+                                death_time=t + float(lifespan(float(kid_h[i]), d)),
+                                next_available_time=t + d.maturity_age * config.mating_period,
+                                location=loc,
+                            )
+                        )
+                        next_id += 1
+                    for m, f in ok_pairs:
+                        m.next_available_time = t + float(mating_gap(m.happiness, d))
+                        f.next_available_time = t + float(mating_gap(f.happiness, d))
+            n_before = len(people) + len(births)
+            people = update_pop(people, births, t)
+            n_dead = n_before - len(people)
+            if people:
+                lam = effective_lambda(config.schedule, people)
+                theta = np.clip(theta + lam * (_traits(people).mean(axis=0) @ E), 0.0, 1.0)
+            snapshot(t, len(births), n_dead)
+            if not people or len({p.sex for p in people}) < 2:
+                break
+    return rows, people

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from citysim.core import ConfigurationError, Person, Sex, TraitVector
+from citysim.core import ConfigurationError, TraitVector
 from citysim.demographics import (
     DemographicsParams,
     born,
@@ -21,18 +21,6 @@ from citysim.demographics import (
 )
 
 finite_h = st.floats(min_value=-20, max_value=20, allow_nan=False)
-
-
-def person_with_happiness(h, sex=Sex.MALE, pid=0):
-    return Person(
-        id=pid,
-        sex=sex,
-        traits=TraitVector(np.full(8, 0.5)),
-        happiness=h,
-        birth_time=0.0,
-        death_time=100.0,
-        next_available_time=1.0,
-    )
 
 
 class TestParams:
@@ -92,10 +80,10 @@ class TestLifespan:
         assert lifespan(lo) <= lifespan(hi) + 1e-12
 
     def test_matches_direct_formula(self):
-        rng = np.random.default_rng(101)
-        for h in rng.uniform(-5, 15, size=1000):
-            direct = max(0.0, 150.0 * (1.0 - 10.0 * math.exp(-h)))
-            assert lifespan(float(h)) == pytest.approx(direct, abs=1e-12)
+        hs = np.random.default_rng(101).uniform(-5, 15, size=1000)
+        direct = [max(0.0, 150.0 * (1.0 - 10.0 * math.exp(-h))) for h in hs]
+        np.testing.assert_allclose(lifespan(hs), direct, rtol=0, atol=1e-12)
+        assert lifespan(float(hs[0])) == lifespan(hs)[0]
 
 
 class TestMatingGap:
@@ -116,10 +104,10 @@ class TestMatingGap:
         assert mating_gap(lo) >= mating_gap(hi) - 1e-12
 
     def test_matches_direct_formula(self):
-        rng = np.random.default_rng(202)
-        for h in rng.uniform(-5, 15, size=1000):
-            direct = 0.8 / (max(float(h), 0.0) + 0.01)
-            assert mating_gap(float(h)) == pytest.approx(direct, abs=1e-12)
+        hs = np.random.default_rng(202).uniform(-5, 15, size=1000)
+        direct = [0.8 / (max(h, 0.0) + 0.01) for h in hs]
+        np.testing.assert_allclose(mating_gap(hs), direct, rtol=0, atol=1e-12)
+        assert mating_gap(float(hs[0])) == mating_gap(hs)[0]
 
 
 class TestSuccessThreshold:
@@ -155,53 +143,56 @@ class TestSuccessThreshold:
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(303)
-        for _ in range(1000):
-            n = int(rng.integers(0, 3000))
-            hm = float(rng.uniform(-2, 8))
-            hf = float(rng.uniform(-2, 8))
-            sig = lambda t: 1.0 / (1.0 + math.exp(-t))
-            direct = 0.002 * n + max(1 - sig(20 * hm), 1 - sig(20 * hf))
-            assert mating_success_threshold(n, hm, hf) == pytest.approx(direct, abs=1e-12)
+        n = rng.integers(0, 3000, size=1000)
+        hm = rng.uniform(-2, 8, size=1000)
+        hf = rng.uniform(-2, 8, size=1000)
+        sig = lambda t: 1.0 / (1.0 + math.exp(-t))
+        direct = [
+            0.002 * k + max(1 - sig(20 * a), 1 - sig(20 * b)) for k, a, b in zip(n, hm, hf)
+        ]
+        np.testing.assert_allclose(
+            mating_success_threshold(n, hm, hf), direct, rtol=0, atol=1e-12
+        )
+        assert mating_success_threshold(int(n[0]), float(hm[0]), float(hf[0])) == pytest.approx(
+            direct[0], abs=1e-12
+        )
 
 
 class TestMatingSucceeds:
     def test_happy_pair_in_empty_city(self):
-        m = person_with_happiness(1.0, Sex.MALE)
-        f = person_with_happiness(1.0, Sex.FEMALE, pid=1)
-        assert mating_succeeds(0, m, f) is True
+        assert mating_succeeds(0, 1.0, 1.0)
 
     def test_crowding_suppresses_even_happy_pairs(self):
-        m = person_with_happiness(1.0, Sex.MALE)
-        f = person_with_happiness(1.0, Sex.FEMALE, pid=1)
-        assert mating_succeeds(1000, m, f) is False
+        assert not mating_succeeds(1000, 1.0, 1.0)
 
     def test_miserable_pair_never_succeeds(self):
-        m = person_with_happiness(-1.0, Sex.MALE)
-        f = person_with_happiness(-1.0, Sex.FEMALE, pid=1)
-        assert mating_succeeds(0, m, f) is False
+        assert not mating_succeeds(0, -1.0, -1.0)
 
     def test_gate_is_deterministic(self):
-        m = person_with_happiness(0.6, Sex.MALE)
-        f = person_with_happiness(0.8, Sex.FEMALE, pid=1)
-        results = {mating_succeeds(50, m, f) for _ in range(10)}
+        results = {bool(mating_succeeds(50, 0.6, 0.8)) for _ in range(10)}
         assert len(results) == 1
+        # One call over arrays gives each pair its scalar verdict.
+        hm = np.array([1.0, 1.0, -1.0, 0.6])
+        hf = np.array([1.0, -1.0, 1.0, 0.8])
+        gate = mating_succeeds(50, hm, hf)
+        assert gate.tolist() == [bool(mating_succeeds(50, a, b)) for a, b in zip(hm, hf)]
 
     def test_probabilistic_rule_needs_rng(self):
         params = DemographicsParams(success_rule="probabilistic")
-        m = person_with_happiness(0.0, Sex.MALE)
-        f = person_with_happiness(0.0, Sex.FEMALE, pid=1)
         with pytest.raises(ConfigurationError):
-            mating_succeeds(0, m, f, params)
+            mating_succeeds(0, 0.0, 0.0, params)
 
     def test_probabilistic_rate_tracks_threshold(self):
         # pop 0 and neutral happiness put the threshold at exactly 0.5,
-        # so the success probability is 0.5.
+        # so the success probability is 0.5. One uniform per pair: an
+        # array call draws what per-pair calls draw, in pair order.
         params = DemographicsParams(success_rule="probabilistic")
-        m = person_with_happiness(0.0, Sex.MALE)
-        f = person_with_happiness(0.0, Sex.FEMALE, pid=1)
+        h = np.zeros(10_000)
+        hits = mating_succeeds(0, h, h, params, np.random.default_rng(11))
+        assert hits.mean() == pytest.approx(0.5, abs=0.02)
         rng = np.random.default_rng(11)
-        hits = sum(mating_succeeds(0, m, f, params, rng) for _ in range(10_000))
-        assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
+        one_by_one = [bool(mating_succeeds(0, 0.0, 0.0, params, rng)) for _ in range(50)]
+        assert hits[:50].tolist() == one_by_one
 
 
 class TestBorn:

@@ -1,48 +1,30 @@
 """Engine tests.
 
-The centerpiece is a reference loop rebuilt from the person-level
-operations (available, rank pairing, success threshold, batched births,
-update_pop, society step) that consumes the same named streams in the same
-order as run(). Comparing the two catches bookkeeping and ordering slips
-in the fast columnar path.
+The centerpiece is TestReferenceTrace: tests/reference.py re-executes run()
+one Person record at a time, consuming the same named streams in the same
+order, and the two must agree row for row. That catches bookkeeping and
+ordering slips in the columnar engine.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from citysim.core import (
-    ConfigurationError,
-    ConsistencyError,
-    InteractionMatrix,
-    Person,
-    Sex,
-    TraitVector,
-)
-from citysim.demographics import (
-    DemographicsParams,
-    born_batch,
-    lifespan,
-    mating_gap,
-    mating_success_threshold,
-)
+from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
+from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
     MatchingConfig,
     PopulationGroup,
     SimConfig,
-    TimeSeriesLog,
-    available,
     init_population,
     named_stream,
     run,
-    update_pop,
     write_run_outputs,
 )
-from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
-from citysim.society import LearningRateSchedule, effective_lambda_value
-from scipy.optimize import linear_sum_assignment
+from citysim.matching import MatchMode
+from citysim.society import LearningRateSchedule
+from reference import available, reference_run, update_pop
 
 
 def small_config(**overrides):
@@ -68,31 +50,27 @@ class TestInitPopulation:
                 PopulationGroup(20, TraitVector([0.2] * 8), 0.0),
             )
         )
-        people = init_population(cfg)
-        assert len(people) == 100
-        assert [p.id for p in people] == list(range(100))
-        first = np.stack([p.traits.values for p in people[:80]])
-        second = np.stack([p.traits.values for p in people[80:]])
-        assert np.all(first == 0.9)
-        assert np.all(second == 0.2)
+        roster = init_population(cfg)
+        assert roster.size == 100
+        assert roster.ids.tolist() == list(range(100))
+        assert np.all(roster.traits[:80] == 0.9)
+        assert np.all(roster.traits[80:] == 0.2)
 
     def test_zero_std_happiness_and_times(self):
         cfg = small_config(
             groups=(PopulationGroup(10, TraitVector([1.0] * 8), 0.0),),
             theta0=TraitVector([1.0] * 13),
         )
-        people = init_population(cfg)
+        roster = init_population(cfg)
         h = float(np.ones(8) @ cfg.interaction.entries @ np.ones(13))
-        for p in people:
-            assert p.happiness == pytest.approx(h, rel=1e-12)
-            assert p.birth_time == 0.0
-            assert p.death_time == pytest.approx(lifespan(h), rel=1e-9)
-            assert p.next_available_time == cfg.demographics.maturity_age * cfg.mating_period
+        np.testing.assert_allclose(roster.happiness, h, rtol=1e-12)
+        assert np.all(roster.birth == 0.0)
+        np.testing.assert_allclose(roster.death, lifespan(h), rtol=1e-9)
+        assert np.all(roster.avail == cfg.demographics.maturity_age * cfg.mating_period)
 
     def test_clipping_into_unit_cube(self):
         cfg = small_config(groups=(PopulationGroup(400, TraitVector([0.5] * 8), 5.0),))
-        people = init_population(cfg)
-        traits = np.stack([p.traits.values for p in people])
+        traits = init_population(cfg).traits
         assert traits.min() >= 0.0 and traits.max() <= 1.0
         assert (traits == 0.0).any() and (traits == 1.0).any()
 
@@ -109,8 +87,7 @@ class TestInitPopulation:
             groups=(PopulationGroup(500, TraitVector([0.6] * 8), 0.1),),
             grid=(4, 3),
         )
-        people = init_population(cfg)
-        locs = np.array([p.location for p in people])
+        locs = init_population(cfg).loc
         assert locs[:, 0].min() >= 0 and locs[:, 0].max() <= 3
         assert locs[:, 1].min() >= 0 and locs[:, 1].max() <= 2
         assert len(np.unique(locs, axis=0)) == 12
@@ -119,12 +96,9 @@ class TestInitPopulation:
         cfg = small_config()
         a = init_population(cfg)
         b = init_population(cfg)
-        assert all(
-            p.id == q.id
-            and p.sex == q.sex
-            and np.array_equal(p.traits.values, q.traits.values)
-            for p, q in zip(a, b)
-        )
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.sex, b.sex)
+        assert np.array_equal(a.traits, b.traits)
 
 
 def make_person(pid, sex, h=5.0, birth=0.0, death=100.0, avail=None):
@@ -170,139 +144,6 @@ class TestAvailableAndUpdate:
             update_pop(pop, [make_person(0, Sex.FEMALE)], 1.0)
 
 
-def reference_run(config):
-    """Person-level re-execution of run(), consuming identical streams."""
-    streams = {
-        name: named_stream(config.seed, name)
-        for name in ("init", "sex", "born", "noise", "partition", "location", "success")
-    }
-    E = config.interaction.entries
-    d = config.demographics
-    theta = config.theta0.values.copy()
-    people = init_population(config, streams["init"], streams["sex"], streams["location"])
-    people = [p for p in people if p.death_time > 0.0]
-    next_id = len(people) if not people else max(p.id for p in people) + 1
-    rows = []
-
-    def snapshot(t, births, deaths):
-        n = len(people)
-        if n:
-            traits = np.stack([p.traits.values for p in people])
-            tot = float(np.sum([p.happiness for p in people]))
-            rows.append(
-                (
-                    t,
-                    n,
-                    births,
-                    deaths,
-                    tot,
-                    tot / n,
-                    float(np.mean(traits @ (E @ theta))),
-                    theta.copy(),
-                    traits.mean(axis=0),
-                )
-            )
-        else:
-            rows.append((t, 0, births, deaths, 0.0, np.nan, np.nan, theta.copy(), None))
-
-    snapshot(0.0, 0, 0)
-    n_rounds = int(math.floor(config.max_time / config.mating_period + 1e-9))
-    sexes_present = {p.sex for p in people}
-    if people and len(sexes_present) == 2:
-        for k in range(1, n_rounds + 1):
-            t = k * config.mating_period
-            Y, Z = available(people, t)
-            alive_count = sum(1 for p in people if p.is_alive(t))
-            births = []
-            if Y and Z:
-                gain = E @ theta
-                ok_pairs = _reference_pairs(Y, Z, gain, config, streams)
-                ok_pairs = [
-                    (f, m)
-                    for f, m in ok_pairs
-                    if min(f.happiness, m.happiness)
-                    >= mating_success_threshold(alive_count, f.happiness, m.happiness, d)
-                ]
-                if ok_pairs:
-                    F = np.stack([f.traits.values for f, _ in ok_pairs])
-                    M = np.stack([m.traits.values for _, m in ok_pairs])
-                    kids = born_batch(F, M, streams["born"], d)
-                    kid_sex = streams["sex"].integers(0, 2, size=len(ok_pairs))
-                    if config.grid is not None:
-                        pick = streams["location"].integers(0, 2, size=len(ok_pairs))
-                    kid_h = kids @ gain
-                    for i, (f, m) in enumerate(ok_pairs):
-                        loc = None
-                        if config.grid is not None:
-                            loc = f.location if pick[i] == 0 else m.location
-                        births.append(
-                            Person(
-                                id=next_id,
-                                sex=Sex(int(kid_sex[i])),
-                                traits=TraitVector(kids[i]),
-                                happiness=float(kid_h[i]),
-                                birth_time=t,
-                                death_time=t + lifespan(float(kid_h[i]), d),
-                                next_available_time=t
-                                + d.maturity_age * config.mating_period,
-                                location=loc,
-                            )
-                        )
-                        next_id += 1
-                    for f, m in ok_pairs:
-                        f.next_available_time = t + mating_gap(f.happiness, d)
-                        m.next_available_time = t + mating_gap(m.happiness, d)
-            n_before = len(people) + len(births)
-            people = update_pop(people, births, t)
-            n_dead = n_before - len(people)
-            if people:
-                if config.schedule.kind == "dynamic":
-                    flex = float(
-                        np.mean(
-                            [
-                                p.traits.values[config.schedule.flexibility_trait_index]
-                                for p in people
-                            ]
-                        )
-                    )
-                    lam = effective_lambda_value(config.schedule, flex)
-                else:
-                    lam = effective_lambda_value(config.schedule, None)
-                xbar = np.stack([p.traits.values for p in people]).mean(axis=0)
-                theta = np.clip(theta + lam * (xbar @ E), 0.0, 1.0)
-            snapshot(t, len(births), n_dead)
-            if not people or len({p.sex for p in people}) < 2:
-                break
-    return rows
-
-
-def _reference_pairs(Y, Z, gain, config, streams):
-    mode = config.matching.mode
-    if mode is MatchMode.OPTIMAL:
-        a = np.stack([p.traits.values for p in Y]) @ gain
-        b = np.stack([p.traits.values for p in Z]) @ gain
-        iy, iz = rank_pair_indices(a, b)
-        return [(Y[i], Z[j]) for i, j in zip(iy, iz)]
-    ty = np.stack([p.traits.values for p in Y])
-    tz = np.stack([p.traits.values for p in Z])
-    p_mut = config.demographics.mutation_prob
-    if mode is MatchMode.LOCALITY:
-        W = expected_pair_weights(ty, tz, gain, p_mut)
-        ly = np.array([p.location for p in Y])
-        lz = np.array([p.location for p in Z])
-        W = W - config.matching.gamma * grid_distances(ly, lz, config.matching.distance)
-        rows, cols = linear_sum_assignment(W, maximize=True)
-        order = np.argsort(rows)
-        return [(Y[i], Z[j]) for i, j in zip(rows[order], cols[order])]
-    if mode is MatchMode.NOISY:
-        W = expected_pair_weights(ty, tz, gain, p_mut)
-        W = W + streams["noise"].normal(0.0, config.matching.noise_sigma, size=W.shape)
-        rows, cols = linear_sum_assignment(W, maximize=True)
-        order = np.argsort(rows)
-        return [(Y[i], Z[j]) for i, j in zip(rows[order], cols[order])]
-    raise NotImplementedError(mode)
-
-
 TRACE_CASES = {
     "optimal-fixed": dict(
         seed=901,
@@ -342,6 +183,37 @@ TRACE_CASES = {
         grid=(3, 3),
         max_time=5.0,
     ),
+    "partitioned": dict(
+        seed=905,
+        groups=(PopulationGroup(22, TraitVector([0.65] * 8), 0.2),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2),
+        matching=MatchingConfig(mode=MatchMode.PARTITIONED, partition_size=4, noise_sigma=0.5),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=6.0,
+    ),
+    # A crowding term near one half makes roughly every other pair fail.
+    "probabilistic": dict(
+        seed=906,
+        groups=(PopulationGroup(18, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(
+            mutation_prob=0.2, success_a=0.03, success_rule="probabilistic"
+        ),
+        schedule=LearningRateSchedule(kind="dynamic", base=1e-3, multiplier=20.0),
+        max_time=6.0,
+    ),
+    "block": dict(
+        seed=907,
+        groups=(PopulationGroup(24, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2, success_a=0.3),
+        matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=0.8),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        grid=(2, 2),
+        success_pop_scope="block",
+        max_time=6.0,
+    ),
 }
 
 
@@ -350,7 +222,7 @@ class TestReferenceTrace:
     def test_run_matches_person_level_reference(self, case):
         cfg = SimConfig(**TRACE_CASES[case])
         log = run(cfg)
-        ref = reference_run(cfg)
+        ref, people = reference_run(cfg)
         assert len(ref) == len(log.times)
         for i, (t, n, births, deaths, tot, mean, mean_cur, theta, mean_traits) in enumerate(ref):
             assert log.times[i] == t
@@ -363,6 +235,19 @@ class TestReferenceTrace:
                 assert log.mean_current_happiness[i] == pytest.approx(mean_cur, rel=1e-9)
                 np.testing.assert_allclose(log.mean_traits[i], mean_traits, rtol=1e-9)
             np.testing.assert_allclose(log.theta[i], theta, rtol=0, atol=1e-12)
+        final = log.final_population
+        assert final.ids.tolist() == [p.id for p in people]
+        assert final.sex.tolist() == [int(p.sex) for p in people]
+        if people:
+            assert np.array_equal(final.traits, np.stack([p.traits.values for p in people]))
+        assert final.happiness.tolist() == [p.happiness for p in people]
+        assert final.birth.tolist() == [p.birth_time for p in people]
+        np.testing.assert_allclose(final.death, [p.death_time for p in people], rtol=1e-12)
+        np.testing.assert_allclose(
+            final.avail, [p.next_available_time for p in people], rtol=1e-12
+        )
+        if cfg.grid is not None:
+            assert [tuple(r) for r in final.loc.tolist()] == [p.location for p in people]
 
     def test_trace_cases_actually_reproduce(self):
         # Guard: each trace must include rounds with births and with deaths,
@@ -398,16 +283,14 @@ class TestRunBehavior:
         )
         pa = run(quiet).initial_population
         pb = run(noisy).initial_population
-        assert len(pa) == len(pb)
-        for p, q in zip(pa, pb):
-            assert p.sex == q.sex
-            assert np.array_equal(p.traits.values, q.traits.values)
+        assert np.array_equal(pa.sex, pb.sex)
+        assert np.array_equal(pa.traits, pb.traits)
 
     def test_conservation_and_unique_ids(self):
         log = run(small_config(max_time=60.0, log_every=1))
         log.validate_conservation()
-        ids = [p.id for p in log.final_population]
-        assert len(ids) == len(set(ids))
+        ids = log.final_population.ids
+        assert len(np.unique(ids)) == len(ids) == log.population[-1]
 
     def test_log_every_subsampling_consistent(self):
         dense = run(small_config(max_time=42.0, log_every=1))
@@ -524,9 +407,9 @@ class TestGridOutputs:
             demographics=DemographicsParams(success_a=0.05),
         )
         log = run(cfg)
-        for p in log.final_population:
-            assert p.location is not None
-            assert 0 <= p.location[0] < 5 and 0 <= p.location[1] < 2
+        loc = log.final_population.loc
+        assert loc.shape == (log.population[-1], 2)
+        assert np.all((0 <= loc[:, 0]) & (loc[:, 0] < 5) & (0 <= loc[:, 1]) & (loc[:, 1] < 2))
 
     def test_write_run_outputs_file_set(self, tmp_path):
         cfg = small_config(max_time=8.0)

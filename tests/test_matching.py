@@ -1,31 +1,18 @@
-"""Weight construction and exact assignment solving."""
+"""Pair weights, the exact assignment solve, rank pairing, and the
+partitioned matching of the Person-level oracle."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from citysim.core import (
-    ConfigurationError,
-    ConsistencyError,
-    InteractionMatrix,
-    Person,
-    Sex,
-    TraitVector,
-    happiness,
-)
-from citysim.demographics import DemographicsParams, expected_child
-from citysim.matching import (
-    MatchMode,
-    MatchPlan,
-    MatchWeights,
-    build_weights,
-    grid_distances,
-    partitioned_match,
-    plan_matings,
-    rank_pairing_match,
-    solve_assignment,
-)
+from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector, happiness
+from citysim.demographics import DemographicsParams, expected_child, mating_succeeds
+from citysim.engine import MatchingConfig, PopulationGroup, Roster, SimConfig, _match_pairs, run
+from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
+from reference import partitioned_match
 
 MATRIX = InteractionMatrix.default()
 
@@ -51,6 +38,22 @@ def random_people(rng, n, sex, start_id=0, grid=None):
     return people
 
 
+def traits_of(people):
+    return np.stack([p.traits.values for p in people]) if people else np.zeros((0, 8))
+
+
+def clean_weights(Y, Z, theta, params=None):
+    p = (params or DemographicsParams()).mutation_prob
+    gain = MATRIX.entries @ np.asarray(theta, dtype=np.float64)
+    return expected_pair_weights(traits_of(Y), traits_of(Z), gain, p)
+
+
+def solve(W):
+    """(pairs, total) of the exact solve, called as the engine calls it."""
+    rows, cols = linear_sum_assignment(W, maximize=True)
+    return list(zip(rows.tolist(), cols.tolist())), float(W[rows, cols].sum())
+
+
 def permutation_maximum(W):
     """All-permutations oracle; same gather-and-sum as the solver's total."""
     ky, kz = W.shape
@@ -65,60 +68,52 @@ def permutation_maximum(W):
 
 class TestSolveAssignment:
     def test_single_cell(self):
-        plan = solve_assignment(MatchWeights([[5.0]], (10,), (20,)))
-        assert plan.pairs == ((10, 20),)
-        assert plan.total_weight == 5.0
+        assert solve(np.array([[5.0]])) == ([(0, 0)], 5.0)
 
     def test_two_by_two_unique_optimum(self):
-        plan = solve_assignment(MatchWeights([[2.0, 1.0], [1.0, 2.0]], (0, 1), (2, 3)))
-        assert plan.pairs == ((0, 2), (1, 3))
-        assert plan.total_weight == 4.0
+        assert solve(np.array([[2.0, 1.0], [1.0, 2.0]])) == ([(0, 0), (1, 1)], 4.0)
 
     def test_empty_matrix_gives_empty_plan(self):
-        plan = solve_assignment(MatchWeights(np.zeros((0, 3)), (), (5, 6, 7)))
-        assert plan.pairs == ()
-        assert plan.total_weight == 0.0
+        assert solve(np.zeros((0, 3))) == ([], 0.0)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_permutation_brute_force(self, k):
         rng = np.random.default_rng(1000 + k)
         for _ in range(30):
             W = rng.uniform(-1, 1, size=(k, k))
-            plan = solve_assignment(MatchWeights(W, tuple(range(k)), tuple(range(k, 2 * k))))
-            assert plan.total_weight == permutation_maximum(W)
+            assert solve(W)[1] == permutation_maximum(W)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
     def test_rectangular_matches_brute_force_and_covers_small_side(self, shape):
+        # The engine relies on the row indices coming back sorted.
         rng = np.random.default_rng(7)
         for _ in range(20):
             W = rng.uniform(-1, 1, size=shape)
-            plan = solve_assignment(
-                MatchWeights(W, tuple(range(shape[0])), tuple(range(100, 100 + shape[1])))
-            )
-            assert len(plan.pairs) == min(shape)
-            assert plan.total_weight == permutation_maximum(W)
+            pairs, total = solve(W)
+            assert len(pairs) == min(shape)
+            assert [r for r, _ in pairs] == sorted(r for r, _ in pairs)
+            assert total == permutation_maximum(W)
 
     def test_plan_is_stable_under_weight_translation(self):
         rng = np.random.default_rng(42)
         W = rng.uniform(size=(6, 6))
-        ids = (tuple(range(6)), tuple(range(10, 16)))
-        base = solve_assignment(MatchWeights(W, *ids))
-        shifted = solve_assignment(MatchWeights(W + 17.25, *ids))
-        assert base.pairs == shifted.pairs
+        assert solve(W)[0] == solve(W + 17.25)[0]
 
 
-class TestMatchWeights:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            MatchWeights([[np.inf]], (0,), (1,))
-
-    def test_rejects_id_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            MatchWeights(np.zeros((2, 2)), (0,), (1, 2))
-
-    def test_plan_rejects_id_reuse(self):
-        with pytest.raises(ConsistencyError):
-            MatchPlan(((0, 1), (0, 2)), 0.0, MatchMode.OPTIMAL)
+def locality_roster(y_traits, z_traits, y_loc, z_loc):
+    """Males first, then females; every person is alive and available."""
+    traits = np.vstack([y_traits, z_traits])
+    n = traits.shape[0]
+    return Roster(
+        ids=np.arange(n, dtype=np.int64),
+        sex=np.array([0] * len(y_traits) + [1] * len(z_traits), dtype=np.int8),
+        traits=traits,
+        happiness=np.ones(n),
+        birth=np.zeros(n),
+        death=np.full(n, 100.0),
+        avail=np.zeros(n),
+        loc=np.array(list(y_loc) + list(z_loc), dtype=np.int64),
+    )
 
 
 class TestBuildWeights:
@@ -127,69 +122,72 @@ class TestBuildWeights:
         Y = random_people(rng, 5, Sex.MALE)
         Z = random_people(rng, 4, Sex.FEMALE, start_id=5)
         theta = TraitVector(rng.uniform(size=13))
-        W = build_weights(Y, Z, theta, MATRIX)
+        W = clean_weights(Y, Z, theta.values)
         for i, y in enumerate(Y):
             for j, z in enumerate(Z):
                 oracle = happiness(expected_child(y.traits, z.traits), MATRIX, theta)
-                assert W.weights[i, j] == pytest.approx(oracle, abs=1e-12)
+                assert W[i, j] == pytest.approx(oracle, abs=1e-12)
 
     def test_indicator_pair_without_mutation_reads_matrix_cell(self):
         params = DemographicsParams(mutation_prob=1e-12)
         e_a = np.eye(8)[0]
         Y = [make_person(0, Sex.MALE, e_a)]
         Z = [make_person(1, Sex.FEMALE, e_a)]
-        theta = np.eye(13)[0]
-        W = build_weights(Y, Z, theta, MATRIX, params=params)
-        assert W.weights[0, 0] == pytest.approx(0.9, abs=1e-9)
+        W = clean_weights(Y, Z, np.eye(13)[0], params)
+        assert W[0, 0] == pytest.approx(0.9, abs=1e-9)
 
     def test_locality_penalty_subtracts_gamma_times_distance(self):
-        params = DemographicsParams(mutation_prob=1e-12)
-        e_a = np.eye(8)[0]
-        Y = [make_person(0, Sex.MALE, e_a, location=(0, 0))]
-        Z = [make_person(1, Sex.FEMALE, e_a, location=(1, 1))]
-        theta = np.eye(13)[0]
-        W = build_weights(Y, Z, theta, MATRIX, MatchMode.LOCALITY, gamma=1.0, params=params)
-        assert W.weights[0, 0] == pytest.approx(0.9 - 2.0, abs=1e-9)
+        # One male at (0, 0); the female in his block scores lower than the
+        # one two hamming steps away. The engine's locality weights pick the
+        # nearer female exactly when gamma * 2 outweighs the payoff gap.
+        y = np.full((1, 8), 0.5)
+        z = np.array([np.full(8, 0.2), np.full(8, 0.8)])
+        cfg = SimConfig(
+            seed=1,
+            groups=(PopulationGroup(3, TraitVector([0.5] * 8)),),
+            theta0=TraitVector([0.6] * 13),
+            grid=(2, 2),
+            matching=MatchingConfig(mode=MatchMode.LOCALITY),
+        )
+        gain = MATRIX.entries @ cfg.theta0.values
+        alpha = (1.0 - cfg.demographics.mutation_prob) / 2.0
+        gap = alpha * float((z[1] - z[0]) @ gain)
+        roster = locality_roster(y, z, [(0, 0)], [(0, 0), (1, 1)])
+        for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
+            c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
+            sel_y, sel_z = _match_pairs(roster, np.array([0]), np.array([1, 2]), gain, c, {})
+            assert (sel_y.tolist(), sel_z.tolist()) == ([0], [partner])
 
     def test_locality_same_block_is_unpenalized(self):
         rng = np.random.default_rng(9)
-        Y = random_people(rng, 3, Sex.MALE, grid=4)
-        Z = [make_person(10 + i, Sex.FEMALE, rng.uniform(size=8), location=y.location)
-             for i, y in enumerate(Y)]
-        theta = TraitVector(rng.uniform(size=13))
-        plain = build_weights(Y, Z, theta, MATRIX)
-        local = build_weights(Y, Z, theta, MATRIX, MatchMode.LOCALITY, gamma=5.0)
-        assert np.allclose(np.diag(local.weights), np.diag(plain.weights), atol=1e-12)
+        loc = rng.integers(0, 4, size=(3, 2))
+        for metric in ("hamming", "manhattan"):
+            assert np.all(np.diag(grid_distances(loc, loc, metric)) == 0.0)
 
     def test_locality_needs_locations(self):
-        Y = [make_person(0, Sex.MALE, np.ones(8))]
-        Z = [make_person(1, Sex.FEMALE, np.ones(8))]
         with pytest.raises(ConfigurationError):
-            build_weights(Y, Z, np.ones(13), MATRIX, MatchMode.LOCALITY)
-
-    def test_noisy_needs_rng(self):
-        Y = [make_person(0, Sex.MALE, np.ones(8))]
-        Z = [make_person(1, Sex.FEMALE, np.ones(8))]
-        with pytest.raises(ConfigurationError):
-            build_weights(Y, Z, np.ones(13), MATRIX, MatchMode.NOISY)
-
-    def test_partitioned_mode_is_rejected_here(self):
-        with pytest.raises(ConfigurationError):
-            build_weights([], [], np.ones(13), MATRIX, MatchMode.PARTITIONED)
+            SimConfig(
+                seed=1,
+                groups=(PopulationGroup(3, TraitVector([0.5] * 8)),),
+                theta0=TraitVector([0.6] * 13),
+                matching=MatchingConfig(mode=MatchMode.LOCALITY),
+            )
 
     def test_noisy_weights_reproducible_per_seed(self):
-        rng = np.random.default_rng(8)
-        Y = random_people(rng, 6, Sex.MALE)
-        Z = random_people(rng, 6, Sex.FEMALE, start_id=6)
-        theta = TraitVector(rng.uniform(size=13))
-        W1 = build_weights(Y, Z, theta, MATRIX, MatchMode.NOISY, rng=np.random.default_rng(99))
-        W2 = build_weights(Y, Z, theta, MATRIX, MatchMode.NOISY, rng=np.random.default_rng(99))
-        assert np.array_equal(W1.weights, W2.weights)
-        assert solve_assignment(W1).pairs == solve_assignment(W2).pairs
+        cfg = SimConfig(
+            seed=8,
+            groups=(PopulationGroup(16, TraitVector([0.6] * 8), 0.2),),
+            theta0=TraitVector([0.6] * 13),
+            matching=MatchingConfig(mode=MatchMode.NOISY),
+            max_time=5.0,
+        )
+        a, b = run(cfg), run(cfg)
+        assert a.births.sum() > 0
+        assert np.array_equal(a.final_population.traits, b.final_population.traits)
+        assert np.array_equal(a.final_population.avail, b.final_population.avail)
 
     def test_empty_side_yields_empty_matrix(self):
-        W = build_weights([], [], np.ones(13), MATRIX)
-        assert W.weights.shape == (0, 0)
+        assert clean_weights([], [], np.ones(13)).shape == (0, 0)
 
 
 class TestGridDistances:
@@ -210,106 +208,95 @@ class TestGridDistances:
 
 
 class TestRankPairing:
+    @staticmethod
+    def totals(Y, Z, theta):
+        gain = MATRIX.entries @ theta.values
+        iy, iz = rank_pair_indices(traits_of(Y) @ gain, traits_of(Z) @ gain)
+        W = clean_weights(Y, Z, theta.values)
+        return iy, float(W[iy, iz].sum()), solve(W)[1]
+
     @pytest.mark.parametrize("ky,kz", [(6, 6), (7, 5), (5, 7), (1, 1), (40, 40)])
     def test_total_matches_full_solve(self, ky, kz):
         rng = np.random.default_rng(ky * 100 + kz)
         Y = random_people(rng, ky, Sex.MALE)
         Z = random_people(rng, kz, Sex.FEMALE, start_id=ky)
         theta = TraitVector(rng.uniform(size=13))
-        fast = rank_pairing_match(Y, Z, theta, MATRIX)
-        full = solve_assignment(build_weights(Y, Z, theta, MATRIX))
-        assert fast.total_weight == pytest.approx(full.total_weight, abs=1e-9)
-        assert len(fast.pairs) == min(ky, kz)
-        assert fast.mode is MatchMode.OPTIMAL
+        iy, fast, full = self.totals(Y, Z, theta)
+        assert fast == pytest.approx(full, abs=1e-9)
+        assert len(iy) == min(ky, kz)
 
     def test_total_matches_full_solve_under_ties(self):
         # Quantized traits force many exactly-equal scores.
         rng = np.random.default_rng(17)
         Y = [make_person(i, Sex.MALE, rng.integers(0, 2, size=8)) for i in range(9)]
         Z = [make_person(20 + i, Sex.FEMALE, rng.integers(0, 2, size=8)) for i in range(9)]
-        theta = TraitVector(np.full(13, 0.5))
-        fast = rank_pairing_match(Y, Z, theta, MATRIX)
-        full = solve_assignment(build_weights(Y, Z, theta, MATRIX))
-        assert fast.total_weight == pytest.approx(full.total_weight, abs=1e-9)
+        _, fast, full = self.totals(Y, Z, TraitVector(np.full(13, 0.5)))
+        assert fast == pytest.approx(full, abs=1e-9)
 
     def test_empty_sides(self):
-        plan = rank_pairing_match([], [], np.ones(13), MATRIX)
-        assert plan.pairs == ()
-        assert plan.total_weight == 0.0
+        iy, iz = rank_pair_indices(np.zeros(0), np.zeros(3))
+        assert iy.size == 0 and iz.size == 0
 
 
 class TestPartitionedMatch:
+    """The oracle's Person-level partitioned matching, which the reference
+    trace ties row for row to the engine's."""
+
+    @staticmethod
+    def match(Y, Z, theta, size, rng):
+        gain = MATRIX.entries @ np.asarray(theta, dtype=np.float64)
+        return partitioned_match(Y, Z, gain, 0.1, size, 1.0, rng)
+
     def test_block_size_one_is_random_pairing(self):
         rng = np.random.default_rng(4)
         Y = random_people(rng, 8, Sex.MALE)
         Z = random_people(rng, 6, Sex.FEMALE, start_id=8)
-        plan = partitioned_match(Y, Z, np.ones(13), MATRIX, 1, np.random.default_rng(1))
-        assert len(plan.pairs) == 6
-        assert plan.mode is MatchMode.PARTITIONED
-        males = [a for a, _ in plan.pairs]
+        pairs = self.match(Y, Z, np.ones(13), 1, np.random.default_rng(1))
+        assert len(pairs) == 6
+        males = [m.id for m, _ in pairs]
         assert len(set(males)) == len(males)
 
     def test_reproducible_per_seed(self):
         rng = np.random.default_rng(14)
         Y = random_people(rng, 10, Sex.MALE)
         Z = random_people(rng, 10, Sex.FEMALE, start_id=10)
-        p1 = partitioned_match(Y, Z, np.ones(13), MATRIX, 3, np.random.default_rng(5))
-        p2 = partitioned_match(Y, Z, np.ones(13), MATRIX, 3, np.random.default_rng(5))
-        assert p1.pairs == p2.pairs
-        assert p1.total_weight == p2.total_weight
+        p1 = self.match(Y, Z, np.ones(13), 3, np.random.default_rng(5))
+        p2 = self.match(Y, Z, np.ones(13), 3, np.random.default_rng(5))
+        assert [(m.id, f.id) for m, f in p1] == [(m.id, f.id) for m, f in p2]
 
     def test_never_beats_global_optimum_on_clean_weights(self):
         rng = np.random.default_rng(23)
         for trial in range(100):
             Y = random_people(rng, 9, Sex.MALE)
             Z = random_people(rng, 9, Sex.FEMALE, start_id=9)
-            theta = TraitVector(rng.uniform(size=13))
-            clean = build_weights(Y, Z, theta, MATRIX)
-            optimal = solve_assignment(clean)
-            part = partitioned_match(
-                Y, Z, theta, MATRIX, 3, np.random.default_rng(trial)
-            )
-            index_y = {pid: i for i, pid in enumerate(clean.y_ids)}
-            index_z = {pid: j for j, pid in enumerate(clean.z_ids)}
-            clean_total = sum(
-                clean.weights[index_y[a], index_z[b]] for a, b in part.pairs
-            )
-            assert clean_total <= optimal.total_weight + 1e-9
+            theta = rng.uniform(size=13)
+            clean = clean_weights(Y, Z, theta)
+            part = self.match(Y, Z, theta, 3, np.random.default_rng(trial))
+            clean_total = sum(clean[m.id, f.id - 9] for m, f in part)
+            assert clean_total <= solve(clean)[1] + 1e-9
 
     def test_rejects_silly_partition_size(self):
         with pytest.raises(ConfigurationError):
-            partitioned_match([], [], np.ones(13), MATRIX, 0, np.random.default_rng(0))
+            MatchingConfig(mode=MatchMode.PARTITIONED, partition_size=0)
+        with pytest.raises(ConfigurationError):
+            self.match([], [], np.ones(13), 0, np.random.default_rng(0))
 
     def test_empty_sides(self):
-        plan = partitioned_match([], [], np.ones(13), MATRIX, 4, np.random.default_rng(0))
-        assert plan.pairs == ()
+        assert self.match([], [], np.ones(13), 4, np.random.default_rng(0)) == []
 
 
 class TestPlanMatings:
+    """The success gate the engine applies to its matched pairs: one
+    mating_succeeds call over the partners' happiness arrays."""
+
     def test_empty_plan(self):
-        assert plan_matings(MatchPlan((), 0.0, MatchMode.OPTIMAL), []) == []
+        ok = mating_succeeds(10, np.zeros(0), np.zeros(0))
+        assert ok.shape == (0,)
 
     def test_threshold_filters_unhappy_pairs(self):
-        population = [
-            make_person(0, Sex.MALE, np.ones(8), happy=1.0),
-            make_person(1, Sex.FEMALE, np.ones(8), happy=1.0),
-            make_person(2, Sex.MALE, np.ones(8), happy=-1.0),
-            make_person(3, Sex.FEMALE, np.ones(8), happy=-1.0),
-        ]
-        plan = MatchPlan(((0, 1), (2, 3)), 0.0, MatchMode.OPTIMAL)
-        survivors = plan_matings(plan, population)
-        assert [(m.id, f.id) for m, f in survivors] == [(0, 1)]
+        ok = mating_succeeds(4, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+        assert ok.tolist() == [True, False]
 
     def test_all_pairs_below_threshold(self):
-        population = [
-            make_person(0, Sex.MALE, np.ones(8), happy=-2.0),
-            make_person(1, Sex.FEMALE, np.ones(8), happy=-2.0),
-        ]
-        plan = MatchPlan(((0, 1),), 0.0, MatchMode.OPTIMAL)
-        assert plan_matings(plan, population) == []
-
-    def test_stale_id_is_a_consistency_error(self):
-        population = [make_person(0, Sex.MALE, np.ones(8), happy=1.0)]
-        plan = MatchPlan(((0, 99),), 0.0, MatchMode.OPTIMAL)
-        with pytest.raises(ConsistencyError):
-            plan_matings(plan, population)
+        ok = mating_succeeds(2, np.array([-2.0, -2.0]), np.array([-2.0, 1.0]))
+        assert ok.tolist() == [False, False]

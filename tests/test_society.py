@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citysim.core import (
-    ConfigurationError,
-    InteractionMatrix,
-    Person,
-    Sex,
-    TraitVector,
-)
+from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector
+from citysim.demographics import DemographicsParams
+from citysim.engine import PopulationGroup, SimConfig, run
+from citysim.scenario import scenario_from_mapping
 from citysim.society import (
     LearningRateSchedule,
-    effective_lambda,
     effective_lambda_value,
     society_gradient,
     society_update,
 )
+from reference import effective_lambda
 
 MATRIX = InteractionMatrix.default()
 
@@ -143,26 +140,40 @@ class TestLearningRateSchedule:
 class TestEffectiveLambda:
     def test_fixed_is_base_times_multiplier(self):
         s = LearningRateSchedule(kind="fixed", base=1e-4, multiplier=30)
-        assert effective_lambda(s, []) == pytest.approx(3e-3, abs=1e-18)
+        assert effective_lambda_value(s, None) == pytest.approx(3e-3, abs=1e-18)
+        assert effective_lambda_value(s, 0.2) == pytest.approx(3e-3, abs=1e-18)
 
     def test_dynamic_fully_flexible_population(self):
         s = LearningRateSchedule(kind="dynamic", base=1e-4, multiplier=10)
-        pop = [flex_person(i, 1.0) for i in range(5)]
-        assert effective_lambda(s, pop) == pytest.approx(1e-3, abs=1e-18)
+        assert effective_lambda_value(s, 1.0) == pytest.approx(1e-3, abs=1e-18)
 
     def test_dynamic_rigid_population_freezes_society(self):
         s = LearningRateSchedule(kind="dynamic")
-        pop = [flex_person(i, 0.0) for i in range(5)]
-        assert effective_lambda(s, pop) == 0.0
+        assert effective_lambda_value(s, 0.0) == 0.0
 
     def test_dynamic_empty_population_freezes_society(self):
         s = LearningRateSchedule(kind="dynamic")
-        assert effective_lambda(s, []) == 0.0
+        assert effective_lambda_value(s, None) == 0.0
 
     def test_dynamic_averages_flexibility(self):
-        s = LearningRateSchedule(kind="dynamic", base=2e-4, multiplier=1)
-        pop = [flex_person(0, 0.2), flex_person(1, 0.6)]
-        assert effective_lambda(s, pop) == pytest.approx(2e-4 * 0.4, abs=1e-18)
+        # Two clonal groups with flexibility 0.2 and 0.6, and a crowding
+        # term no pair can clear: the first round's step uses lambda =
+        # base * mean flexibility = 2e-4 * 0.4.
+        traits = [np.full(8, 0.9), np.full(8, 0.9)]
+        traits[0][3], traits[1][3] = 0.2, 0.6
+        cfg = SimConfig(
+            seed=3,
+            groups=tuple(PopulationGroup(5, TraitVector(t), 0.0) for t in traits),
+            theta0=TraitVector(np.full(13, 0.5)),
+            demographics=DemographicsParams(success_a=1.0),
+            schedule=LearningRateSchedule(kind="dynamic", base=2e-4, multiplier=1),
+            max_time=1.0,
+        )
+        log = run(cfg)
+        assert log.births[1] == 0 and log.deaths[1] == 0
+        x_bar = np.mean(traits, axis=0)
+        expected = np.clip(0.5 + 2e-4 * 0.4 * (x_bar @ MATRIX.entries), 0.0, 1.0)
+        np.testing.assert_allclose(log.theta[1], expected, rtol=0, atol=1e-15)
 
     def test_value_form_matches_person_form(self):
         s = LearningRateSchedule(kind="dynamic", base=1e-4, multiplier=3)
@@ -171,7 +182,25 @@ class TestEffectiveLambda:
             effective_lambda_value(s, 0.5), abs=1e-18
         )
 
-    def test_dynamic_index_out_of_range(self):
-        s = LearningRateSchedule(kind="dynamic", flexibility_trait_index=11)
-        with pytest.raises(ConfigurationError):
-            effective_lambda(s, [flex_person(0, 0.5)])
+    def test_dynamic_index_out_of_range(self, tmp_path):
+        # Through the schedule field, and through a 3-trait CSV matrix that
+        # leaves the default index 3 pointing past the last trait.
+        base = {"seed": 1, "population": [{"count": 4, "mean": [0.5] * 8}]}
+        with pytest.raises(ConfigurationError, match="flexibility_trait_index"):
+            scenario_from_mapping(
+                {**base, "schedule": {"kind": "dynamic", "flexibility_trait_index": 11}}
+            )
+        small = InteractionMatrix(
+            np.full((3, 13), 0.5), row_names=("a", "b", "c"), col_names=MATRIX.col_names
+        )
+        small.to_csv(tmp_path / "matrix.csv")
+        mapping = {
+            "seed": 1,
+            "population": [{"count": 4, "mean": [0.5] * 3}],
+            "interaction": "matrix.csv",
+            "schedule": {"kind": "dynamic"},
+        }
+        with pytest.raises(ConfigurationError, match="flexibility_trait_index"):
+            scenario_from_mapping(mapping, base_dir=tmp_path)
+        mapping["schedule"] = {"kind": "fixed"}
+        scenario_from_mapping(mapping, base_dir=tmp_path)
