@@ -2,9 +2,12 @@
 
 Each case runs one scenario to a short horizon, writes its outputs and
 compares the sha256 of every deterministic file with tests/golden/
-digests.json. summary.json is left out: its "meta" block holds wall-clock
-values. A change that alters outputs on purpose regenerates the file once,
-with `python tests/test_golden.py --write`, and says why in CHANGES.md.
+digests.json. One longer case, baseline-mixed to t=300, reaches the
+crowding plateau, where many rounds bear no child. summary.json is left
+out: its "meta" block holds wall-clock values. A change that alters
+outputs on purpose regenerates the file once, with
+`PYTHONPATH=src python tests/test_golden.py --write`, and says why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from citysim.presets import get_preset, preset_names
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 HORIZON = 60.0
+PLATEAU_HORIZON = 300.0
 FILES = ("log.csv", "population_initial.csv", "population_final.csv", "grid_log.csv")
 
 
@@ -42,7 +46,9 @@ def _cases() -> dict:
     cases["baseline-mixed+probabilistic"] = replace(
         baseline, demographics=replace(baseline.demographics, success_rule="probabilistic")
     )
-    return {name: replace(config, max_time=HORIZON) for name, config in cases.items()}
+    cases = {name: replace(config, max_time=HORIZON) for name, config in cases.items()}
+    cases["baseline-mixed@300"] = replace(baseline, max_time=PLATEAU_HORIZON)
+    return cases
 
 
 CASES = _cases()
