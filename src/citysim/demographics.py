@@ -20,6 +20,8 @@ __all__ = [
     "DemographicsParams",
     "lifespan",
     "mating_gap",
+    "crowding_term",
+    "mating_closed",
     "mating_success_threshold",
     "mating_succeeds",
     "born",
@@ -112,6 +114,32 @@ def mating_gap(
     return p.gap_a / (np.maximum(h, 0.0) + p.gap_epsilon)
 
 
+def crowding_term(
+    pop_size: float | np.ndarray, params: DemographicsParams | None = None
+) -> float | np.ndarray:
+    """The population-pressure part of the success threshold, success_a * N."""
+    p = params or _DEFAULTS
+    return p.success_a * pop_size
+
+
+def mating_closed(
+    pop_size: float,
+    h_male: np.ndarray,
+    h_female: np.ndarray,
+    params: DemographicsParams | None = None,
+) -> bool:
+    """Whether no pairing of these males with these females can pass the
+    deterministic success gate at this population size.
+
+    The threshold is the crowding term plus a veto term that is never
+    negative, and rounding is monotone, so a pair passes only if both
+    partners reach the crowding term. If one side has nobody who does,
+    every pair fails.
+    """
+    bar = crowding_term(pop_size, params)
+    return not (np.any(h_male >= bar) and np.any(h_female >= bar))
+
+
 def mating_success_threshold(
     pop_size: float | np.ndarray,
     h_male: float | np.ndarray,
@@ -130,7 +158,7 @@ def mating_success_threshold(
         1.0 - _logistic(p.success_scale * h_male),
         1.0 - _logistic(p.success_scale * h_female),
     )
-    return p.success_a * pop_size + worst
+    return crowding_term(pop_size, p) + worst
 
 
 def mating_succeeds(

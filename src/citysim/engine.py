@@ -21,7 +21,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector
-from .demographics import DemographicsParams, born_batch, lifespan, mating_gap, mating_succeeds
+from .demographics import (
+    DemographicsParams,
+    born_batch,
+    lifespan,
+    mating_closed,
+    mating_gap,
+    mating_succeeds,
+)
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
 from .society import LearningRateSchedule, effective_lambda_value, society_update
 
@@ -182,10 +189,6 @@ class SimConfig:
                 f"{self.interaction.individual_dim} individual traits"
             )
 
-    @property
-    def total_initial(self) -> int:
-        return sum(g.count for g in self.groups)
-
 
 @dataclass
 class TimeSeriesLog:
@@ -333,8 +336,6 @@ def init_population(
     then all grid locations in one batch. Rows are in group order, and ids
     are row numbers, so id ranges identify the founding groups.
     """
-    if config.total_initial == 0:
-        raise ConfigurationError("initial population is empty across all groups")
     rng = rng if rng is not None else named_stream(config.seed, "init")
     sex_rng = sex_rng if sex_rng is not None else named_stream(config.seed, "sex")
     location_rng = (
@@ -451,8 +452,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
     filter by mating success at the round-start population, bear children
     (happiness frozen against the current society vector), push parents'
     next availability to t + mating_gap, bury death_time <= t, step the
-    society vector, log. Ends early, with status, on extinction (nobody
-    left) or sterility (one sex extinct).
+    society vector, log. A round whose gate must reject every pair skips
+    matching (see skip_closed). Ends early, with status, on extinction
+    (nobody left) or sterility (one sex extinct).
     """
     d = config.demographics
     E = config.interaction.entries
@@ -465,13 +467,23 @@ def run(config: SimConfig) -> TimeSeriesLog:
     period = config.mating_period
     n_rounds = int(math.floor(config.max_time / period + 1e-9))
     next_id = initial.size
+    # Under the deterministic rule with a global crowding term, optimal
+    # matching draws nothing before the gate, so a round in which one side
+    # has nobody reaching the crowding term (mating_closed) skips ranking
+    # and the gate with exactly the outcome they would have had.
+    skip_closed = (
+        d.success_rule == "deterministic"
+        and config.success_pop_scope == "global"
+        and config.matching.mode is MatchMode.OPTIMAL
+    )
 
     times, pops, births_col, deaths_col = [], [], [], []
     tot_h, mean_h, mean_cur_h = [], [], []
     theta_rows, trait_rows = [], []
     grid_rows: list[tuple[float, int, int, int, float]] = []
 
-    def log_row(t: float, births_acc: int, deaths_acc: int) -> None:
+    def log_row(t: float, births_acc: int, deaths_acc: int, x_bar: np.ndarray | None) -> None:
+        # x_bar is the roster's axis-0 trait mean, None when nobody is alive.
         n = roster.size
         times.append(t)
         pops.append(n)
@@ -482,7 +494,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             tot_h.append(tot)
             mean_h.append(tot / n)
             mean_cur_h.append(float(np.mean(roster.traits @ (E @ theta))))
-            trait_rows.append(roster.traits.mean(axis=0))
+            trait_rows.append(x_bar)
         else:
             tot_h.append(0.0)
             mean_h.append(float("nan"))
@@ -507,7 +519,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
         status = "extinct"
     elif (roster.sex == 0).all() or (roster.sex == 1).all():
         status = "sterile"
-    log_row(0.0, 0, 0)
+    log_row(0.0, 0, 0, roster.traits.mean(axis=0) if roster.size else None)
 
     births_acc = 0
     deaths_acc = 0
@@ -520,7 +532,10 @@ def run(config: SimConfig) -> TimeSeriesLog:
             zi = np.flatnonzero(avail & (roster.sex == 1))
 
             n_children = 0
-            if len(yi) and len(zi):
+            closed = skip_closed and mating_closed(
+                int(alive.sum()), roster.happiness[yi], roster.happiness[zi], d
+            )
+            if len(yi) and len(zi) and not closed:
                 gain = E @ theta
                 sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams)
                 if sel_y.shape[0]:
@@ -563,6 +578,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             births_acc += n_children
             deaths_acc += n_dead
 
+            x_bar = None
             if roster.size:
                 flex = None
                 if config.schedule.kind == "dynamic":
@@ -577,7 +593,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
 
             terminal = status != "completed" or k_round == n_rounds
             if k_round % config.log_every == 0 or terminal:
-                log_row(t, births_acc, deaths_acc)
+                log_row(t, births_acc, deaths_acc, x_bar)
                 births_acc = 0
                 deaths_acc = 0
             if status != "completed":

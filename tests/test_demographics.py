@@ -13,12 +13,15 @@ from citysim.demographics import (
     DemographicsParams,
     born,
     born_batch,
+    crowding_term,
     expected_child,
     lifespan,
+    mating_closed,
     mating_gap,
     mating_succeeds,
     mating_success_threshold,
 )
+from citysim.matching import rank_pair_indices
 
 finite_h = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
@@ -193,6 +196,63 @@ class TestMatingSucceeds:
         rng = np.random.default_rng(11)
         one_by_one = [bool(mating_succeeds(0, 0.0, 0.0, params, rng)) for _ in range(50)]
         assert hits[:50].tolist() == one_by_one
+
+
+@st.composite
+def crowded_rounds(draw):
+    """Params, alive count and both sides' happiness, drawn around the
+    crowding bar: some values sit a few ulps from it, some further off. A
+    side drawn as shut has every value moved below the bar."""
+    params = DemographicsParams(
+        success_a=draw(st.floats(1e-4, 0.5)), success_scale=draw(st.floats(0.5, 60.0))
+    )
+    n = draw(st.integers(0, 10_000))
+    bar = crowding_term(n, params)
+    below = np.nextafter(bar, -np.inf)
+    near = st.one_of(
+        st.integers(-3, 3).map(lambda k: bar + k * np.spacing(bar)),
+        st.floats(-2.0, 2.0).map(lambda d: bar + d),
+    )
+    shut = draw(st.sampled_from(["male", "female", "both", "neither"]))
+
+    def side(name):
+        h = np.array(draw(st.lists(near, min_size=1, max_size=12)))
+        return np.minimum(h, below) if shut in (name, "both") else h
+
+    return params, n, side("male"), side("female"), shut
+
+
+class TestMatingClosed:
+    """mating_closed lets the engine skip a round's pairing, so a round it
+    calls closed must have no pair that passes the deterministic gate."""
+
+    @given(crowded_rounds(), st.integers(0, 2**32 - 1))
+    def test_closed_round_has_no_passing_pair(self, drawn, seed):
+        params, n, hm, hf, shut = drawn
+        closed = mating_closed(n, hm, hf, params)
+        if shut != "neither":
+            assert closed
+        if not closed:
+            return
+        iy, iz = rank_pair_indices(hm, hf)
+        assert not mating_succeeds(n, hm[iy], hf[iz], params).any()
+        rng = np.random.default_rng(seed)
+        k = min(len(hm), len(hf))
+        ry = rng.permutation(len(hm))[:k]
+        rz = rng.permutation(len(hf))[:k]
+        assert not mating_succeeds(n, hm[ry], hf[rz], params).any()
+
+    def test_bar_is_tight(self):
+        # At h = success_a * N with a happy enough pair the veto rounds to
+        # zero, so a pair exactly at the bar passes and the round is open.
+        params = DemographicsParams()
+        bar = crowding_term(1000, params)
+        h = np.array([bar])
+        assert not mating_closed(1000, h, h, params)
+        assert mating_succeeds(1000, h, h, params).all()
+        below = np.nextafter(h, -np.inf)
+        assert mating_closed(1000, below, h, params)
+        assert not mating_succeeds(1000, below, h, params).any()
 
 
 class TestBorn:

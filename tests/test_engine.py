@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import citysim.engine as engine
 from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
 from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
@@ -77,10 +78,6 @@ class TestInitPopulation:
     def test_empty_total_rejected(self):
         with pytest.raises(ConfigurationError):
             small_config(groups=(PopulationGroup(0, TraitVector([0.5] * 8)),))
-        cfg = small_config()
-        object.__setattr__(cfg, "groups", (PopulationGroup(0, TraitVector([0.5] * 8)),))
-        with pytest.raises(ConfigurationError):
-            init_population(cfg)
 
     def test_grid_locations_cover_grid(self):
         cfg = small_config(
@@ -214,6 +211,34 @@ TRACE_CASES = {
         success_pop_scope="block",
         max_time=6.0,
     ),
+    # success_a * N passes everyone's happiness once the first children are
+    # born, so the engine skips ranking; short lives then thin the roster
+    # until the bar reopens and births resume.
+    "crowded": dict(
+        seed=908,
+        groups=(PopulationGroup(16, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2, success_a=0.3, lifespan_a=8.0),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=14.0,
+    ),
+    # Happiness below the crowding bar: the deterministic gate would shut
+    # these rounds, but the probabilistic rule still draws and sometimes
+    # succeeds, so the engine must not skip them.
+    "crowded-probabilistic": dict(
+        seed=909,
+        groups=(PopulationGroup(16, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.05] * 13),
+        demographics=DemographicsParams(
+            mutation_prob=0.2,
+            success_a=0.03,
+            lifespan_a=10.0,
+            lifespan_b=0.5,
+            success_rule="probabilistic",
+        ),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=8.0,
+    ),
 }
 
 
@@ -249,13 +274,25 @@ class TestReferenceTrace:
         if cfg.grid is not None:
             assert [tuple(r) for r in final.loc.tolist()] == [p.location for p in people]
 
-    def test_trace_cases_actually_reproduce(self):
+    def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,
         # otherwise the comparison above proves less than it claims.
         for case, kwargs in TRACE_CASES.items():
             log = run(SimConfig(**kwargs))
             assert log.births.sum() > 0, case
             assert len(log.times) > 1, case
+        # The crowded trace must skip ranking in some rounds, and bear
+        # children again after such a round.
+        calls = []
+        rank = engine.rank_pair_indices
+        monkeypatch.setattr(
+            engine, "rank_pair_indices", lambda a, b: (calls.append(a.size), rank(a, b))[1]
+        )
+        log = run(SimConfig(**TRACE_CASES["crowded"]))
+        rounds = len(log.times) - 1
+        assert 0 < len(calls) < rounds
+        quiet = np.flatnonzero(log.births[1:] == 0)
+        assert quiet.size and log.births[quiet[0] + 1 :].sum() > 0
 
 
 class TestRunBehavior:
