@@ -370,6 +370,20 @@ def init_population(
     )
 
 
+def _block_codes(loc: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Each person's home block as one integer, gx * h + gy on a w x h grid."""
+    return loc[:, 0] * grid[1] + loc[:, 1]
+
+
+def _block_penalty(config: SimConfig) -> np.ndarray:
+    """gamma times the grid distance between every two blocks, indexed by
+    block code. Entry (i, j) equals gamma * grid_distances of one person in
+    block i and one in block j, so looking it up costs no rounding."""
+    w, h = config.grid
+    blocks = np.stack(np.divmod(np.arange(w * h), h), axis=1)
+    return config.matching.gamma * grid_distances(blocks, blocks, config.matching.distance)
+
+
 def _match_pairs(
     roster: Roster,
     yi: np.ndarray,
@@ -377,8 +391,10 @@ def _match_pairs(
     gain: np.ndarray,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
+    penalty: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (into the roster) of the matched male/female pairs."""
+    """Row indices (into the roster) of the matched male/female pairs.
+    Locality matching subtracts penalty, the _block_penalty table."""
     mcfg = config.matching
     if mcfg.mode is MatchMode.OPTIMAL:
         iy, iz = rank_pair_indices(roster.traits[yi] @ gain, roster.traits[zi] @ gain)
@@ -386,12 +402,14 @@ def _match_pairs(
 
     def solve(by: np.ndarray, bz: np.ndarray, noise: np.random.Generator | None):
         # Expected-payoff weights plus a noise draw, or (noise None) minus
-        # the locality penalty, then one exact assignment.
+        # the locality penalty of each pair's blocks, then one exact
+        # assignment.
         W = expected_pair_weights(
             roster.traits[by], roster.traits[bz], gain, config.demographics.mutation_prob
         )
         if noise is None:
-            W = W - mcfg.gamma * grid_distances(roster.loc[by], roster.loc[bz], mcfg.distance)
+            codes = _block_codes(roster.loc, config.grid)
+            W -= penalty[np.ix_(codes[by], codes[bz])]
         else:
             W = W + noise.normal(0.0, mcfg.noise_sigma, size=W.shape)
         # scipy returns the row indices sorted, so pairs come in male order.
@@ -430,12 +448,9 @@ def _success_mask(
     if config.success_pop_scope == "global":
         pop = int(alive.sum())
     else:
-        counts = np.zeros(config.grid, dtype=np.int64)
-        loc_alive = roster.loc[alive]
-        np.add.at(counts, (loc_alive[:, 0], loc_alive[:, 1]), 1)
-        pop_y = counts[roster.loc[sel_y, 0], roster.loc[sel_y, 1]]
-        pop_z = counts[roster.loc[sel_z, 0], roster.loc[sel_z, 1]]
-        pop = (pop_y + pop_z) / 2.0
+        codes = _block_codes(roster.loc, config.grid)
+        counts = np.bincount(codes[alive], minlength=config.grid[0] * config.grid[1])
+        pop = (counts[codes[sel_y]] + counts[codes[sel_z]]) / 2.0
     return mating_succeeds(
         pop,
         roster.happiness[sel_y],
@@ -477,10 +492,17 @@ def run(config: SimConfig) -> TimeSeriesLog:
         and config.matching.mode is MatchMode.OPTIMAL
     )
 
+    penalty = None
+    if config.matching.mode is MatchMode.LOCALITY:
+        penalty = _block_penalty(config)
+
     times, pops, births_col, deaths_col = [], [], [], []
     tot_h, mean_h, mean_cur_h = [], [], []
     theta_rows, trait_rows = [], []
-    grid_rows: list[tuple[float, int, int, int, float]] = []
+    grid_rows: list[np.ndarray] = []
+    if config.grid is not None:
+        n_blocks = config.grid[0] * config.grid[1]
+        block_xy = np.divmod(np.arange(n_blocks), config.grid[1])
 
     def log_row(t: float, births_acc: int, deaths_acc: int, x_bar: np.ndarray | None) -> None:
         # x_bar is the roster's axis-0 trait mean, None when nobody is alive.
@@ -502,17 +524,13 @@ def run(config: SimConfig) -> TimeSeriesLog:
             trait_rows.append(np.full(config.interaction.individual_dim, np.nan))
         theta_rows.append(theta)
         if config.grid is not None:
-            w, h = config.grid
-            counts = np.zeros((w, h), dtype=np.int64)
-            sums = np.zeros((w, h), dtype=np.float64)
-            if n:
-                np.add.at(counts, (roster.loc[:, 0], roster.loc[:, 1]), 1)
-                np.add.at(sums, (roster.loc[:, 0], roster.loc[:, 1]), roster.happiness)
-            for gx in range(w):
-                for gy in range(h):
-                    c = int(counts[gx, gy])
-                    mean_block = sums[gx, gy] / c if c else float("nan")
-                    grid_rows.append((t, gx, gy, c, mean_block))
+            # One row per block in code order: t, gx, gy, population, mean
+            # happiness (nan for an empty block).
+            codes = _block_codes(roster.loc, config.grid)
+            counts = np.bincount(codes, minlength=n_blocks)
+            sums = np.bincount(codes, weights=roster.happiness, minlength=n_blocks)
+            means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
+            grid_rows.append(np.column_stack((np.full(n_blocks, t), *block_xy, counts, means)))
 
     status = "completed"
     if roster.size == 0:
@@ -537,7 +555,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             )
             if len(yi) and len(zi) and not closed:
                 gain = E @ theta
-                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams)
+                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams, penalty)
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, alive, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]
@@ -612,7 +630,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
         trait_names=config.interaction.row_names,
         society_names=config.interaction.col_names,
         status=status,
-        grid_rows=np.asarray(grid_rows) if config.grid is not None else None,
+        grid_rows=np.concatenate(grid_rows) if config.grid is not None else None,
         initial_population=initial,
         final_population=roster,
     )

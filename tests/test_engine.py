@@ -436,6 +436,29 @@ class TestGridOutputs:
             assert block[:, 3].sum() == log.population[i]
         assert rows[:, 1].max() <= 3 and rows[:, 2].max() <= 3
 
+    def test_grid_rows_match_per_block_loop(self):
+        # Reference: one pass per block, summing happiness in roster order.
+        cfg = small_config(
+            max_time=12.0,
+            grid=(4, 3),
+            matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=0.5),
+            demographics=DemographicsParams(success_a=0.05),
+        )
+        log = run(cfg)
+        final = log.final_population
+        expected = []
+        for gx in range(4):
+            for gy in range(3):
+                count, total = 0, 0.0
+                for (x, y), h in zip(final.loc.tolist(), final.happiness.tolist()):
+                    if (x, y) == (gx, gy):
+                        count += 1
+                        total += h
+                mean = total / count if count else np.nan
+                expected.append((log.times[-1], gx, gy, count, mean))
+        assert final.size > 12
+        np.testing.assert_array_equal(log.grid_rows[-12:], np.array(expected))
+
     def test_children_inherit_a_parent_block(self):
         cfg = small_config(
             max_time=15.0,

@@ -10,7 +10,16 @@ from scipy.optimize import linear_sum_assignment
 
 from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector, happiness
 from citysim.demographics import DemographicsParams, expected_child, mating_succeeds
-from citysim.engine import MatchingConfig, PopulationGroup, Roster, SimConfig, _match_pairs, run
+from citysim.engine import (
+    MatchingConfig,
+    PopulationGroup,
+    Roster,
+    SimConfig,
+    _block_codes,
+    _block_penalty,
+    _match_pairs,
+    run,
+)
 from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
 from reference import partitioned_match
 
@@ -155,7 +164,9 @@ class TestBuildWeights:
         roster = locality_roster(y, z, [(0, 0)], [(0, 0), (1, 1)])
         for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
             c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
-            sel_y, sel_z = _match_pairs(roster, np.array([0]), np.array([1, 2]), gain, c, {})
+            sel_y, sel_z = _match_pairs(
+                roster, np.array([0]), np.array([1, 2]), gain, c, {}, _block_penalty(c)
+            )
             assert (sel_y.tolist(), sel_z.tolist()) == ([0], [partner])
 
     def test_locality_same_block_is_unpenalized(self):
@@ -201,6 +212,26 @@ class TestGridDistances:
         y = np.array([[0, 0]])
         z = np.array([[3, 4]])
         assert grid_distances(y, z, "manhattan")[0, 0] == 7.0
+
+    @pytest.mark.parametrize("metric", ["hamming", "manhattan"])
+    def test_block_table_equals_dense_formula(self, metric):
+        # The engine subtracts gamma * distance by looking it up per block
+        # pair; the lookup must equal the per-person formula bit for bit.
+        rng = np.random.default_rng(41)
+        for grid, gamma in (((1, 1), 0.3), ((3, 5), 0.7), ((10, 10), 1.0 / 3.0)):
+            cfg = SimConfig(
+                seed=1,
+                groups=(PopulationGroup(3, TraitVector([0.5] * 8)),),
+                theta0=TraitVector([0.6] * 13),
+                grid=grid,
+                matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma, distance=metric),
+            )
+            loc_y = rng.integers(0, grid, size=(60, 2))
+            loc_z = rng.integers(0, grid, size=(45, 2))
+            table = _block_penalty(cfg)[
+                np.ix_(_block_codes(loc_y, grid), _block_codes(loc_z, grid))
+            ]
+            assert np.array_equal(table, gamma * grid_distances(loc_y, loc_z, metric))
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigurationError):
