@@ -29,8 +29,8 @@ from .demographics import (
     mating_gap,
     mating_succeeds,
 )
-from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
-from .society import LearningRateSchedule, effective_lambda_value, society_update
+from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
+from .society import LearningRateSchedule, effective_lambda_value, society_update, trait_gain
 
 __all__ = [
     "PopulationGroup",
@@ -289,9 +289,12 @@ def _json_float(x: float) -> float | None:
 
 
 class Roster:
-    """Columnar population store, one row per person: id, sex (0 male,
-    1 female), traits, frozen happiness, birth/death/next-available times
-    and, on a grid, the home block."""
+    """Columnar population store: id, sex (0 male, 1 female), traits,
+    frozen happiness, birth/death/next-available times and, on a grid, the
+    home block. The last axis of every array is the person: traits is one
+    C-contiguous (dim, n) array with a row per trait, loc is (2, n) with
+    rows gx and gy, and the rest are (n,). Ids ascend along that axis, so a
+    stable sort breaks ties by id."""
 
     __slots__ = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "loc")
 
@@ -310,15 +313,21 @@ class Roster:
         return self.ids.shape[0]
 
     def take(self, keep: np.ndarray) -> "Roster":
-        """The rows where keep is true, as a new roster with copied columns."""
+        """The people where keep is true, as a new roster with copied arrays."""
+        idx = np.flatnonzero(keep)
         columns = (getattr(self, name) for name in self.__slots__)
-        return Roster(*(None if col is None else col[keep] for col in columns))
+        return Roster(*(None if col is None else col.take(idx, axis=-1) for col in columns))
 
     def extend(self, other: "Roster") -> None:
+        """Append other's people, whose ids must all exceed this roster's."""
+        if self.size and other.size and other.ids[0] <= self.ids[-1]:
+            raise ConsistencyError(
+                f"roster ids must ascend: appending id {other.ids[0]} after {self.ids[-1]}"
+            )
         for name in self.__slots__:
             col = getattr(self, name)
             if col is not None:
-                setattr(self, name, np.concatenate([col, getattr(other, name)]))
+                setattr(self, name, np.concatenate([col, getattr(other, name)], axis=-1))
 
 
 def init_population(
@@ -342,22 +351,20 @@ def init_population(
         location_rng if location_rng is not None else named_stream(config.seed, "location")
     )
     d = config.demographics
-    gain0 = config.interaction.entries @ config.theta0.values
     blocks = []
     for group in config.groups:
         raw = rng.normal(
             loc=group.mean.values, scale=np.asarray(group.std), size=(group.count, group.mean.dim)
         )
         blocks.append(np.clip(raw, 0.0, 1.0))
-    traits = np.concatenate(blocks)
-    n = traits.shape[0]
+    traits = np.ascontiguousarray(np.concatenate(blocks).T)
+    n = traits.shape[1]
     sexes = sex_rng.integers(0, 2, size=n).astype(np.int8)
     locations = None
     if config.grid is not None:
-        locations = location_rng.integers(
-            0, np.asarray(config.grid, dtype=np.int64), size=(n, 2)
-        )
-    happiness = traits @ gain0
+        draws = location_rng.integers(0, np.asarray(config.grid, dtype=np.int64), size=(n, 2))
+        locations = np.ascontiguousarray(draws.T)
+    happiness = score(traits, trait_gain(config.theta0, config.interaction))
     return Roster(
         ids=np.arange(n, dtype=np.int64),
         sex=sexes,
@@ -372,7 +379,7 @@ def init_population(
 
 def _block_codes(loc: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     """Each person's home block as one integer, gx * h + gy on a w x h grid."""
-    return loc[:, 0] * grid[1] + loc[:, 1]
+    return loc[0] * grid[1] + loc[1]
 
 
 def _block_penalty(config: SimConfig) -> np.ndarray:
@@ -393,20 +400,20 @@ def _match_pairs(
     streams: dict[str, np.random.Generator],
     penalty: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (into the roster) of the matched male/female pairs.
-    Locality matching subtracts penalty, the _block_penalty table."""
+    """Roster indices of the matched male/female pairs. Everyone is scored
+    once against gain; locality matching subtracts penalty, the
+    _block_penalty table."""
     mcfg = config.matching
+    scores = score(roster.traits, gain)
     if mcfg.mode is MatchMode.OPTIMAL:
-        iy, iz = rank_pair_indices(roster.traits[yi] @ gain, roster.traits[zi] @ gain)
+        iy, iz = rank_pair_indices(scores[yi], scores[zi])
         return yi[iy], zi[iz]
 
     def solve(by: np.ndarray, bz: np.ndarray, noise: np.random.Generator | None):
         # Expected-payoff weights plus a noise draw, or (noise None) minus
         # the locality penalty of each pair's blocks, then one exact
         # assignment.
-        W = expected_pair_weights(
-            roster.traits[by], roster.traits[bz], gain, config.demographics.mutation_prob
-        )
+        W = expected_pair_weights(scores[by], scores[bz], gain, config.demographics.mutation_prob)
         if noise is None:
             codes = _block_codes(roster.loc, config.grid)
             W -= penalty[np.ix_(codes[by], codes[bz])]
@@ -472,13 +479,15 @@ def run(config: SimConfig) -> TimeSeriesLog:
     (nobody left) or sterility (one sex extinct).
     """
     d = config.demographics
-    E = config.interaction.entries
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
     initial = init_population(config, streams["init"], streams["sex"], streams["location"])
     # Bury anyone dead at birth before the first row. take() copies every
     # column, so in-place updates to the roster never reach the snapshot.
     roster = initial.take(initial.death > 0.0)
     theta = config.theta0.values
+    # The trait payoff under the current theta: it scores the round's
+    # pairing and newborns, and the logged mean current happiness.
+    gain = trait_gain(theta, config.interaction)
     period = config.mating_period
     n_rounds = int(math.floor(config.max_time / period + 1e-9))
     next_id = initial.size
@@ -505,7 +514,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
         block_xy = np.divmod(np.arange(n_blocks), config.grid[1])
 
     def log_row(t: float, births_acc: int, deaths_acc: int, x_bar: np.ndarray | None) -> None:
-        # x_bar is the roster's axis-0 trait mean, None when nobody is alive.
+        # x_bar is the roster's mean trait vector, None when nobody is alive.
+        # Mean current happiness is x_bar . (I theta), since the mean is linear.
         n = roster.size
         times.append(t)
         pops.append(n)
@@ -515,7 +525,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             tot = float(roster.happiness.sum())
             tot_h.append(tot)
             mean_h.append(tot / n)
-            mean_cur_h.append(float(np.mean(roster.traits @ (E @ theta))))
+            mean_cur_h.append(float(score(x_bar, gain)))
             trait_rows.append(x_bar)
         else:
             tot_h.append(0.0)
@@ -537,7 +547,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
         status = "extinct"
     elif (roster.sex == 0).all() or (roster.sex == 1).all():
         status = "sterile"
-    log_row(0.0, 0, 0, roster.traits.mean(axis=0) if roster.size else None)
+    log_row(0.0, 0, 0, roster.traits.mean(axis=1) if roster.size else None)
 
     births_acc = 0
     deaths_acc = 0
@@ -554,7 +564,6 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 int(alive.sum()), roster.happiness[yi], roster.happiness[zi], d
             )
             if len(yi) and len(zi) and not closed:
-                gain = E @ theta
                 sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams, penalty)
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, alive, config, streams)
@@ -562,16 +571,14 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 n_children = sel_y.shape[0]
                 if n_children:
                     child_traits = born_batch(
-                        roster.traits[sel_y], roster.traits[sel_z], streams["born"], d
-                    )
+                        roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d
+                    ).T
                     child_sex = streams["sex"].integers(0, 2, size=n_children).astype(np.int8)
                     child_loc = None
                     if config.grid is not None:
                         pick = streams["location"].integers(0, 2, size=n_children)
-                        child_loc = np.where(
-                            pick[:, None] == 0, roster.loc[sel_y], roster.loc[sel_z]
-                        )
-                    child_happiness = child_traits @ gain
+                        child_loc = np.where(pick == 0, roster.loc[:, sel_y], roster.loc[:, sel_z])
+                    child_happiness = score(child_traits, gain)
                     children = Roster(
                         ids=np.arange(next_id, next_id + n_children, dtype=np.int64),
                         sex=child_sex,
@@ -598,12 +605,15 @@ def run(config: SimConfig) -> TimeSeriesLog:
 
             x_bar = None
             if roster.size:
+                # Each trait's mean is a pairwise sum along its contiguous
+                # row, the same bits as that row's own mean.
+                x_bar = roster.traits.mean(axis=1)
                 flex = None
                 if config.schedule.kind == "dynamic":
-                    flex = roster.traits[:, config.schedule.flexibility_trait_index].mean()
+                    flex = x_bar[config.schedule.flexibility_trait_index]
                 lam = effective_lambda_value(config.schedule, flex)
-                x_bar = roster.traits.mean(axis=0)
                 theta = society_update(theta, x_bar, config.interaction, lam).values
+                gain = trait_gain(theta, config.interaction)
             if roster.size == 0:
                 status = "extinct"
             elif (roster.sex == 0).all() or (roster.sex == 1).all():
@@ -644,7 +654,7 @@ def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence
     )
     lines = [header]
     n = roster.size
-    loc = roster.loc.tolist() if roster.loc is not None else [("", "")] * n
+    loc = roster.loc.T.tolist() if roster.loc is not None else [("", "")] * n
     rows = zip(
         roster.ids.tolist(),
         roster.sex.tolist(),
@@ -653,7 +663,7 @@ def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence
         roster.avail.tolist(),
         roster.happiness.tolist(),
         loc,
-        roster.traits.tolist(),
+        roster.traits.T.tolist(),
     )
     for pid, sex, birth, death, avail, happy, (gx, gy), traits in rows:
         cells = [

@@ -1,11 +1,13 @@
-"""Mate-pair weights, grid distances and rank pairing.
+"""Trait scores, mate-pair weights, grid distances and rank pairing.
 
 The weight of pairing male i with female j is the expected child's payoff
 under the current society vector. Because the expectation is affine in the
 parents, w_ij = u_i + v_j + c is separable; the plain (noise-free) problem
 is therefore solvable by ranking, while the noisy and locality variants
 need a real rectangular assignment solve, which the engine runs on these
-weights.
+weights. Every per-person score comes from score(), so a person's score,
+and with it every ranking, is the same bits whatever the roster's size or
+order and whatever BLAS library or thread count is loaded.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import ConfigurationError
 
 __all__ = [
     "MatchMode",
+    "score",
     "expected_pair_weights",
     "rank_pair_indices",
     "grid_distances",
@@ -31,21 +34,38 @@ class MatchMode(str, Enum):
     LOCALITY = "locality"
 
 
+def score(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_j cols[j] * g[j], added left to right as numpy elementwise
+    products, with no BLAS call.
+
+    cols has one row per trait: a (dim, n) block of trait columns gives one
+    score per person, a (dim,) vector gives a scalar. Each person's score
+    depends only on that person's column, so it is bitwise the same in any
+    roster, subset or row order.
+    """
+    terms = cols * np.reshape(g, (-1,) + (1,) * (np.ndim(cols) - 1))
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def expected_pair_weights(
-    y_traits: np.ndarray,
-    z_traits: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     gain: np.ndarray,
     mutation_prob: float,
 ) -> np.ndarray:
-    """Noise-free weight matrix from raw trait rows.
+    """Noise-free weight matrix from the two sides' scores.
 
-    gain is the society-projected trait payoff (interaction entries @ theta).
-    Exploits separability: w_ij = (1-p)/2 * (y_i + z_j) @ gain + p/2 * sum(gain).
+    gain is the society-projected trait payoff (interaction entries @
+    theta), and a and b are the males' and females' score(cols, gain).
+    Separability gives w_ij = (1-p)/2 * (a_i + b_j) + p/2 * sum(gain). A
+    side passed as trait rows, shape (k, dim), is scored first.
     """
+    a, b = (score(np.transpose(x), gain) if np.ndim(x) == 2 else x for x in (a, b))
     alpha = (1.0 - mutation_prob) / 2.0
     const = mutation_prob / 2.0 * float(np.sum(gain))
-    a = y_traits @ gain
-    b = z_traits @ gain
     return alpha * (a[:, None] + b[None, :]) + const
 
 
@@ -71,7 +91,9 @@ def rank_pair_indices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     With w_ij = u_i + v_j + c every bijection between the chosen sides has
     the same total, so an optimum is reached by taking the top-k scorers of
-    each side; rank order keeps the result deterministic under ties.
+    each side and pairing them in rank order. Each side ranks by score
+    descending, then by position ascending: a stable sort. The engine keeps
+    roster rows in ascending id order, so its ties go to the lower id.
     """
     k = min(a.shape[0], b.shape[0])
     iy = np.argsort(-a, kind="stable")[:k]

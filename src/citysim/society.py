@@ -14,11 +14,13 @@ from typing import Literal
 import numpy as np
 
 from .core import ConfigurationError, InteractionMatrix, TraitVector
+from .matching import score
 
 __all__ = [
     "LearningRateSchedule",
     "society_update",
     "society_gradient",
+    "trait_gain",
     "effective_lambda_value",
 ]
 
@@ -64,10 +66,19 @@ def _values(x, dim: int, *, what: str) -> np.ndarray:
     return arr
 
 
+def trait_gain(theta, interaction: InteractionMatrix) -> np.ndarray:
+    """I theta: each individual trait's payoff under society vector theta,
+    summed over society traits by matching.score. A person's happiness is
+    the score of their traits against it."""
+    tv = _values(theta, interaction.society_dim, what="society vector")
+    return score(interaction.entries.T, tv)
+
+
 def society_gradient(x_bar, interaction: InteractionMatrix) -> np.ndarray:
-    """d(x_bar' I theta)/d(theta) = x_bar' I, independent of theta."""
+    """d(x_bar' I theta)/d(theta) = x_bar' I, independent of theta, summed
+    over individual traits by matching.score."""
     xv = _values(x_bar, interaction.individual_dim, what="mean trait vector")
-    return xv @ interaction.entries
+    return score(interaction.entries, xv)
 
 
 def society_update(

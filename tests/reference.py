@@ -4,8 +4,10 @@ reference_run() re-executes run() one Person record at a time: available
 people, pairing, a per-pair success gate, batched births, burial and the
 society step. It consumes the same named streams in the same order as
 run(), so the two must agree row for row; a disagreement points at a
-bookkeeping or ordering slip in the columnar engine. Only the tests use
-this module.
+bookkeeping or ordering slip in the columnar engine. Scores, means and
+the society step use the engine's arithmetic (matching.score, a mean along
+each trait's contiguous row), so the final rosters agree bit for bit. Only
+the tests use this module.
 """
 
 from __future__ import annotations
@@ -18,24 +20,30 @@ from scipy.optimize import linear_sum_assignment
 from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
 from citysim.demographics import born_batch, lifespan, mating_gap, mating_success_threshold
 from citysim.engine import init_population, named_stream
-from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
+from citysim.matching import (
+    MatchMode,
+    expected_pair_weights,
+    grid_distances,
+    rank_pair_indices,
+    score,
+)
 from citysim.society import effective_lambda_value
 
 STREAMS = ("init", "sex", "born", "noise", "partition", "location", "success")
 
 
 def persons(roster) -> list[Person]:
-    """One Person per roster row, in row order."""
+    """One Person per roster entry, in roster order."""
     people = []
     for i in range(roster.size):
         loc = None
         if roster.loc is not None:
-            loc = (int(roster.loc[i, 0]), int(roster.loc[i, 1]))
+            loc = (int(roster.loc[0, i]), int(roster.loc[1, i]))
         people.append(
             Person(
                 id=int(roster.ids[i]),
                 sex=Sex(int(roster.sex[i])),
-                traits=TraitVector(roster.traits[i]),
+                traits=TraitVector(roster.traits[:, i]),
                 happiness=float(roster.happiness[i]),
                 birth_time=float(roster.birth[i]),
                 death_time=float(roster.death[i]),
@@ -78,6 +86,10 @@ def _traits(people) -> np.ndarray:
     return np.stack([p.traits.values for p in people])
 
 
+def _scores(people, gain) -> np.ndarray:
+    return score(_traits(people).T, gain)
+
+
 def _solve(W, Y, Z) -> list[tuple[Person, Person]]:
     rows, cols = linear_sum_assignment(W, maximize=True)
     order = np.argsort(rows)
@@ -104,7 +116,7 @@ def partitioned_match(Y, Z, gain, mutation_prob, partition_size, noise_sigma, rn
     for by, bz in zip(blocks_y, blocks_z):
         sub_y = [Y[i] for i in by]
         sub_z = [Z[j] for j in bz]
-        W = expected_pair_weights(_traits(sub_y), _traits(sub_z), gain, mutation_prob)
+        W = expected_pair_weights(_scores(sub_y, gain), _scores(sub_z, gain), gain, mutation_prob)
         W = W + rng.normal(0.0, noise_sigma, size=W.shape)
         pairs.extend(_solve(W, sub_y, sub_z))
     return pairs
@@ -115,13 +127,13 @@ def reference_pairs(Y, Z, gain, config, streams) -> list[tuple[Person, Person]]:
     m = config.matching
     p_mut = config.demographics.mutation_prob
     if m.mode is MatchMode.OPTIMAL:
-        iy, iz = rank_pair_indices(_traits(Y) @ gain, _traits(Z) @ gain)
+        iy, iz = rank_pair_indices(_scores(Y, gain), _scores(Z, gain))
         return [(Y[i], Z[j]) for i, j in zip(iy, iz)]
     if m.mode is MatchMode.PARTITIONED:
         return partitioned_match(
             Y, Z, gain, p_mut, m.partition_size, m.noise_sigma, streams["partition"]
         )
-    W = expected_pair_weights(_traits(Y), _traits(Z), gain, p_mut)
+    W = expected_pair_weights(_scores(Y, gain), _scores(Z, gain), gain, p_mut)
     if m.mode is MatchMode.LOCALITY:
         ly = np.array([p.location for p in Y])
         lz = np.array([p.location for p in Z])
@@ -157,6 +169,10 @@ def reference_run(config):
     streams = {name: named_stream(config.seed, name) for name in STREAMS}
     E = config.interaction.entries
     d = config.demographics
+
+    def mean_traits():
+        return np.ascontiguousarray(_traits(people).T).mean(axis=1)
+
     theta = config.theta0.values.copy()
     people = persons(init_population(config, streams["init"], streams["sex"], streams["location"]))
     next_id = len(people)
@@ -166,10 +182,9 @@ def reference_run(config):
     def snapshot(t, births, deaths):
         n = len(people)
         if n:
-            traits = _traits(people)
             tot = float(np.sum([p.happiness for p in people]))
-            mean_cur = float(np.mean(traits @ (E @ theta)))
-            means = traits.mean(axis=0)
+            means = mean_traits()
+            mean_cur = float(score(means, score(E.T, theta)))
             rows.append((t, n, births, deaths, tot, tot / n, mean_cur, theta.copy(), means))
         else:
             rows.append((t, 0, births, deaths, 0.0, np.nan, np.nan, theta.copy(), None))
@@ -182,7 +197,7 @@ def reference_run(config):
             Y, Z = available(people, t)
             births = []
             if Y and Z:
-                gain = E @ theta
+                gain = score(E.T, theta)
                 ok_pairs = [
                     (m, f)
                     for m, f in reference_pairs(Y, Z, gain, config, streams)
@@ -198,7 +213,7 @@ def reference_run(config):
                     kid_sex = streams["sex"].integers(0, 2, size=len(ok_pairs))
                     if config.grid is not None:
                         pick = streams["location"].integers(0, 2, size=len(ok_pairs))
-                    kid_h = kids @ gain
+                    kid_h = score(kids.T, gain)
                     for i, (m, f) in enumerate(ok_pairs):
                         loc = None
                         if config.grid is not None:
@@ -224,7 +239,7 @@ def reference_run(config):
             n_dead = n_before - len(people)
             if people:
                 lam = effective_lambda(config.schedule, people)
-                theta = np.clip(theta + lam * (_traits(people).mean(axis=0) @ E), 0.0, 1.0)
+                theta = np.clip(theta + lam * score(E, mean_traits()), 0.0, 1.0)
             snapshot(t, len(births), n_dead)
             if not people or len({p.sex for p in people}) < 2:
                 break

@@ -10,6 +10,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import citysim.engine as engine
 from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
@@ -17,6 +20,7 @@ from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
     MatchingConfig,
     PopulationGroup,
+    Roster,
     SimConfig,
     init_population,
     named_stream,
@@ -54,8 +58,9 @@ class TestInitPopulation:
         roster = init_population(cfg)
         assert roster.size == 100
         assert roster.ids.tolist() == list(range(100))
-        assert np.all(roster.traits[:80] == 0.9)
-        assert np.all(roster.traits[80:] == 0.2)
+        assert roster.traits.shape == (8, 100) and roster.traits.flags.c_contiguous
+        assert np.all(roster.traits[:, :80] == 0.9)
+        assert np.all(roster.traits[:, 80:] == 0.2)
 
     def test_zero_std_happiness_and_times(self):
         cfg = small_config(
@@ -85,9 +90,9 @@ class TestInitPopulation:
             grid=(4, 3),
         )
         locs = init_population(cfg).loc
-        assert locs[:, 0].min() >= 0 and locs[:, 0].max() <= 3
-        assert locs[:, 1].min() >= 0 and locs[:, 1].max() <= 2
-        assert len(np.unique(locs, axis=0)) == 12
+        assert locs[0].min() >= 0 and locs[0].max() <= 3
+        assert locs[1].min() >= 0 and locs[1].max() <= 2
+        assert len(np.unique(locs, axis=1).T) == 12
 
     def test_deterministic_given_seed(self):
         cfg = small_config()
@@ -108,6 +113,51 @@ def make_person(pid, sex, h=5.0, birth=0.0, death=100.0, avail=None):
         death_time=death,
         next_available_time=birth if avail is None else avail,
     )
+
+
+def tiny_roster(ids):
+    n = len(ids)
+    return Roster(
+        ids=np.asarray(ids, dtype=np.int64),
+        sex=np.zeros(n, dtype=np.int8),
+        traits=np.full((8, n), 0.5),
+        happiness=np.ones(n),
+        birth=np.zeros(n),
+        death=np.full(n, 9.0),
+        avail=np.zeros(n),
+        loc=None,
+    )
+
+
+trait_blocks = st.integers(1, 3000).flatmap(
+    lambda n: arrays(np.float64, (8, n), elements=st.floats(-1e3, 1e3))
+)
+
+
+class TestRosterLayout:
+    @given(trait_blocks)
+    def test_trait_mean_is_each_rows_own_mean(self, traits):
+        # run() reads the dynamic schedule's mean flexibility from x_bar;
+        # that equals a separate pass over the flexibility row bit for bit.
+        x_bar = traits.mean(axis=1)
+        for j in range(8):
+            assert x_bar[j].tobytes() == traits[j].mean().tobytes()
+
+    def test_extend_keeps_ids_ascending(self):
+        roster = tiny_roster([0, 2, 5])
+        roster.extend(tiny_roster([6, 7]))
+        assert roster.ids.tolist() == [0, 2, 5, 6, 7]
+        assert roster.traits.shape == (8, 5) and roster.traits.flags.c_contiguous
+        with pytest.raises(ConsistencyError, match="ascend"):
+            roster.extend(tiny_roster([7, 8]))
+
+    def test_take_compacts_every_column(self):
+        roster = tiny_roster([0, 2, 5, 6])
+        roster.traits[3] = [0.1, 0.2, 0.3, 0.4]
+        kept = roster.take(np.array([True, False, True, False]))
+        assert kept.ids.tolist() == [0, 5]
+        assert kept.traits[3].tolist() == [0.1, 0.3]
+        assert kept.traits.flags.c_contiguous and kept.loc is None
 
 
 class TestAvailableAndUpdate:
@@ -254,17 +304,19 @@ class TestReferenceTrace:
             assert log.population[i] == n, f"row {i}"
             assert log.births[i] == births, f"row {i}"
             assert log.deaths[i] == deaths, f"row {i}"
-            assert log.total_happiness[i] == pytest.approx(tot, rel=1e-9, abs=1e-9)
+            # The oracle uses the engine's score and mean kernels, so every
+            # float must agree exactly.
+            assert log.total_happiness[i] == tot, f"row {i}"
             if n:
-                assert log.mean_happiness[i] == pytest.approx(mean, rel=1e-9)
-                assert log.mean_current_happiness[i] == pytest.approx(mean_cur, rel=1e-9)
-                np.testing.assert_allclose(log.mean_traits[i], mean_traits, rtol=1e-9)
-            np.testing.assert_allclose(log.theta[i], theta, rtol=0, atol=1e-12)
+                assert log.mean_happiness[i] == mean, f"row {i}"
+                assert log.mean_current_happiness[i] == mean_cur, f"row {i}"
+                np.testing.assert_array_equal(log.mean_traits[i], mean_traits)
+            np.testing.assert_array_equal(log.theta[i], theta)
         final = log.final_population
         assert final.ids.tolist() == [p.id for p in people]
         assert final.sex.tolist() == [int(p.sex) for p in people]
         if people:
-            assert np.array_equal(final.traits, np.stack([p.traits.values for p in people]))
+            assert np.array_equal(final.traits.T, np.stack([p.traits.values for p in people]))
         assert final.happiness.tolist() == [p.happiness for p in people]
         assert final.birth.tolist() == [p.birth_time for p in people]
         np.testing.assert_allclose(final.death, [p.death_time for p in people], rtol=1e-12)
@@ -272,7 +324,7 @@ class TestReferenceTrace:
             final.avail, [p.next_available_time for p in people], rtol=1e-12
         )
         if cfg.grid is not None:
-            assert [tuple(r) for r in final.loc.tolist()] == [p.location for p in people]
+            assert [tuple(r) for r in final.loc.T.tolist()] == [p.location for p in people]
 
     def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,
@@ -328,6 +380,8 @@ class TestRunBehavior:
         log.validate_conservation()
         ids = log.final_population.ids
         assert len(np.unique(ids)) == len(ids) == log.population[-1]
+        # Rows stay in id order, which the rank tie rule relies on.
+        assert np.all(np.diff(ids) > 0)
 
     def test_log_every_subsampling_consistent(self):
         dense = run(small_config(max_time=42.0, log_every=1))
@@ -450,7 +504,7 @@ class TestGridOutputs:
         for gx in range(4):
             for gy in range(3):
                 count, total = 0, 0.0
-                for (x, y), h in zip(final.loc.tolist(), final.happiness.tolist()):
+                for (x, y), h in zip(final.loc.T.tolist(), final.happiness.tolist()):
                     if (x, y) == (gx, gy):
                         count += 1
                         total += h
@@ -468,8 +522,8 @@ class TestGridOutputs:
         )
         log = run(cfg)
         loc = log.final_population.loc
-        assert loc.shape == (log.population[-1], 2)
-        assert np.all((0 <= loc[:, 0]) & (loc[:, 0] < 5) & (0 <= loc[:, 1]) & (loc[:, 1] < 2))
+        assert loc.shape == (2, log.population[-1])
+        assert np.all((0 <= loc[0]) & (loc[0] < 5) & (0 <= loc[1]) & (loc[1] < 2))
 
     def test_write_run_outputs_file_set(self, tmp_path):
         cfg = small_config(max_time=8.0)

@@ -7,14 +7,18 @@ crowding plateau, where many rounds bear no child. summary.json is left
 out: its "meta" block holds wall-clock values. A change that alters
 outputs on purpose regenerates the file once, with
 `PYTHONPATH=src python tests/test_golden.py --write`, and says why in
-CHANGES.md.
+CHANGES.md. The outputs must not depend on the BLAS thread count either,
+which a test checks in child processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,10 +77,48 @@ def test_every_case_is_pinned():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_CASES = {"baseline-mixed@300": None, "matching-comparison+noisy": 200.0}
+CHILD = """
+import json, sys, tempfile
+from dataclasses import replace
+from pathlib import Path
+from test_golden import CASES, digests
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, horizon in json.loads(sys.argv[1]).items():
+        config = CASES[name] if horizon is None else replace(CASES[name], max_time=horizon)
+        out[name] = digests(config, Path(tmp) / name)
+print(json.dumps(out))
+"""
+
+
+def _digests_with_blas_threads(threads: int) -> dict:
+    here = Path(__file__).parent
+    path = os.pathsep.join((str(here.parent / "src"), str(here)))
+    env = dict(os.environ, PYTHONPATH=path, **{name: str(threads) for name in BLAS_ENV})
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(THREAD_CASES)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_outputs_ignore_blas_thread_count():
+    # Each setting runs in its own process: BLAS reads these variables once,
+    # when it loads.
+    one = _digests_with_blas_threads(1)
+    assert sorted(one) == sorted(THREAD_CASES)
+    assert _digests_with_blas_threads(2) == one
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: digests(CASES[name], Path(tmp) / name) for name in sorted(CASES)}

@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector, happiness
@@ -20,7 +23,14 @@ from citysim.engine import (
     _match_pairs,
     run,
 )
-from citysim.matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices
+from citysim.matching import (
+    MatchMode,
+    expected_pair_weights,
+    grid_distances,
+    rank_pair_indices,
+    score,
+)
+from citysim.society import trait_gain
 from reference import partitioned_match
 
 MATRIX = InteractionMatrix.default()
@@ -111,8 +121,8 @@ class TestSolveAssignment:
 
 def locality_roster(y_traits, z_traits, y_loc, z_loc):
     """Males first, then females; every person is alive and available."""
-    traits = np.vstack([y_traits, z_traits])
-    n = traits.shape[0]
+    traits = np.ascontiguousarray(np.vstack([y_traits, z_traits]).T)
+    n = traits.shape[1]
     return Roster(
         ids=np.arange(n, dtype=np.int64),
         sex=np.array([0] * len(y_traits) + [1] * len(z_traits), dtype=np.int8),
@@ -121,7 +131,7 @@ def locality_roster(y_traits, z_traits, y_loc, z_loc):
         birth=np.zeros(n),
         death=np.full(n, 100.0),
         avail=np.zeros(n),
-        loc=np.array(list(y_loc) + list(z_loc), dtype=np.int64),
+        loc=np.array(list(y_loc) + list(z_loc), dtype=np.int64).T,
     )
 
 
@@ -229,7 +239,7 @@ class TestGridDistances:
             loc_y = rng.integers(0, grid, size=(60, 2))
             loc_z = rng.integers(0, grid, size=(45, 2))
             table = _block_penalty(cfg)[
-                np.ix_(_block_codes(loc_y, grid), _block_codes(loc_z, grid))
+                np.ix_(_block_codes(loc_y.T, grid), _block_codes(loc_z.T, grid))
             ]
             assert np.array_equal(table, gamma * grid_distances(loc_y, loc_z, metric))
 
@@ -267,6 +277,84 @@ class TestRankPairing:
     def test_empty_sides(self):
         iy, iz = rank_pair_indices(np.zeros(0), np.zeros(3))
         assert iy.size == 0 and iz.size == 0
+
+
+@st.composite
+def trait_columns(draw, max_n=30):
+    """A (8, n) trait block whose columns repeat a few distinct people, so
+    exact clones, and with them exact score ties, are common."""
+    n = draw(st.integers(1, max_n))
+    distinct = draw(st.integers(1, n))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    pool = draw(arrays(np.float64, (8, distinct), elements=unit))
+    pick = draw(arrays(np.int64, n, elements=st.integers(0, distinct - 1)))
+    return np.ascontiguousarray(pool[:, pick])
+
+
+society_vectors = arrays(np.float64, 13, elements=st.floats(0.0, 1.0, allow_nan=False))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestScoreAndTieRule:
+    """Scores come from one elementwise kernel, and ranking orders by score
+    descending, then id ascending."""
+
+    @given(trait_columns(), society_vectors, st.data())
+    def test_scores_are_bitwise_invariant_to_order_and_subset(self, cols, theta, data):
+        gain = trait_gain(theta, MATRIX)
+        n = cols.shape[1]
+        full = score(cols, gain)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        sub = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        assert bits(score(np.ascontiguousarray(cols[:, perm]), gain)) == bits(full[perm])
+        assert bits(score(cols[:, sub], gain)) == bits(full[sub])
+        # One person alone, and the row-major (n, 8) layout read as columns.
+        assert all(bits(score(cols[:, i], gain)) == bits(full[i]) for i in range(n))
+        assert bits(score(np.ascontiguousarray(cols.T).T, gain)) == bits(full)
+
+    @given(st.integers(2, 6), st.data())
+    def test_exact_clones_pair_lower_id_first(self, clones, data):
+        # `clones` equal top scorers among lower-scoring men; fewer women
+        # than clones, so the cut falls inside the clone group.
+        n = clones + data.draw(st.integers(0, 6))
+        a = np.full(n, 0.25)
+        top = np.sort(data.draw(st.permutations(range(n)))[:clones])
+        a[top] = 0.75
+        k = data.draw(st.integers(1, clones - 1))
+        b = np.array(data.draw(st.lists(st.floats(0, 1), min_size=k, max_size=k)))
+        iy, iz = rank_pair_indices(a, b)
+        assert iy.tolist() == top[:k].tolist()
+        assert iz.tolist() == np.lexsort((np.arange(k), -b)).tolist()
+
+    @given(trait_columns(), trait_columns(), society_vectors, st.data())
+    def test_pairs_by_id_ignore_roster_order(self, ys, zs, theta, data):
+        # The engine ranks rows kept in id order with a stable sort. The
+        # same pairs, by id, come from a shuffled roster ranked on the
+        # explicit key (score descending, id ascending).
+        gain = trait_gain(theta, MATRIX)
+        ids_y = np.arange(ys.shape[1])
+        ids_z = 1000 + np.arange(zs.shape[1])
+        iy, iz = rank_pair_indices(score(ys, gain), score(zs, gain))
+        engine_pairs = list(zip(ids_y[iy].tolist(), ids_z[iz].tolist()))
+
+        def shuffled_top(cols, ids):
+            perm = np.array(data.draw(st.permutations(range(len(ids)))))
+            s = score(np.ascontiguousarray(cols[:, perm]), gain)
+            return ids[perm][np.lexsort((ids[perm], -s))]
+
+        k = min(len(ids_y), len(ids_z))
+        ky, kz = shuffled_top(ys, ids_y)[:k], shuffled_top(zs, ids_z)[:k]
+        assert engine_pairs == list(zip(ky.tolist(), kz.tolist()))
+
+    def test_weights_from_scores_equal_weights_from_rows(self):
+        rng = np.random.default_rng(5)
+        y, z = rng.uniform(size=(6, 8)), rng.uniform(size=(4, 8))
+        gain = trait_gain(rng.uniform(size=13), MATRIX)
+        W = expected_pair_weights(score(y.T, gain), score(z.T, gain), gain, 0.1)
+        assert bits(W) == bits(expected_pair_weights(y, z, gain, 0.1))
 
 
 class TestPartitionedMatch:
