@@ -280,7 +280,7 @@ class TestRankPairing:
 
 
 @st.composite
-def trait_columns(draw, max_n=30):
+def trait_columns(draw, max_n=60):
     """A (8, n) trait block whose columns repeat a few distinct people, so
     exact clones, and with them exact score ties, are common."""
     n = draw(st.integers(1, max_n))
@@ -315,11 +315,11 @@ class TestScoreAndTieRule:
         assert all(bits(score(cols[:, i], gain)) == bits(full[i]) for i in range(n))
         assert bits(score(np.ascontiguousarray(cols.T).T, gain)) == bits(full)
 
-    @given(st.integers(2, 6), st.data())
+    @given(st.integers(2, 30), st.data())
     def test_exact_clones_pair_lower_id_first(self, clones, data):
         # `clones` equal top scorers among lower-scoring men; fewer women
         # than clones, so the cut falls inside the clone group.
-        n = clones + data.draw(st.integers(0, 6))
+        n = clones + data.draw(st.integers(0, 30))
         a = np.full(n, 0.25)
         top = np.sort(data.draw(st.permutations(range(n)))[:clones])
         a[top] = 0.75
