@@ -398,11 +398,11 @@ def _match_pairs(
     gain: np.ndarray,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
-    penalty: np.ndarray | None = None,
+    penalty: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roster indices of the matched male/female pairs. Everyone is scored
     once against gain; locality matching subtracts penalty, the
-    _block_penalty table."""
+    _block_penalty table (None in the other modes)."""
     mcfg = config.matching
     scores = score(roster.traits, gain)
     if mcfg.mode is MatchMode.OPTIMAL:
