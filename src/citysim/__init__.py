@@ -8,20 +8,12 @@ from .core import (
     CitySimError,
     ConfigurationError,
     ConsistencyError,
-    EmptyPopulationError,
     InteractionMatrix,
-    Person,
-    Sex,
     TraitVector,
-    happiness,
-    mean_traits,
-    total_happiness,
 )
 from .demographics import (
     DemographicsParams,
-    born,
     born_batch,
-    expected_child,
     lifespan,
     mating_gap,
     mating_success_threshold,
@@ -80,38 +72,31 @@ __all__ = [
     "ConsistencyError",
     "DegeneracyReport",
     "DemographicsParams",
-    "EmptyPopulationError",
     "Equilibrium",
     "InteractionMatrix",
     "KMeansResult",
     "LearningRateSchedule",
     "MatchMode",
     "MatchingConfig",
-    "Person",
     "PointSet",
     "PopulationGroup",
     "Scenario",
-    "Sex",
     "SimConfig",
     "TimeSeriesLog",
     "TraitVector",
-    "born",
     "born_batch",
     "classical_mds",
     "dump_scenario",
     "effective_lambda_value",
-    "expected_child",
     "expected_pair_weights",
     "get_preset",
     "grid_distances",
-    "happiness",
     "init_population",
     "kmeans",
     "lifespan",
     "load_scenario",
     "mating_gap",
     "mating_success_threshold",
-    "mean_traits",
     "named_stream",
     "normalize_scenario",
     "preset_names",
@@ -124,7 +109,6 @@ __all__ = [
     "society_update",
     "support_enumeration",
     "support_enumeration_report",
-    "total_happiness",
     "trait_gain",
     "verify_equilibrium",
     "write_run_outputs",

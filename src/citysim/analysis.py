@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import ConfigurationError, Person, TraitVector
+from .core import ConfigurationError, TraitVector
 
 __all__ = [
     "PointSet",
@@ -182,17 +182,13 @@ class ClusterSummary:
     mean: TraitVector
 
 
-def cluster_summary(
-    population: Sequence[Person] | np.ndarray, labels: Sequence[int]
-) -> list[ClusterSummary]:
-    """Per-cluster trait means and sizes, ordered by size descending and
-    then by centroid lexicographically (stable under relabeling)."""
-    if len(population) and isinstance(population[0], Person):
-        rows = np.stack([p.traits.values for p in population])
-    else:
-        rows = np.asarray(population, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ConfigurationError(f"population must be 2-D, got shape {rows.shape}")
+def cluster_summary(population: np.ndarray, labels: Sequence[int]) -> list[ClusterSummary]:
+    """Per-cluster trait means and sizes of an (n, dim) trait matrix, ordered
+    by size descending and then by centroid lexicographically (stable under
+    relabeling)."""
+    rows = np.asarray(population, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ConfigurationError(f"population must be 2-D, got shape {rows.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (rows.shape[0],):
         raise ConfigurationError(

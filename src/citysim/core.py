@@ -1,19 +1,18 @@
-"""Trait vectors, the interaction matrix, and person records.
+"""Trait vectors, the interaction matrix, and the package's exceptions.
 
-Everything downstream is built from three primitives: a bounded trait
-vector (used for both individuals and the society), a payoff matrix
-coupling the two sides, and a person record whose happiness is evaluated
-once at birth and frozen for life.
+Everything downstream is built from two primitives: a bounded trait
+vector (used for both individuals and the society) and a payoff matrix
+coupling the two sides. A person's happiness is the score of their traits
+against I theta (society.trait_gain), evaluated once at birth and frozen
+for life.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -23,14 +22,8 @@ __all__ = [
     "CitySimError",
     "ConfigurationError",
     "ConsistencyError",
-    "EmptyPopulationError",
-    "Sex",
     "TraitVector",
     "InteractionMatrix",
-    "Person",
-    "happiness",
-    "total_happiness",
-    "mean_traits",
 ]
 
 
@@ -65,8 +58,8 @@ SOCIETY_TRAITS: tuple[str, ...] = (
 
 # Default coupling table in its conventional printed orientation: one row per
 # society trait, one column per individual trait, entries in [-1, 1].
-# Internally the matrix is stored transposed (individual x society) so that
-# the payoff contraction reads x @ entries @ theta.
+# Internally the matrix is stored transposed (individual x society): one row
+# per individual trait, one column per society trait.
 _DEFAULT_TABLE: tuple[tuple[float, ...], ...] = (
     (0.9, -0.5, 0.5, 0.3, 0.3, 0.7, 0.5, -0.2),
     (0.7, 0.2, 0.0, 0.0, 0.4, 0.7, 0.0, 0.0),
@@ -94,15 +87,6 @@ class ConfigurationError(CitySimError, ValueError):
 
 class ConsistencyError(CitySimError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
-
-
-class EmptyPopulationError(CitySimError, ValueError):
-    """An operation that needs at least one person got none."""
-
-
-class Sex(IntEnum):
-    MALE = 0
-    FEMALE = 1
 
 
 def _as_float_array(values, *, what: str) -> np.ndarray:
@@ -268,73 +252,3 @@ class InteractionMatrix:
             printed = self.entries.T
             for j, society in enumerate(self.col_names):
                 writer.writerow([society, *(repr(float(v)) for v in printed[j])])
-
-
-@dataclass
-class Person:
-    """One agent.
-
-    ``happiness`` is evaluated against the society vector in force at birth
-    and never updated afterwards, even as the society drifts.
-    ``next_available_time`` is the only field the simulation mutates.
-    """
-
-    id: int
-    sex: Sex
-    traits: TraitVector
-    happiness: float
-    birth_time: float
-    death_time: float
-    next_available_time: float
-    location: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.death_time < self.birth_time:
-            raise ConfigurationError(
-                f"person {self.id}: death_time {self.death_time} precedes "
-                f"birth_time {self.birth_time}"
-            )
-        if self.next_available_time < self.birth_time:
-            raise ConfigurationError(
-                f"person {self.id}: next_available_time {self.next_available_time} "
-                f"precedes birth_time {self.birth_time}"
-            )
-
-    def is_alive(self, t: float) -> bool:
-        return self.birth_time <= t < self.death_time
-
-
-def _vector_values(x, *, what: str) -> np.ndarray:
-    if isinstance(x, TraitVector):
-        return x.values
-    return _as_float_array(x, what=what)
-
-
-def happiness(x, interaction: InteractionMatrix, theta) -> float:
-    """Bilinear payoff x @ entries @ theta.
-
-    Accepts either ``TraitVector`` or raw one-dimensional arrays on both
-    sides; raw arrays are evaluated unclipped.
-    """
-    xv = _vector_values(x, what="individual trait vector")
-    tv = _vector_values(theta, what="society trait vector")
-    p, s = interaction.entries.shape
-    if xv.shape[0] != p or tv.shape[0] != s:
-        raise ConfigurationError(
-            f"dimension mismatch: individual vector has {xv.shape[0]} traits, "
-            f"interaction matrix is {p}x{s}, society vector has {tv.shape[0]} traits"
-        )
-    return float(xv @ interaction.entries @ tv)
-
-
-def total_happiness(population: Iterable[Person]) -> float:
-    """Sum of the frozen per-person happiness values; 0.0 when empty."""
-    return math.fsum(p.happiness for p in population)
-
-
-def mean_traits(population: Sequence[Person]) -> TraitVector:
-    """Coordinate-wise mean of everyone's traits."""
-    if len(population) == 0:
-        raise EmptyPopulationError("mean_traits needs at least one person")
-    stacked = np.stack([p.traits.values for p in population])
-    return TraitVector(stacked.mean(axis=0))

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError, TraitVector
+from .core import ConfigurationError
 
 __all__ = [
     "DemographicsParams",
@@ -24,9 +24,7 @@ __all__ = [
     "mating_closed",
     "mating_success_threshold",
     "mating_succeeds",
-    "born",
     "born_batch",
-    "expected_child",
 ]
 
 
@@ -181,26 +179,18 @@ def mating_succeeds(
     return rng.random(np.shape(m)) < 1.0 - np.clip(m, 0.0, 1.0)
 
 
-def _trait_values(x, *, what: str) -> np.ndarray:
-    if isinstance(x, TraitVector):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def born_batch(
     fathers: np.ndarray,
     mothers: np.ndarray,
     rng: np.random.Generator,
     params: DemographicsParams | None = None,
 ) -> np.ndarray:
-    """Vectorized reproduction: one child row per parent-pair row.
+    """Reproduction: one child row per parent-pair row. Each gene is copied
+    from a uniformly chosen parent, or redrawn uniformly on [0, 1] with
+    probability mutation_prob.
 
-    Draw order is fixed (mutation mask, parent choice, fresh genes) so a
-    batch of one is bit-identical to a single born() call on the same
-    generator state.
+    Draws come in a fixed order (mutation mask, parent choice, fresh genes),
+    each covering the whole batch.
     """
     p = params or _DEFAULTS
     fathers = np.atleast_2d(np.asarray(fathers, dtype=np.float64))
@@ -214,37 +204,3 @@ def born_batch(
     fresh = rng.random(fathers.shape)
     child = np.where(take_father, fathers, mothers)
     return np.where(mutate, fresh, child)
-
-
-def born(
-    father,
-    mother,
-    rng: np.random.Generator,
-    params: DemographicsParams | None = None,
-) -> TraitVector:
-    """Child traits: each gene copied from a uniformly chosen parent, or
-    redrawn uniformly on [0, 1] with probability mutation_prob."""
-    f = _trait_values(father, what="father traits")
-    m = _trait_values(mother, what="mother traits")
-    if f.shape != m.shape:
-        raise ConfigurationError(
-            f"parents differ in dimension: {f.shape[0]} vs {m.shape[0]}"
-        )
-    child = born_batch(f[None, :], m[None, :], rng, params)[0]
-    return TraitVector(child)
-
-
-def expected_child(
-    father,
-    mother,
-    params: DemographicsParams | None = None,
-) -> TraitVector:
-    """Analytic expectation of born(): (1-p)(f+m)/2 + p/2 per coordinate."""
-    p = (params or _DEFAULTS).mutation_prob
-    f = _trait_values(father, what="father traits")
-    m = _trait_values(mother, what="mother traits")
-    if f.shape != m.shape:
-        raise ConfigurationError(
-            f"parents differ in dimension: {f.shape[0]} vs {m.shape[0]}"
-        )
-    return TraitVector((1.0 - p) * (f + m) / 2.0 + p * 0.5)

@@ -9,8 +9,10 @@ names the offending field.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import yaml
@@ -18,7 +20,6 @@ import yaml
 from .core import ConfigurationError, InteractionMatrix, TraitVector
 from .demographics import DemographicsParams
 from .engine import MatchingConfig, PopulationGroup, SimConfig
-from .matching import MatchMode
 from .society import LearningRateSchedule
 
 __all__ = [
@@ -30,6 +31,14 @@ __all__ = [
 ]
 
 _NEUTRAL_LEVEL = 0.5
+
+# Scenario sections, each the SimConfig field of the same name; a section's
+# keys are exactly its dataclass's fields.
+_SECTIONS = {
+    "demographics": DemographicsParams,
+    "matching": MatchingConfig,
+    "schedule": LearningRateSchedule,
+}
 
 
 @dataclass(frozen=True)
@@ -55,116 +64,85 @@ def _reject_unknown(data: dict, allowed: set[str], field: str) -> None:
         raise ConfigurationError(f"{field}: unknown key(s) {', '.join(unknown)}")
 
 
+def _number(value, where: str, kind=float):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{where}: expected a number that fits in a float") from None
+
+
+def _parse_number(data: dict, key: str, field: str, default, kind=float):
+    if key not in data:
+        return default
+    return _number(data[key], f"{field}.{key}", kind)
+
+
 def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVector:
     if isinstance(value, dict):
         bad = sorted(set(value) - set(names))
         if bad:
             raise ConfigurationError(f"{field}: unknown trait name(s) {', '.join(bad)}")
-        vec = [float(value.get(n, _NEUTRAL_LEVEL)) for n in names]
+        raw = [value.get(n, _NEUTRAL_LEVEL) for n in names]
     elif isinstance(value, (list, tuple)):
         if len(value) != len(names):
             raise ConfigurationError(
                 f"{field}: expected {len(names)} values, got {len(value)}"
             )
-        vec = [float(v) for v in value]
+        raw = value
     else:
         raise ConfigurationError(
             f"{field}: expected a list of {len(names)} values or a name mapping"
         )
+    vec = [_number(v, f"{field}.{name}") for name, v in zip(names, raw)]
     for name, v in zip(names, vec):
         if not (0.0 <= v <= 1.0) or not math.isfinite(v):
             raise ConfigurationError(f"{field}.{name}: value {v} outside [0, 1]")
     return TraitVector(vec)
 
 
-def _parse_number(data: dict, key: str, field: str, default, kind=float):
-    if key not in data:
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{field}.{key}: expected a number, got {value!r}")
-    if kind is int:
-        if int(value) != value:
-            raise ConfigurationError(f"{field}.{key}: expected an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
-def _parse_demographics(data: dict) -> DemographicsParams:
-    field = "demographics"
+def _parse_section(cls, data, field: str):
+    """Build config dataclass cls from a scenario section whose keys are
+    exactly cls's fields. A field's default gives its value's kind: numbers
+    are checked as float or int, an enum is built by value, and a string
+    passes through for cls to validate."""
     _require_mapping(data, field)
-    allowed = {
-        "lifespan_a",
-        "lifespan_b",
-        "gap_a",
-        "gap_epsilon",
-        "success_a",
-        "success_scale",
-        "mutation_prob",
-        "maturity_age",
-        "success_rule",
-    }
-    _reject_unknown(data, allowed, field)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(data, {f.name for f in fields}, field)
     kwargs = {}
-    for key in allowed - {"success_rule"}:
-        if key in data:
-            kwargs[key] = _parse_number(data, key, field, None)
-    if "success_rule" in data:
-        kwargs["success_rule"] = data["success_rule"]
+    for f in fields:
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if isinstance(f.default, Enum):
+            kind = type(f.default)
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{field}.{f.name}: {value!r} is not one of {[m.value for m in kind]}"
+                ) from None
+        elif isinstance(f.default, (int, float)):
+            value = _number(value, f"{field}.{f.name}", type(f.default))
+        kwargs[f.name] = value
     try:
-        return DemographicsParams(**kwargs)
+        return cls(**kwargs)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{field}: {exc}") from None
 
 
-def _parse_matching(data: dict) -> MatchingConfig:
-    field = "matching"
-    _require_mapping(data, field)
-    allowed = {"mode", "gamma", "partition_size", "noise_sigma", "distance"}
-    _reject_unknown(data, allowed, field)
-    kwargs = {}
-    if "mode" in data:
-        try:
-            kwargs["mode"] = MatchMode(data["mode"])
-        except ValueError:
-            raise ConfigurationError(
-                f"{field}.mode: {data['mode']!r} is not one of "
-                f"{[m.value for m in MatchMode]}"
-            ) from None
-    for key, kind in (
-        ("gamma", float),
-        ("partition_size", int),
-        ("noise_sigma", float),
-    ):
-        if key in data:
-            kwargs[key] = _parse_number(data, key, field, None, kind)
-    if "distance" in data:
-        kwargs["distance"] = data["distance"]
-    try:
-        return MatchingConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{field}: {exc}") from None
-
-
-def _parse_schedule(data: dict) -> LearningRateSchedule:
-    field = "schedule"
-    _require_mapping(data, field)
-    allowed = {"kind", "base", "multiplier", "flexibility_trait_index"}
-    _reject_unknown(data, allowed, field)
-    kwargs = {}
-    if "kind" in data:
-        kwargs["kind"] = data["kind"]
-    for key, kind in (
-        ("base", float),
-        ("multiplier", float),
-        ("flexibility_trait_index", int),
-    ):
-        if key in data:
-            kwargs[key] = _parse_number(data, key, field, None, kind)
-    try:
-        return LearningRateSchedule(**kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{field}: {exc}") from None
+def _dump_section(obj) -> dict:
+    """A config dataclass as a scenario section: every field, enums by value."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = value.value if isinstance(value, Enum) else value
+    return doc
 
 
 def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationGroup, ...]:
@@ -181,7 +159,7 @@ def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationG
         mean = _parse_trait_vector(entry["mean"], interaction.row_names, f"{field}.mean")
         std = entry.get("std", 0.1)
         if isinstance(std, (list, tuple)):
-            std = tuple(float(s) for s in std)
+            std = tuple(_number(s, f"{field}.std[{k}]") for k, s in enumerate(std))
         elif isinstance(std, (int, float)) and not isinstance(std, bool):
             std = float(std)
         else:
@@ -250,26 +228,21 @@ def scenario_from_mapping(
         raw = data["grid"]
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ConfigurationError("grid: expected [width, height]")
-        grid = (int(raw[0]), int(raw[1]))
+        grid = tuple(_number(v, f"grid[{k}]", int) for k, v in enumerate(raw))
 
     scope = data.get("success_pop_scope", "global")
-    try:
-        config = SimConfig(
-            seed=seed,
-            groups=groups,
-            theta0=theta0,
-            interaction=interaction,
-            demographics=_parse_demographics(data.get("demographics", {})),
-            matching=_parse_matching(data.get("matching", {})),
-            schedule=_parse_schedule(data.get("schedule", {})),
-            mating_period=_parse_number(data, "mating_period", "scenario", 1.0),
-            max_time=_parse_number(data, "max_time", "scenario", 10_000.0),
-            grid=grid,
-            log_every=_parse_number(data, "log_every", "scenario", 1, int),
-            success_pop_scope=scope if isinstance(scope, str) else str(scope),
-        )
-    except ConfigurationError:
-        raise
+    config = SimConfig(
+        seed=seed,
+        groups=groups,
+        theta0=theta0,
+        interaction=interaction,
+        **{key: _parse_section(cls, data.get(key, {}), key) for key, cls in _SECTIONS.items()},
+        mating_period=_parse_number(data, "mating_period", "scenario", 1.0),
+        max_time=_parse_number(data, "max_time", "scenario", 10_000.0),
+        grid=grid,
+        log_every=_parse_number(data, "log_every", "scenario", 1, int),
+        success_pop_scope=scope if isinstance(scope, str) else str(scope),
+    )
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:
         raise ConfigurationError("name: expected a nonempty string")
@@ -310,9 +283,6 @@ def dump_scenario(scenario: Scenario) -> str:
     round-trip oracle.
     """
     cfg = scenario.config
-    d = cfg.demographics
-    m = cfg.matching
-    s = cfg.schedule
     doc: dict = {
         "name": scenario.name,
         "seed": cfg.seed,
@@ -326,30 +296,7 @@ def dump_scenario(scenario: Scenario) -> str:
             for g in cfg.groups
         ],
         "interaction": scenario.interaction_source,
-        "demographics": {
-            "lifespan_a": d.lifespan_a,
-            "lifespan_b": d.lifespan_b,
-            "gap_a": d.gap_a,
-            "gap_epsilon": d.gap_epsilon,
-            "success_a": d.success_a,
-            "success_scale": d.success_scale,
-            "mutation_prob": d.mutation_prob,
-            "maturity_age": d.maturity_age,
-            "success_rule": d.success_rule,
-        },
-        "matching": {
-            "mode": m.mode.value,
-            "gamma": m.gamma,
-            "partition_size": m.partition_size,
-            "noise_sigma": m.noise_sigma,
-            "distance": m.distance,
-        },
-        "schedule": {
-            "kind": s.kind,
-            "base": s.base,
-            "multiplier": s.multiplier,
-            "flexibility_trait_index": s.flexibility_trait_index,
-        },
+        **{key: _dump_section(getattr(cfg, key)) for key in _SECTIONS},
         "mating_period": cfg.mating_period,
         "max_time": cfg.max_time,
         "log_every": cfg.log_every,

@@ -1,5 +1,9 @@
 """Person-level oracle for the engine.
 
+Person, Sex and expected_child live here, not in the package: the engine
+keeps its population as columns, and only the tests need a record per
+person or the analytic expectation of a child.
+
 reference_run() re-executes run() one Person record at a time: available
 people, pairing, a per-pair success gate, batched births, burial and the
 society step. It consumes the same named streams in the same order as
@@ -13,12 +17,20 @@ the tests use this module.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
-from citysim.demographics import born_batch, lifespan, mating_gap, mating_success_threshold
+from citysim.core import ConfigurationError, ConsistencyError, TraitVector
+from citysim.demographics import (
+    DemographicsParams,
+    born_batch,
+    lifespan,
+    mating_gap,
+    mating_success_threshold,
+)
 from citysim.engine import init_population, named_stream
 from citysim.matching import (
     MatchMode,
@@ -30,6 +42,56 @@ from citysim.matching import (
 from citysim.society import effective_lambda_value
 
 STREAMS = ("init", "sex", "born", "noise", "partition", "location", "success")
+
+
+class Sex(IntEnum):
+    MALE = 0
+    FEMALE = 1
+
+
+@dataclass
+class Person:
+    """One agent.
+
+    ``happiness`` is evaluated against the society vector in force at birth
+    and never updated afterwards, even as the society drifts.
+    ``next_available_time`` is the only field the simulation mutates.
+    """
+
+    id: int
+    sex: Sex
+    traits: TraitVector
+    happiness: float
+    birth_time: float
+    death_time: float
+    next_available_time: float
+    location: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.death_time < self.birth_time:
+            raise ConfigurationError(
+                f"person {self.id}: death_time {self.death_time} precedes "
+                f"birth_time {self.birth_time}"
+            )
+        if self.next_available_time < self.birth_time:
+            raise ConfigurationError(
+                f"person {self.id}: next_available_time {self.next_available_time} "
+                f"precedes birth_time {self.birth_time}"
+            )
+
+    def is_alive(self, t: float) -> bool:
+        return self.birth_time <= t < self.death_time
+
+
+def _values(x) -> np.ndarray:
+    return x.values if isinstance(x, TraitVector) else np.asarray(x, dtype=np.float64)
+
+
+def expected_child(father, mother, params: DemographicsParams | None = None) -> TraitVector:
+    """Analytic expectation of a born_batch child: (1-p)(f+m)/2 + p/2 per
+    coordinate, p being the mutation probability."""
+    p = (params or DemographicsParams()).mutation_prob
+    return TraitVector((1.0 - p) * (_values(father) + _values(mother)) / 2.0 + p * 0.5)
 
 
 def persons(roster) -> list[Person]:
@@ -84,6 +146,18 @@ def effective_lambda(schedule, population) -> float:
 
 def _traits(people) -> np.ndarray:
     return np.stack([p.traits.values for p in people])
+
+
+def total_happiness(people) -> float:
+    """Sum of the frozen per-person happiness values, summed as run() sums
+    its roster's happiness column; 0.0 when empty."""
+    return float(np.sum([p.happiness for p in people]))
+
+
+def mean_traits(people) -> np.ndarray:
+    """Coordinate-wise mean of everyone's traits, taken along each trait's
+    contiguous row as run() takes x_bar."""
+    return np.ascontiguousarray(_traits(people).T).mean(axis=1)
 
 
 def _scores(people, gain) -> np.ndarray:
@@ -170,9 +244,6 @@ def reference_run(config):
     E = config.interaction.entries
     d = config.demographics
 
-    def mean_traits():
-        return np.ascontiguousarray(_traits(people).T).mean(axis=1)
-
     theta = config.theta0.values.copy()
     people = persons(init_population(config, streams["init"], streams["sex"], streams["location"]))
     next_id = len(people)
@@ -182,8 +253,8 @@ def reference_run(config):
     def snapshot(t, births, deaths):
         n = len(people)
         if n:
-            tot = float(np.sum([p.happiness for p in people]))
-            means = mean_traits()
+            tot = total_happiness(people)
+            means = mean_traits(people)
             mean_cur = float(score(means, score(E.T, theta)))
             rows.append((t, n, births, deaths, tot, tot / n, mean_cur, theta.copy(), means))
         else:
@@ -239,7 +310,7 @@ def reference_run(config):
             n_dead = n_before - len(people)
             if people:
                 lam = effective_lambda(config.schedule, people)
-                theta = np.clip(theta + lam * score(E, mean_traits()), 0.0, 1.0)
+                theta = np.clip(theta + lam * score(E, mean_traits(people)), 0.0, 1.0)
             snapshot(t, len(births), n_dead)
             if not people or len({p.sex for p in people}) < 2:
                 break

@@ -11,7 +11,7 @@ from citysim.analysis import (
     kmeans,
 )
 from citysim.analysis import _lloyd
-from citysim.core import ConfigurationError, Person, Sex, TraitVector, mean_traits
+from citysim.core import ConfigurationError
 
 
 def pairwise(rows):
@@ -175,37 +175,17 @@ class TestKMeans:
         assert many.inertia <= one.inertia + 1e-12
 
 
-def person(pid, traits):
-    tv = TraitVector(traits)
-    return Person(
-        id=pid,
-        sex=Sex.MALE,
-        traits=tv,
-        happiness=0.0,
-        birth_time=0.0,
-        death_time=1.0,
-        next_available_time=0.0,
-    )
-
-
 class TestClusterSummary:
     def test_single_cluster_equals_mean_traits(self):
-        people = [person(i, [0.1 * i] * 8) for i in range(5)]
-        out = cluster_summary(people, [0] * 5)
+        rows = np.array([[0.1 * i] * 8 for i in range(5)])
+        out = cluster_summary(rows, [0] * 5)
         assert len(out) == 1
-        np.testing.assert_allclose(
-            out[0].mean.values, mean_traits(people).values, atol=1e-12
-        )
+        np.testing.assert_allclose(out[0].mean.values, rows.mean(axis=0), atol=1e-12)
         assert out[0].size == 5
 
     def test_hand_built_two_clusters(self):
-        people = [
-            person(0, [0.2] * 8),
-            person(1, [0.4] * 8),
-            person(2, [0.9] * 8),
-            person(3, [0.7] * 8),
-        ]
-        out = cluster_summary(people, [0, 0, 1, 1])
+        rows = np.array([[0.2] * 8, [0.4] * 8, [0.9] * 8, [0.7] * 8])
+        out = cluster_summary(rows, [0, 0, 1, 1])
         assert {c.size for c in out} == {2}
         by_label = {c.label: c for c in out}
         np.testing.assert_allclose(by_label[0].mean.values, [0.3] * 8, atol=1e-12)

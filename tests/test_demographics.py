@@ -11,10 +11,8 @@ from scipy import stats
 from citysim.core import ConfigurationError, TraitVector
 from citysim.demographics import (
     DemographicsParams,
-    born,
     born_batch,
     crowding_term,
-    expected_child,
     lifespan,
     mating_closed,
     mating_gap,
@@ -22,6 +20,7 @@ from citysim.demographics import (
     mating_success_threshold,
 )
 from citysim.matching import rank_pair_indices
+from reference import expected_child
 
 finite_h = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
@@ -258,17 +257,17 @@ class TestMatingClosed:
 class TestBorn:
     def test_identical_parents_without_mutation(self):
         params = DemographicsParams(mutation_prob=0.0)
-        traits = TraitVector(np.linspace(0.1, 0.9, 8))
-        child = born(traits, traits, np.random.default_rng(0), params)
-        assert child == traits
+        traits = np.linspace(0.1, 0.9, 8)[None, :]
+        child = born_batch(traits, traits, np.random.default_rng(0), params)
+        np.testing.assert_array_equal(child, traits)
 
     def test_child_always_in_unit_cube(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            f = TraitVector(rng.uniform(size=8))
-            m = TraitVector(rng.uniform(size=8))
-            child = born(f, m, rng)
-            assert np.all(child.values >= 0.0) and np.all(child.values <= 1.0)
+            f = rng.uniform(size=(1, 8))
+            m = rng.uniform(size=(1, 8))
+            child = born_batch(f, m, rng)
+            assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
     def test_forced_mutation_is_uniform(self):
         params = DemographicsParams(mutation_prob=1.0)
@@ -297,19 +296,15 @@ class TestBorn:
         father_rate = (children == 1.0).mean(axis=0)
         assert np.all(np.abs(father_rate - 0.45) < 0.02)
 
-    def test_single_birth_equals_batch_of_one(self):
-        f = TraitVector(np.linspace(0, 1, 8))
-        m = TraitVector(np.linspace(1, 0, 8))
-        a = born(f, m, np.random.default_rng(77))
-        b = born_batch(f.values[None, :], m.values[None, :], np.random.default_rng(77))[0]
-        assert np.array_equal(a.values, b)
-
     def test_rejects_mismatched_parents(self):
         with pytest.raises(ConfigurationError):
-            born(TraitVector(np.zeros(8)), TraitVector(np.zeros(5)), np.random.default_rng(0))
+            born_batch(np.zeros((1, 8)), np.zeros((1, 5)), np.random.default_rng(0))
 
 
 class TestExpectedChild:
+    """The oracle's analytic child expectation, against which the pair
+    weights and criterion 3 are checked."""
+
     def test_uniform_midpoint_is_a_fixed_point(self):
         half = TraitVector(np.full(8, 0.5))
         assert expected_child(half, half) == half

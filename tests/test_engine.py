@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import citysim.engine as engine
-from citysim.core import ConfigurationError, ConsistencyError, Person, Sex, TraitVector
+from citysim.core import ConfigurationError, ConsistencyError, TraitVector
 from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
     MatchingConfig,
@@ -27,9 +27,9 @@ from citysim.engine import (
     run,
     write_run_outputs,
 )
-from citysim.matching import MatchMode
-from citysim.society import LearningRateSchedule
-from reference import available, reference_run, update_pop
+from citysim.matching import MatchMode, score
+from citysim.society import LearningRateSchedule, trait_gain
+from reference import Person, Sex, available, reference_run, update_pop
 
 
 def small_config(**overrides):
@@ -68,8 +68,9 @@ class TestInitPopulation:
             theta0=TraitVector([1.0] * 13),
         )
         roster = init_population(cfg)
-        h = float(np.ones(8) @ cfg.interaction.entries @ np.ones(13))
-        np.testing.assert_allclose(roster.happiness, h, rtol=1e-12)
+        expected = score(np.ones((8, 10)), trait_gain(cfg.theta0, cfg.interaction))
+        assert roster.happiness.tobytes() == expected.tobytes()
+        h = float(expected[0])
         assert np.all(roster.birth == 0.0)
         np.testing.assert_allclose(roster.death, lifespan(h), rtol=1e-9)
         assert np.all(roster.avail == cfg.demographics.maturity_age * cfg.mating_period)

@@ -1,8 +1,10 @@
 """Pair weights, the exact assignment solve, rank pairing, and the
 partitioned matching of the Person-level oracle."""
 
+import ast
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector, happiness
-from citysim.demographics import DemographicsParams, expected_child, mating_succeeds
+import citysim
+from citysim.core import ConfigurationError, InteractionMatrix, TraitVector
+from citysim.demographics import DemographicsParams, mating_succeeds
 from citysim.engine import (
     MatchingConfig,
     PopulationGroup,
@@ -31,7 +34,7 @@ from citysim.matching import (
     score,
 )
 from citysim.society import trait_gain
-from reference import partitioned_match
+from reference import Person, Sex, expected_child, partitioned_match
 
 MATRIX = InteractionMatrix.default()
 
@@ -144,7 +147,8 @@ class TestBuildWeights:
         W = clean_weights(Y, Z, theta.values)
         for i, y in enumerate(Y):
             for j, z in enumerate(Z):
-                oracle = happiness(expected_child(y.traits, z.traits), MATRIX, theta)
+                child = expected_child(y.traits, z.traits).values
+                oracle = score(child, trait_gain(theta, MATRIX))
                 assert W[i, j] == pytest.approx(oracle, abs=1e-12)
 
     def test_indicator_pair_without_mutation_reads_matrix_cell(self):
@@ -355,6 +359,24 @@ class TestScoreAndTieRule:
         gain = trait_gain(rng.uniform(size=13), MATRIX)
         W = expected_pair_weights(score(y.T, gain), score(z.T, gain), gain, 0.1)
         assert bits(W) == bits(expected_pair_weights(y, z, gain, 0.1))
+
+    @pytest.mark.parametrize("module", ["core", "demographics", "matching", "society", "engine"])
+    def test_simulation_modules_make_no_blas_products(self, module):
+        # Every trait product in these modules goes through score(); a `@`
+        # or a BLAS call would round by shape and thread count. analysis.py
+        # and equilibrium.py are not scanned: their products are MDS and
+        # game payoffs, not trait scores.
+        tree = ast.parse((Path(citysim.__file__).parent / f"{module}.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"line {node.lineno}: @")
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("dot", "matmul", "einsum", "inner"):
+                    found.append(f"line {node.lineno}: {name}()")
+        assert not found, f"{module}.py: {found}"
 
 
 class TestPartitionedMatch:

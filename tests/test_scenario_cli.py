@@ -1,5 +1,6 @@
 """Scenario files, presets, and the command-line surface."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,8 @@ from citysim.cli import (
     sweep_lambda,
 )
 from citysim.core import ConfigurationError, InteractionMatrix
+from citysim.demographics import DemographicsParams
+from citysim.engine import MatchingConfig
 from citysim.matching import MatchMode
 from citysim.presets import PRESETS, get_preset, preset_names
 from citysim.scenario import (
@@ -28,6 +31,7 @@ from citysim.scenario import (
     normalize_scenario,
     scenario_from_mapping,
 )
+from citysim.society import LearningRateSchedule
 
 MINIMAL = {
     "seed": 11,
@@ -122,6 +126,47 @@ class TestScenarioParsing:
     def test_grid_must_be_pair(self):
         with pytest.raises(ConfigurationError, match="grid"):
             scenario_from_mapping(small_mapping(grid=[4]))
+
+    @pytest.mark.parametrize(
+        "entry,complaint",
+        [("x", "a number"), (2.9, "an integer"), (True, "a number")],
+    )
+    def test_malformed_grid_entry_rejected(self, entry, complaint):
+        with pytest.raises(ConfigurationError, match=rf"grid\[0\]: expected {complaint}"):
+            scenario_from_mapping(small_mapping(grid=[entry, 3]))
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ConfigurationError, match="scenario.max_time: .* fits in a float"):
+            scenario_from_mapping(small_mapping(max_time=10**400))
+
+    def test_non_numeric_trait_value_names_trait(self):
+        with pytest.raises(ConfigurationError, match="theta0.literacy: expected a number"):
+            scenario_from_mapping(small_mapping(theta0={"literacy": "high"}))
+
+    def test_non_numeric_mean_entry_names_field(self):
+        mean = [0.5] * 7 + ["high"]
+        with pytest.raises(ConfigurationError, match=r"population\[0\].mean.religious"):
+            scenario_from_mapping(small_mapping(population=[{"count": 4, "mean": mean}]))
+
+    def test_non_numeric_std_entry_names_field(self):
+        group = {"count": 4, "mean": [0.5] * 8, "std": [0.1] * 7 + ["wide"]}
+        with pytest.raises(ConfigurationError, match=r"population\[0\].std\[7\]"):
+            scenario_from_mapping(small_mapping(population=[group]))
+
+    @pytest.mark.parametrize(
+        "section,cls",
+        [
+            ("demographics", DemographicsParams),
+            ("matching", MatchingConfig),
+            ("schedule", LearningRateSchedule),
+        ],
+    )
+    def test_section_keys_are_the_config_fields(self, section, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        dumped = yaml.safe_load(dump_scenario(scenario_from_mapping(small_mapping())))
+        assert list(dumped[section]) == names
+        with pytest.raises(ConfigurationError, match=f"{section}: unknown key"):
+            scenario_from_mapping(small_mapping(**{section: {"bogus": 1}}))
 
     def test_interaction_csv_resolved_relative(self, tmp_path):
         matrix = InteractionMatrix.default()
@@ -316,6 +361,11 @@ class TestCliSimulate:
         cfg = write_config(tmp_path, small_mapping(theta0={"literacy": 2.0}))
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "literacy" in capsys.readouterr().err
+
+    def test_malformed_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_mapping(grid=["x", 3]))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: grid[0]")
 
 
 class TestCliSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citysim.core import ConfigurationError, InteractionMatrix, Person, Sex, TraitVector
+from citysim.core import ConfigurationError, InteractionMatrix, TraitVector
 from citysim.demographics import DemographicsParams
 from citysim.engine import PopulationGroup, SimConfig, run
 from citysim.scenario import scenario_from_mapping
@@ -15,7 +15,7 @@ from citysim.society import (
     society_gradient,
     society_update,
 )
-from reference import effective_lambda
+from reference import Person, Sex, effective_lambda
 
 MATRIX = InteractionMatrix.default()
 
