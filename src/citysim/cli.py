@@ -10,8 +10,10 @@ Subcommands
 Every subcommand takes a scenario from --config PATH or --preset NAME
 (exactly one), with --seed and --out overriding the file. Outputs are
 byte-stable for identical inputs except the summary JSON's "meta" block,
-which carries wall-clock values. CSV files use '.' as the decimal separator
-and end with a newline.
+which carries wall-clock values. CSV cells use '.' as the decimal separator.
+A run's own CSV files end lines with "\n"; the summary CSVs this module
+writes through the csv module (sweep_summary.csv, compare_matching.csv,
+analysis_embedding.csv) end lines with "\r\n".
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .analysis import PointSet, classical_mds, cluster_summary, kmeans
 from .core import ConfigurationError, InteractionMatrix
-from .engine import SimConfig, TimeSeriesLog, run, write_run_outputs
+from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
 from .presets import get_preset, preset_names
@@ -325,9 +327,7 @@ def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
             header = next(reader)
         except StopIteration:
             raise ConfigurationError(f"{path}: empty population file") from None
-        fixed = {"id", "sex", "birth_time", "death_time", "next_available_time",
-                 "happiness", "gx", "gy"}
-        trait_cols = [i for i, name in enumerate(header) if name not in fixed]
+        trait_cols = [i for i, name in enumerate(header) if name not in PERSON_COLUMNS]
         if "id" not in header or not trait_cols:
             raise ConfigurationError(f"{path}: not a population snapshot CSV")
         id_col = header.index("id")

@@ -33,6 +33,7 @@ from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pai
 from .society import LearningRateSchedule, effective_lambda_value, society_update, trait_gain
 
 __all__ = [
+    "PERSON_COLUMNS",
     "PopulationGroup",
     "MatchingConfig",
     "SimConfig",
@@ -44,6 +45,11 @@ __all__ = [
     "write_population_csv",
     "write_run_outputs",
 ]
+
+# The leading columns of a population snapshot CSV; the trait columns follow.
+PERSON_COLUMNS = (
+    "id", "sex", "birth_time", "death_time", "next_available_time", "happiness", "gx", "gy",
+)
 
 # Fixed spawn keys: each name owns one independent substream of the master
 # seed. Adding new names at the end keeps existing streams stable.
@@ -165,6 +171,7 @@ class SimConfig:
                 )
         if not (self.mating_period > 0 and math.isfinite(self.mating_period)):
             raise ConfigurationError(f"mating_period must be > 0, got {self.mating_period}")
+        object.__setattr__(self, "mating_period", float(self.mating_period))
         if not (self.max_time >= 0 and math.isfinite(self.max_time)):
             raise ConfigurationError(f"max_time must be >= 0, got {self.max_time}")
         if not isinstance(self.log_every, int) or self.log_every < 1:
@@ -230,40 +237,24 @@ class TimeSeriesLog:
                     f"{births[i]} - {deaths[i]}"
                 )
 
-    def header(self) -> str:
-        theta_cols = ",".join(f"theta_{n}" for n in self.society_names)
-        trait_cols = ",".join(f"mean_{n}" for n in self.trait_names)
-        return (
-            "time,population,births,deaths,total_happiness,mean_happiness,"
-            f"mean_current_happiness,{theta_cols},{trait_cols}"
-        )
-
     def write_csv(self, path: str | Path) -> None:
-        lines = [self.header()]
-        for i in range(len(self.times)):
-            cells = [
-                _fmt(self.times[i]),
-                str(int(self.population[i])),
-                str(int(self.births[i])),
-                str(int(self.deaths[i])),
-                _fmt(self.total_happiness[i]),
-                _fmt(self.mean_happiness[i]),
-                _fmt(self.mean_current_happiness[i]),
-            ]
-            cells.extend(_fmt(v) for v in self.theta[i])
-            cells.extend(_fmt(v) for v in self.mean_traits[i])
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = [
+            "time", "population", "births", "deaths", "total_happiness", "mean_happiness",
+            "mean_current_happiness",
+            *(f"theta_{n}" for n in self.society_names),
+            *(f"mean_{n}" for n in self.trait_names),
+        ]
+        _write_csv(path, header, [
+            self.times, self.population, self.births, self.deaths, self.total_happiness,
+            self.mean_happiness, self.mean_current_happiness, *self.theta.T, *self.mean_traits.T,
+        ])
 
     def write_grid_csv(self, path: str | Path) -> None:
         if self.grid_rows is None:
             raise ConfigurationError("this run has no grid log (no locality grid)")
-        lines = ["time,gx,gy,population,mean_happiness"]
-        for row in self.grid_rows:
-            lines.append(
-                f"{_fmt(row[0])},{int(row[1])},{int(row[2])},{int(row[3])},{_fmt(row[4])}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        t, gx, gy, pop, mean = self.grid_rows.T
+        ints = (c.astype(np.int64) for c in (gx, gy, pop))
+        _write_csv(path, ["time", "gx", "gy", "population", "mean_happiness"], [t, *ints, mean])
 
     def summary(self) -> dict:
         last = len(self.times) - 1
@@ -277,10 +268,6 @@ class TimeSeriesLog:
             "total_births": int(self.births.sum()),
             "total_deaths": int(self.deaths.sum()),
         }
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _json_float(x: float) -> float | None:
@@ -467,6 +454,15 @@ def _success_mask(
     )
 
 
+def _status(roster: Roster) -> str:
+    """"extinct" with nobody left, "sterile" with one sex left, else "completed"."""
+    if roster.size == 0:
+        return "extinct"
+    if (roster.sex == 0).all() or (roster.sex == 1).all():
+        return "sterile"
+    return "completed"
+
+
 def run(config: SimConfig) -> TimeSeriesLog:
     """Execute the full timeline and return the log.
 
@@ -542,11 +538,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
             grid_rows.append(np.column_stack((np.full(n_blocks, t), *block_xy, counts, means)))
 
-    status = "completed"
-    if roster.size == 0:
-        status = "extinct"
-    elif (roster.sex == 0).all() or (roster.sex == 1).all():
-        status = "sterile"
+    status = _status(roster)
     log_row(0.0, 0, 0, roster.traits.mean(axis=1) if roster.size else None)
 
     births_acc = 0
@@ -614,10 +606,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 lam = effective_lambda_value(config.schedule, flex)
                 theta = society_update(theta, x_bar, config.interaction, lam).values
                 gain = trait_gain(theta, config.interaction)
-            if roster.size == 0:
-                status = "extinct"
-            elif (roster.sex == 0).all() or (roster.sex == 1).all():
-                status = "sterile"
+            status = _status(roster)
 
             terminal = status != "completed" or k_round == n_rounds
             if k_round % config.log_every == 0 or terminal:
@@ -647,38 +636,23 @@ def run(config: SimConfig) -> TimeSeriesLog:
     return log
 
 
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as CSV rows under header, streaming row by
+    row. A cell is str of the column's Python value: the repr of a float,
+    the decimal of an integer, a string as it is. Lines end with "\n"."""
+    cells = [map(str, col.tolist()) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
 def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence[str]) -> None:
-    """Snapshot CSV: one row per person, trait columns named."""
-    header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy," + ",".join(
-        trait_names
-    )
-    lines = [header]
-    n = roster.size
-    loc = roster.loc.T.tolist() if roster.loc is not None else [("", "")] * n
-    rows = zip(
-        roster.ids.tolist(),
-        roster.sex.tolist(),
-        roster.birth.tolist(),
-        roster.death.tolist(),
-        roster.avail.tolist(),
-        roster.happiness.tolist(),
-        loc,
-        roster.traits.T.tolist(),
-    )
-    for pid, sex, birth, death, avail, happy, (gx, gy), traits in rows:
-        cells = [
-            str(pid),
-            "male" if sex == 0 else "female",
-            _fmt(birth),
-            _fmt(death),
-            _fmt(avail),
-            _fmt(happy),
-            str(gx),
-            str(gy),
-        ]
-        cells.extend(_fmt(v) for v in traits)
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Snapshot CSV: one row per person, PERSON_COLUMNS then one column per
+    named trait. gx and gy are empty when the run has no grid."""
+    loc = roster.loc if roster.loc is not None else np.full((2, roster.size), "")
+    sex = np.where(roster.sex == 0, "male", "female")
+    columns = [roster.ids, sex, roster.birth, roster.death, roster.avail, roster.happiness]
+    _write_csv(path, [*PERSON_COLUMNS, *trait_names], [*columns, *loc, *roster.traits])
 
 
 def write_run_outputs(
@@ -691,34 +665,20 @@ def write_run_outputs(
     runs) grid_log.csv into out_dir. Returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    log_path = out / "log.csv"
-    log.write_csv(log_path)
-    written.append(log_path)
-
-    summary = log.summary()
     # Volatile values live only under "meta" so everything above it is
     # byte-stable for identical configs and seeds.
-    summary["meta"] = {
-        "seed": config.seed,
-        "wall_time_s": round(wall_time_s, 3),
-        "written_at": datetime.now(timezone.utc).isoformat(),
+    now = datetime.now(timezone.utc).isoformat()
+    meta = {"seed": config.seed, "wall_time_s": round(wall_time_s, 3), "written_at": now}
+    summary = {**log.summary(), "meta": meta}
+    first, last, traits = log.initial_population, log.final_population, config.interaction.row_names
+    writers = {
+        "log.csv": log.write_csv,
+        "summary.json": lambda p: p.write_text(json.dumps(summary, indent=2) + "\n"),
+        "population_initial.csv": lambda p: write_population_csv(first, p, traits),
+        "population_final.csv": lambda p: write_population_csv(last, p, traits),
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    written.append(summary_path)
-
-    init_path = out / "population_initial.csv"
-    write_population_csv(log.initial_population, init_path, config.interaction.row_names)
-    written.append(init_path)
-
-    final_path = out / "population_final.csv"
-    write_population_csv(log.final_population, final_path, config.interaction.row_names)
-    written.append(final_path)
-
     if log.grid_rows is not None:
-        grid_path = out / "grid_log.csv"
-        log.write_grid_csv(grid_path)
-        written.append(grid_path)
-    return written
+        writers["grid_log.csv"] = log.write_grid_csv
+    for name, write in writers.items():
+        write(out / name)
+    return [out / name for name in writers]

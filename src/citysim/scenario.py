@@ -77,12 +77,6 @@ def _number(value, where: str, kind=float):
         raise ConfigurationError(f"{where}: expected a number that fits in a float") from None
 
 
-def _parse_number(data: dict, key: str, field: str, default, kind=float):
-    if key not in data:
-        return default
-    return _number(data[key], f"{field}.{key}", kind)
-
-
 def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVector:
     if isinstance(value, dict):
         bad = sorted(set(value) - set(names))
@@ -106,17 +100,14 @@ def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVecto
     return TraitVector(vec)
 
 
-def _parse_section(cls, data, field: str):
-    """Build config dataclass cls from a scenario section whose keys are
-    exactly cls's fields. A field's default gives its value's kind: numbers
-    are checked as float or int, an enum is built by value, and a string
-    passes through for cls to validate."""
-    _require_mapping(data, field)
-    fields = dataclasses.fields(cls)
-    _reject_unknown(data, {f.name for f in fields}, field)
+def _field_values(cls, data: dict, field: str, names) -> dict:
+    """The named fields of config dataclass cls that data holds, checked by
+    kind; an absent field is left to cls's default. A field's default gives
+    its value's kind: numbers are checked as float or int, an enum is built
+    by value, and a string passes through for cls to validate."""
     kwargs = {}
-    for f in fields:
-        if f.name not in data:
+    for f in dataclasses.fields(cls):
+        if f.name not in names or f.name not in data:
             continue
         value = data[f.name]
         if isinstance(f.default, Enum):
@@ -130,8 +121,17 @@ def _parse_section(cls, data, field: str):
         elif isinstance(f.default, (int, float)):
             value = _number(value, f"{field}.{f.name}", type(f.default))
         kwargs[f.name] = value
+    return kwargs
+
+
+def _parse_section(cls, data, field: str):
+    """Build config dataclass cls from a scenario section whose keys are
+    exactly cls's fields."""
+    _require_mapping(data, field)
+    names = {f.name for f in dataclasses.fields(cls)}
+    _reject_unknown(data, names, field)
     try:
-        return cls(**kwargs)
+        return cls(**_field_values(cls, data, field, names))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{field}: {exc}") from None
 
@@ -155,17 +155,19 @@ def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationG
         _reject_unknown(entry, {"count", "mean", "std"}, field)
         if "count" not in entry or "mean" not in entry:
             raise ConfigurationError(f"{field}: count and mean are required")
-        count = _parse_number(entry, "count", field, None, int)
+        count = _number(entry["count"], f"{field}.count", int)
         mean = _parse_trait_vector(entry["mean"], interaction.row_names, f"{field}.mean")
-        std = entry.get("std", 0.1)
-        if isinstance(std, (list, tuple)):
-            std = tuple(_number(s, f"{field}.std[{k}]") for k, s in enumerate(std))
-        elif isinstance(std, (int, float)) and not isinstance(std, bool):
-            std = float(std)
-        else:
-            raise ConfigurationError(f"{field}.std: expected a number or list")
+        std = {}  # absent: PopulationGroup's default
+        if "std" in entry:
+            raw = entry["std"]
+            if isinstance(raw, (list, tuple)):
+                std["std"] = tuple(_number(s, f"{field}.std[{k}]") for k, s in enumerate(raw))
+            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+                std["std"] = float(raw)
+            else:
+                raise ConfigurationError(f"{field}.std: expected a number or list")
         try:
-            groups.append(PopulationGroup(count=count, mean=mean, std=std))
+            groups.append(PopulationGroup(count=count, mean=mean, **std))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{field}: {exc}") from None
     return tuple(groups)
@@ -190,6 +192,10 @@ _ROOT_KEYS = {
 }
 
 
+# Root keys that are SimConfig fields of the same name and kind.
+_ROOT_SCALARS = ("mating_period", "max_time", "log_every", "success_pop_scope")
+
+
 def scenario_from_mapping(
     data: dict, name_default: str = "scenario", base_dir: Path | None = None
 ) -> Scenario:
@@ -198,7 +204,7 @@ def scenario_from_mapping(
     _reject_unknown(data, _ROOT_KEYS, "scenario")
     if "seed" not in data:
         raise ConfigurationError("seed: required")
-    seed = _parse_number(data, "seed", "scenario", None, int)
+    seed = _number(data["seed"], "scenario.seed", int)
 
     source = data.get("interaction", "default")
     if not isinstance(source, str):
@@ -230,18 +236,14 @@ def scenario_from_mapping(
             raise ConfigurationError("grid: expected [width, height]")
         grid = tuple(_number(v, f"grid[{k}]", int) for k, v in enumerate(raw))
 
-    scope = data.get("success_pop_scope", "global")
     config = SimConfig(
         seed=seed,
         groups=groups,
         theta0=theta0,
         interaction=interaction,
         **{key: _parse_section(cls, data.get(key, {}), key) for key, cls in _SECTIONS.items()},
-        mating_period=_parse_number(data, "mating_period", "scenario", 1.0),
-        max_time=_parse_number(data, "max_time", "scenario", 10_000.0),
         grid=grid,
-        log_every=_parse_number(data, "log_every", "scenario", 1, int),
-        success_pop_scope=scope if isinstance(scope, str) else str(scope),
+        **_field_values(SimConfig, data, "scenario", _ROOT_SCALARS),
     )
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:

@@ -549,14 +549,56 @@ class TestGridOutputs:
         gfiles = write_run_outputs(glog, gcfg, tmp_path / "grid", wall_time_s=1.0)
         assert "grid_log.csv" in {f.name for f in gfiles}
 
+    def test_extinct_run_writes_an_empty_snapshot(self, tmp_path):
+        cfg = small_config(
+            groups=(PopulationGroup(12, TraitVector([0.5] * 8), 0.0),),
+            theta0=TraitVector([0.0] * 13),
+        )
+        log = run(cfg)
+        assert log.status == "extinct" and log.final_population.size == 0
+        files = write_run_outputs(log, cfg, tmp_path, wall_time_s=0.0)
+        assert [f.name for f in files] == [
+            "log.csv",
+            "summary.json",
+            "population_initial.csv",
+            "population_final.csv",
+        ]
+        header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,"
+        header += ",".join(cfg.interaction.row_names)
+        assert (tmp_path / "population_final.csv").read_text() == header + "\n"
+        lines = (tmp_path / "log.csv").read_text().split("\n")
+        assert len(lines) == 3 and lines[2] == ""
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["population"] == "0" and row["mean_happiness"] == "nan"
+
     def test_log_csv_round_trips_through_numpy(self, tmp_path):
+        # Float cells are repr, which reads back to the same bits.
         cfg = small_config(max_time=10.0)
         log = run(cfg)
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data["population"].tolist() == log.population.tolist()
-        np.testing.assert_allclose(data["mean_happiness"], log.mean_happiness, rtol=1e-15)
+        write_run_outputs(log, cfg, tmp_path, wall_time_s=0.0)
+        final = log.final_population
+        assert final.size > 0
+        expected = {
+            "log.csv": {
+                "population": log.population,
+                "time": log.times,
+                "total_happiness": log.total_happiness,
+                "mean_happiness": log.mean_happiness,
+                "mean_current_happiness": log.mean_current_happiness,
+            },
+            "population_final.csv": {
+                "id": final.ids,
+                "birth_time": final.birth,
+                "death_time": final.death,
+                "next_available_time": final.avail,
+                "happiness": final.happiness,
+                **dict(zip(cfg.interaction.row_names, final.traits)),
+            },
+        }
+        for file, columns in expected.items():
+            data = np.genfromtxt(tmp_path / file, delimiter=",", names=True)
+            for name, column in columns.items():
+                np.testing.assert_array_equal(data[name], column, err_msg=f"{file}: {name}")
 
 
 class TestConfigValidation:
@@ -567,6 +609,18 @@ class TestConfigValidation:
     def test_block_scope_requires_grid(self):
         with pytest.raises(ConfigurationError):
             small_config(success_pop_scope="block")
+
+    def test_integer_period_runs_like_a_float_period(self, tmp_path):
+        # An integer period times an integer maturity age once made every
+        # availability time an integer array, truncating parents' gaps.
+        for name, period, age in (("int", 1, 2), ("float", 1.0, 2.0)):
+            cfg = small_config(
+                mating_period=period, demographics=DemographicsParams(maturity_age=age)
+            )
+            write_run_outputs(run(cfg), cfg, tmp_path / name, wall_time_s=0.0)
+        for file in ("log.csv", "population_initial.csv", "population_final.csv"):
+            int_bytes = (tmp_path / "int" / file).read_bytes()
+            assert int_bytes == (tmp_path / "float" / file).read_bytes(), file
 
     def test_bad_fields_rejected(self):
         with pytest.raises(ConfigurationError):

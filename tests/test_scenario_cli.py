@@ -62,8 +62,9 @@ class TestScenarioParsing:
         assert cfg.seed == 11
         assert cfg.groups[0].count == 12
         assert list(cfg.theta0.values) == [0.5] * 13
-        assert cfg.max_time == 10_000.0
-        assert cfg.log_every == 1
+        assert cfg.groups[0].std == (0.1,) * 8
+        assert cfg.mating_period == 1.0 and cfg.max_time == 10_000.0
+        assert cfg.log_every == 1 and cfg.success_pop_scope == "global"
         assert cfg.matching.mode is MatchMode.OPTIMAL
         assert cfg.schedule.kind == "fixed" and cfg.schedule.base == 1e-4
         assert cfg.grid is None
@@ -134,6 +135,19 @@ class TestScenarioParsing:
     def test_malformed_grid_entry_rejected(self, entry, complaint):
         with pytest.raises(ConfigurationError, match=rf"grid\[0\]: expected {complaint}"):
             scenario_from_mapping(small_mapping(grid=[entry, 3]))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("mating_period", "slow"),
+            ("log_every", 2.5),
+            ("log_every", True),
+            ("success_pop_scope", 5),
+        ],
+    )
+    def test_malformed_root_value_names_field(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            scenario_from_mapping(small_mapping(**{key: value}))
 
     def test_integer_too_large_for_a_float_rejected(self):
         with pytest.raises(ConfigurationError, match="scenario.max_time: .* fits in a float"):
