@@ -1,6 +1,7 @@
 """Run the grid preset and summarize how population spreads over blocks."""
 
 import argparse
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +18,14 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = get_preset(args.preset, seed=args.seed)
+    t0 = time.perf_counter()
     log = run(scenario.config)
-    write_run_outputs(log, scenario.config, args.out, 0.0)
+    write_run_outputs(log, scenario.config, args.out, time.perf_counter() - t0)
 
+    # The grid log's last w * h rows are the final time's blocks; column 3
+    # holds each block's population.
     w, h = scenario.config.grid
-    counts = np.zeros(w * h)
-    rows = np.asarray(log.grid_rows)
-    last_t = rows[-1][0]
-    for t, gx, gy, n, _ in rows:
-        if t == last_t:
-            counts[int(gx) * h + int(gy)] = n
+    counts = log.grid_rows[-w * h :, 3]
     occupied = counts[counts > 0]
     print(f"final population {log.population[-1]} across {occupied.size}/{w * h} blocks")
     print(

@@ -54,7 +54,6 @@ from .scenario import (
 )
 from .society import (
     LearningRateSchedule,
-    effective_lambda_value,
     society_gradient,
     society_update,
     trait_gain,
@@ -87,7 +86,6 @@ __all__ = [
     "born_batch",
     "classical_mds",
     "dump_scenario",
-    "effective_lambda_value",
     "expected_pair_weights",
     "get_preset",
     "grid_distances",

@@ -333,8 +333,11 @@ def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
         id_col = header.index("id")
         ids, rows = [], []
         for record in reader:
-            ids.append(int(record[id_col]))
-            rows.append([float(record[i]) for i in trait_cols])
+            try:
+                ids.append(int(record[id_col]))
+                rows.append([float(record[i]) for i in trait_cols])
+            except (ValueError, IndexError):
+                raise ConfigurationError(f"{path}:{reader.line_num}: bad row {record!r}") from None
     if not rows:
         raise ConfigurationError(f"{path}: no rows to analyze")
     return ids, np.asarray(rows, dtype=np.float64), [header[i] for i in trait_cols]

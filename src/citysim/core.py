@@ -89,6 +89,14 @@ class ConsistencyError(CitySimError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
+def require_int(value, what: str) -> int:
+    """value as an int, or ConfigurationError naming what when it is not an
+    integer. A bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_float_array(values, *, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:

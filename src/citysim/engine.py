@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector
+from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector, require_int
 from .demographics import (
     DemographicsParams,
     born_batch,
@@ -30,7 +30,7 @@ from .demographics import (
     mating_succeeds,
 )
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
-from .society import LearningRateSchedule, effective_lambda_value, society_update, trait_gain
+from .society import LearningRateSchedule, society_update, trait_gain
 
 __all__ = [
     "PERSON_COLUMNS",
@@ -84,8 +84,8 @@ class PopulationGroup:
     std: tuple[float, ...] | float = 0.1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, int) or self.count < 0:
-            raise ConfigurationError(f"group count must be a nonnegative integer, got {self.count}")
+        if require_int(self.count, "group count") < 0:
+            raise ConfigurationError(f"group count must be nonnegative, got {self.count}")
         mean = self.mean if isinstance(self.mean, TraitVector) else TraitVector(self.mean)
         object.__setattr__(self, "mean", mean)
         std = self.std
@@ -116,10 +116,8 @@ class MatchingConfig:
         object.__setattr__(self, "mode", MatchMode(self.mode))
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ConfigurationError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.partition_size < 1:
-            raise ConfigurationError(
-                f"partition_size must be >= 1, got {self.partition_size}"
-            )
+        if require_int(self.partition_size, "partition_size") < 1:
+            raise ConfigurationError(f"partition_size must be >= 1, got {self.partition_size}")
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
             raise ConfigurationError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
@@ -148,8 +146,8 @@ class SimConfig:
     success_pop_scope: str = "global"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise ConfigurationError(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        if not 0 <= require_int(self.seed, "seed") < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
         groups = tuple(self.groups)
         if not groups:
             raise ConfigurationError("at least one population group is required")
@@ -174,12 +172,12 @@ class SimConfig:
         object.__setattr__(self, "mating_period", float(self.mating_period))
         if not (self.max_time >= 0 and math.isfinite(self.max_time)):
             raise ConfigurationError(f"max_time must be >= 0, got {self.max_time}")
-        if not isinstance(self.log_every, int) or self.log_every < 1:
-            raise ConfigurationError(f"log_every must be an integer >= 1, got {self.log_every}")
+        if require_int(self.log_every, "log_every") < 1:
+            raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
         if self.grid is not None:
-            grid = (int(self.grid[0]), int(self.grid[1]))
-            if grid[0] < 1 or grid[1] < 1:
-                raise ConfigurationError(f"grid dimensions must be >= 1, got {grid}")
+            grid = tuple(require_int(v, f"grid[{k}]") for k, v in enumerate(self.grid))
+            if len(grid) != 2 or min(grid) < 1:
+                raise ConfigurationError(f"grid must be two dimensions >= 1, got {grid}")
             object.__setattr__(self, "grid", grid)
         if self.matching.mode is MatchMode.LOCALITY and self.grid is None:
             raise ConfigurationError("locality matching requires a grid")
@@ -317,51 +315,62 @@ class Roster:
                 setattr(self, name, np.concatenate([col, getattr(other, name)], axis=-1))
 
 
-def init_population(
+def _newborns(
+    first_id: int,
+    traits: np.ndarray,
+    t: float,
+    gain: np.ndarray,
+    loc: np.ndarray | None,
     config: SimConfig,
-    rng: np.random.Generator | None = None,
-    sex_rng: np.random.Generator | None = None,
-    location_rng: np.random.Generator | None = None,
+    streams: dict[str, np.random.Generator],
 ) -> Roster:
-    """Founding roster at t=0.
+    """The people born at t with the given (dim, n) traits and home blocks:
+    ids from first_id on, sexes drawn uniformly from the "sex" stream,
+    happiness frozen against gain, death at t + L(h), and first
+    availability once they have matured. Founders are newborns at t=0."""
+    d = config.demographics
+    n = traits.shape[1]
+    happiness = score(traits, gain)
+    return Roster(
+        ids=np.arange(first_id, first_id + n, dtype=np.int64),
+        sex=streams["sex"].integers(0, 2, size=n).astype(np.int8),
+        traits=traits,
+        happiness=happiness,
+        birth=np.full(n, t),
+        death=t + lifespan(happiness, d),
+        avail=np.full(n, t + d.maturity_age * config.mating_period),
+        loc=loc,
+    )
+
+
+def init_population(
+    config: SimConfig, streams: dict[str, np.random.Generator] | None = None
+) -> Roster:
+    """Founding roster at t=0, drawn from streams (by default the named
+    streams of config.seed).
 
     Traits draw per coordinate from each group's normal (then clip into
-    [0, 1]); sexes are uniform; happiness freezes against theta0; death and
-    availability times come straight from the demographic formulas. Draw
-    order: all trait normals group by group, then all sexes in one batch,
-    then all grid locations in one batch. Rows are in group order, and ids
-    are row numbers, so id ranges identify the founding groups.
+    [0, 1]) on the "init" stream, group by group; grid locations draw in
+    one batch on the "location" stream. The founders are then newborns at
+    t=0 under theta0. Rows are in group order, and ids are row numbers, so
+    id ranges identify the founding groups.
     """
-    rng = rng if rng is not None else named_stream(config.seed, "init")
-    sex_rng = sex_rng if sex_rng is not None else named_stream(config.seed, "sex")
-    location_rng = (
-        location_rng if location_rng is not None else named_stream(config.seed, "location")
-    )
-    d = config.demographics
+    if streams is None:
+        streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
     blocks = []
     for group in config.groups:
-        raw = rng.normal(
+        raw = streams["init"].normal(
             loc=group.mean.values, scale=np.asarray(group.std), size=(group.count, group.mean.dim)
         )
         blocks.append(np.clip(raw, 0.0, 1.0))
     traits = np.ascontiguousarray(np.concatenate(blocks).T)
-    n = traits.shape[1]
-    sexes = sex_rng.integers(0, 2, size=n).astype(np.int8)
-    locations = None
+    loc = None
     if config.grid is not None:
-        draws = location_rng.integers(0, np.asarray(config.grid, dtype=np.int64), size=(n, 2))
-        locations = np.ascontiguousarray(draws.T)
-    happiness = score(traits, trait_gain(config.theta0, config.interaction))
-    return Roster(
-        ids=np.arange(n, dtype=np.int64),
-        sex=sexes,
-        traits=traits,
-        happiness=happiness,
-        birth=np.zeros(n),
-        death=lifespan(happiness, d),
-        avail=np.full(n, d.maturity_age * config.mating_period),
-        loc=locations,
-    )
+        high = np.asarray(config.grid, dtype=np.int64)
+        draws = streams["location"].integers(0, high, size=(traits.shape[1], 2))
+        loc = np.ascontiguousarray(draws.T)
+    gain = trait_gain(config.theta0, config.interaction)
+    return _newborns(0, traits, 0.0, gain, loc, config, streams)
 
 
 def _block_codes(loc: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
@@ -454,6 +463,31 @@ def _success_mask(
     )
 
 
+def _reproduce(
+    roster: Roster,
+    sel_y: np.ndarray,
+    sel_z: np.ndarray,
+    first_id: int,
+    t: float,
+    gain: np.ndarray,
+    config: SimConfig,
+    streams: dict[str, np.random.Generator],
+) -> None:
+    """Each matched pair (sel_y[i], sel_z[i]) bears one child at t, who is
+    appended to roster with ids from first_id on and takes the home block
+    of one parent, picked uniformly. Parents recover until t + gap(h)."""
+    d = config.demographics
+    traits = born_batch(roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d)
+    loc = None
+    if config.grid is not None:
+        pick = streams["location"].integers(0, 2, size=sel_y.shape[0])
+        loc = np.where(pick == 0, roster.loc[:, sel_y], roster.loc[:, sel_z])
+    children = _newborns(first_id, traits.T, t, gain, loc, config, streams)
+    roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
+    roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
+    roster.extend(children)
+
+
 def _status(roster: Roster) -> str:
     """"extinct" with nobody left, "sterile" with one sex left, else "completed"."""
     if roster.size == 0:
@@ -476,7 +510,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
     """
     d = config.demographics
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
-    initial = init_population(config, streams["init"], streams["sex"], streams["location"])
+    initial = init_population(config, streams)
     # Bury anyone dead at birth before the first row. take() copies every
     # column, so in-place updates to the roster never reach the snapshot.
     roster = initial.take(initial.death > 0.0)
@@ -496,14 +530,11 @@ def run(config: SimConfig) -> TimeSeriesLog:
         and config.success_pop_scope == "global"
         and config.matching.mode is MatchMode.OPTIMAL
     )
+    penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
 
-    penalty = None
-    if config.matching.mode is MatchMode.LOCALITY:
-        penalty = _block_penalty(config)
-
-    times, pops, births_col, deaths_col = [], [], [], []
-    tot_h, mean_h, mean_cur_h = [], [], []
-    theta_rows, trait_rows = [], []
+    # One tuple per logged row, holding the TimeSeriesLog columns in field
+    # order (times through mean_traits).
+    rows: list[tuple] = []
     grid_rows: list[np.ndarray] = []
     if config.grid is not None:
         n_blocks = config.grid[0] * config.grid[1]
@@ -513,22 +544,14 @@ def run(config: SimConfig) -> TimeSeriesLog:
         # x_bar is the roster's mean trait vector, None when nobody is alive.
         # Mean current happiness is x_bar . (I theta), since the mean is linear.
         n = roster.size
-        times.append(t)
-        pops.append(n)
-        births_col.append(births_acc)
-        deaths_col.append(deaths_acc)
         if n:
             tot = float(roster.happiness.sum())
-            tot_h.append(tot)
-            mean_h.append(tot / n)
-            mean_cur_h.append(float(score(x_bar, gain)))
-            trait_rows.append(x_bar)
+            mean_cur = float(score(x_bar, gain))
+            rows.append((t, n, births_acc, deaths_acc, tot, tot / n, mean_cur, theta, x_bar))
         else:
-            tot_h.append(0.0)
-            mean_h.append(float("nan"))
-            mean_cur_h.append(float("nan"))
-            trait_rows.append(np.full(config.interaction.individual_dim, np.nan))
-        theta_rows.append(theta)
+            nan = float("nan")
+            no_traits = np.full(config.interaction.individual_dim, nan)
+            rows.append((t, 0, births_acc, deaths_acc, 0.0, nan, nan, theta, no_traits))
         if config.grid is not None:
             # One row per block in code order: t, gx, gy, population, mean
             # happiness (nan for an empty block).
@@ -562,34 +585,11 @@ def run(config: SimConfig) -> TimeSeriesLog:
                     sel_y, sel_z = sel_y[ok], sel_z[ok]
                 n_children = sel_y.shape[0]
                 if n_children:
-                    child_traits = born_batch(
-                        roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d
-                    ).T
-                    child_sex = streams["sex"].integers(0, 2, size=n_children).astype(np.int8)
-                    child_loc = None
-                    if config.grid is not None:
-                        pick = streams["location"].integers(0, 2, size=n_children)
-                        child_loc = np.where(pick == 0, roster.loc[:, sel_y], roster.loc[:, sel_z])
-                    child_happiness = score(child_traits, gain)
-                    children = Roster(
-                        ids=np.arange(next_id, next_id + n_children, dtype=np.int64),
-                        sex=child_sex,
-                        traits=child_traits,
-                        happiness=child_happiness,
-                        birth=np.full(n_children, t),
-                        death=t + lifespan(child_happiness, d),
-                        avail=np.full(n_children, t + d.maturity_age * period),
-                        loc=child_loc,
-                    )
+                    _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
                     next_id += n_children
-                    # Parents recover for t + gap(h) before their next match.
-                    roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
-                    roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
-                    roster.extend(children)
 
-            before = roster.size
             keep = roster.death > t
-            n_dead = before - int(keep.sum())
+            n_dead = roster.size - int(keep.sum())
             if n_dead:
                 roster = roster.take(keep)
             births_acc += n_children
@@ -600,10 +600,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 # Each trait's mean is a pairwise sum along its contiguous
                 # row, the same bits as that row's own mean.
                 x_bar = roster.traits.mean(axis=1)
-                flex = None
-                if config.schedule.kind == "dynamic":
-                    flex = x_bar[config.schedule.flexibility_trait_index]
-                lam = effective_lambda_value(config.schedule, flex)
+                lam = config.schedule.rate(x_bar)
                 theta = society_update(theta, x_bar, config.interaction, lam).values
                 gain = trait_gain(theta, config.interaction)
             status = _status(roster)
@@ -616,16 +613,10 @@ def run(config: SimConfig) -> TimeSeriesLog:
             if status != "completed":
                 break
 
-    log = TimeSeriesLog(
-        times=np.asarray(times),
-        population=np.asarray(pops, dtype=np.int64),
-        births=np.asarray(births_col, dtype=np.int64),
-        deaths=np.asarray(deaths_col, dtype=np.int64),
-        total_happiness=np.asarray(tot_h),
-        mean_happiness=np.asarray(mean_h),
-        mean_current_happiness=np.asarray(mean_cur_h),
-        theta=np.stack(theta_rows),
-        mean_traits=np.stack(trait_rows),
+    # np.asarray stacks each column: Python ints give int64, and the theta
+    # and mean-trait rows give (rows, dim) arrays.
+    return TimeSeriesLog(
+        *(np.asarray(column) for column in zip(*rows)),
         trait_names=config.interaction.row_names,
         society_names=config.interaction.col_names,
         status=status,
@@ -633,7 +624,6 @@ def run(config: SimConfig) -> TimeSeriesLog:
         initial_population=initial,
         final_population=roster,
     )
-    return log
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

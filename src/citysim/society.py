@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError, InteractionMatrix, TraitVector
+from .core import ConfigurationError, InteractionMatrix, TraitVector, require_int
 from .matching import score
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "society_update",
     "society_gradient",
     "trait_gain",
-    "effective_lambda_value",
 ]
 
 
@@ -31,9 +30,9 @@ class LearningRateSchedule:
 
     fixed: lambda = base * multiplier.
     dynamic: lambda = base * multiplier * mean flexibility of the living
-    population (an empty population freezes the society entirely), read
-    from individual trait flexibility_trait_index; SimConfig checks that
-    index against the interaction matrix.
+    population, read from individual trait flexibility_trait_index;
+    SimConfig checks that index against the interaction matrix. An empty
+    population takes no step at all.
     """
 
     kind: Literal["fixed", "dynamic"] = "fixed"
@@ -50,11 +49,16 @@ class LearningRateSchedule:
             raise ConfigurationError(
                 f"multiplier must be strictly positive, got {self.multiplier}"
             )
-        if self.flexibility_trait_index < 0:
-            raise ConfigurationError(
-                f"flexibility_trait_index must be nonnegative, got "
-                f"{self.flexibility_trait_index}"
-            )
+        flex = self.flexibility_trait_index
+        if require_int(flex, "flexibility_trait_index") < 0:
+            raise ConfigurationError(f"flexibility_trait_index must be nonnegative, got {flex}")
+
+    def rate(self, x_bar) -> float:
+        """Step size for a population whose mean trait vector is x_bar."""
+        lam = self.base * self.multiplier
+        if self.kind == "dynamic":
+            lam *= float(x_bar[self.flexibility_trait_index])
+        return lam
 
 
 def _values(x, dim: int, *, what: str) -> np.ndarray:
@@ -91,14 +95,3 @@ def society_update(
     grad = society_gradient(x_bar, interaction)
     return TraitVector(np.clip(tv + lam * grad, 0.0, 1.0))
 
-
-def effective_lambda_value(
-    schedule: LearningRateSchedule, mean_flexibility: float | None
-) -> float:
-    """Step size given the population's mean flexibility (None = nobody alive)."""
-    lam = schedule.base * schedule.multiplier
-    if schedule.kind == "fixed":
-        return lam
-    if mean_flexibility is None:
-        return 0.0
-    return lam * float(mean_flexibility)

@@ -39,7 +39,6 @@ from citysim.matching import (
     rank_pair_indices,
     score,
 )
-from citysim.society import effective_lambda_value
 
 STREAMS = ("init", "sex", "born", "noise", "partition", "location", "success")
 
@@ -135,13 +134,16 @@ def update_pop(population, births, t: float) -> list[Person]:
 
 
 def effective_lambda(schedule, population) -> float:
-    """Step size for this round; dynamic schedules average the living
-    population's flexibility trait."""
-    if schedule.kind == "fixed" or not population:
-        return effective_lambda_value(schedule, None)
+    """Step size for this round: base * multiplier, times the living
+    population's mean flexibility trait under a dynamic schedule. An empty
+    population takes no step."""
+    if not population:
+        return 0.0
+    lam = schedule.base * schedule.multiplier
+    if schedule.kind == "fixed":
+        return lam
     idx = schedule.flexibility_trait_index
-    flex = float(np.mean([p.traits.values[idx] for p in population]))
-    return effective_lambda_value(schedule, flex)
+    return lam * float(np.mean([p.traits.values[idx] for p in population]))
 
 
 def _traits(people) -> np.ndarray:
@@ -245,7 +247,7 @@ def reference_run(config):
     d = config.demographics
 
     theta = config.theta0.values.copy()
-    people = persons(init_population(config, streams["init"], streams["sex"], streams["location"]))
+    people = persons(init_population(config, streams))
     next_id = len(people)
     people = [p for p in people if p.death_time > 0.0]
     rows = []

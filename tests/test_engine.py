@@ -6,6 +6,7 @@ order, and the two must agree row for row. That catches bookkeeping and
 ordering slips in the columnar engine.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from citysim.engine import (
     write_run_outputs,
 )
 from citysim.matching import MatchMode, score
+from citysim.presets import get_preset
 from citysim.society import LearningRateSchedule, trait_gain
 from reference import Person, Sex, available, reference_run, update_pop
 
@@ -102,6 +104,21 @@ class TestInitPopulation:
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.sex, b.sex)
         assert np.array_equal(a.traits, b.traits)
+
+    @pytest.mark.parametrize("preset", ["locality-grid-10x10", "baseline-mixed"])
+    def test_run_founders_equal_default_streams(self, preset):
+        # run() hands init_population its own stream dict; a bare call
+        # builds the same streams, so the founders agree bit for bit.
+        cfg = get_preset(preset).config
+        founders = init_population(cfg)
+        logged = run(dataclasses.replace(cfg, max_time=0.0)).initial_population
+        for name in Roster.__slots__:
+            a, b = getattr(founders, name), getattr(logged, name)
+            if a is None or b is None:
+                assert a is b is None, name
+                continue
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def make_person(pid, sex, h=5.0, birth=0.0, death=100.0, avail=None):
@@ -637,6 +654,12 @@ class TestConfigValidation:
             MatchingConfig(distance="euclidean")
         with pytest.raises(ConfigurationError):
             PopulationGroup(5, TraitVector([0.5] * 8), (0.1, 0.2))
+        with pytest.raises(ConfigurationError, match="partition_size"):
+            MatchingConfig(partition_size=2.5)
+        with pytest.raises(ConfigurationError, match=r"grid\[0\]"):
+            small_config(grid=(2.9, 3))
+        with pytest.raises(ConfigurationError, match="log_every"):
+            small_config(log_every=True)
 
     def test_named_stream_rejects_unknown(self):
         with pytest.raises(ConfigurationError):

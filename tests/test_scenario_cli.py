@@ -519,6 +519,18 @@ class TestCliAnalyze:
         bad.write_text("a,b\n1,2\n")
         assert main(["analyze", "--input", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad_row", ["0,male,0.0,9.0,1.0,3.0,,,0.5,abc", "0,male,0.0,9.0,1.0,3.0,,,0.5"]
+    )
+    def test_malformed_row_exits_2(self, tmp_path, capsys, bad_row):
+        # A non-numeric trait cell, then a row one cell short.
+        header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,a,b"
+        good = "1,female,0.0,9.0,1.0,3.0,,,0.5,0.5"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{good}\n{bad_row}\n")
+        assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "ana")]) == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
+
     def test_analyze_grid_snapshot(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -11,7 +11,6 @@ from citysim.engine import PopulationGroup, SimConfig, run
 from citysim.scenario import scenario_from_mapping
 from citysim.society import (
     LearningRateSchedule,
-    effective_lambda_value,
     society_gradient,
     society_update,
 )
@@ -130,6 +129,8 @@ class TestLearningRateSchedule:
             {"base": -1e-4},
             {"multiplier": 0.0},
             {"flexibility_trait_index": -1},
+            {"kind": "dynamic", "flexibility_trait_index": 1.5},
+            {"flexibility_trait_index": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -140,20 +141,18 @@ class TestLearningRateSchedule:
 class TestEffectiveLambda:
     def test_fixed_is_base_times_multiplier(self):
         s = LearningRateSchedule(kind="fixed", base=1e-4, multiplier=30)
-        assert effective_lambda_value(s, None) == pytest.approx(3e-3, abs=1e-18)
-        assert effective_lambda_value(s, 0.2) == pytest.approx(3e-3, abs=1e-18)
+        assert s.rate(np.full(8, 0.2)) == pytest.approx(3e-3, abs=1e-18)
+        assert s.rate(np.full(8, 0.9)) == pytest.approx(3e-3, abs=1e-18)
 
     def test_dynamic_fully_flexible_population(self):
         s = LearningRateSchedule(kind="dynamic", base=1e-4, multiplier=10)
-        assert effective_lambda_value(s, 1.0) == pytest.approx(1e-3, abs=1e-18)
+        assert s.rate(np.full(8, 1.0)) == pytest.approx(1e-3, abs=1e-18)
 
     def test_dynamic_rigid_population_freezes_society(self):
         s = LearningRateSchedule(kind="dynamic")
-        assert effective_lambda_value(s, 0.0) == 0.0
-
-    def test_dynamic_empty_population_freezes_society(self):
-        s = LearningRateSchedule(kind="dynamic")
-        assert effective_lambda_value(s, None) == 0.0
+        x_bar = np.full(8, 0.7)
+        x_bar[3] = 0.0
+        assert s.rate(x_bar) == 0.0
 
     def test_dynamic_averages_flexibility(self):
         # Two clonal groups with flexibility 0.2 and 0.6, and a crowding
@@ -178,9 +177,8 @@ class TestEffectiveLambda:
     def test_value_form_matches_person_form(self):
         s = LearningRateSchedule(kind="dynamic", base=1e-4, multiplier=3)
         pop = [flex_person(i, f) for i, f in enumerate([0.1, 0.5, 0.9])]
-        assert effective_lambda(s, pop) == pytest.approx(
-            effective_lambda_value(s, 0.5), abs=1e-18
-        )
+        x_bar = np.mean([p.traits.values for p in pop], axis=0)
+        assert effective_lambda(s, pop) == pytest.approx(s.rate(x_bar), abs=1e-18)
 
     def test_dynamic_index_out_of_range(self, tmp_path):
         # Through the schedule field, and through a 3-trait CSV matrix that
