@@ -7,20 +7,19 @@ Subcommands
     analyze          embed and cluster a population snapshot CSV
     equilibria       audit the default interaction matrix as a game
 
-Every subcommand takes a scenario from --config PATH or --preset NAME
-(exactly one), with --seed and --out overriding the file. Outputs are
-byte-stable for identical inputs except the summary JSON's "meta" block,
-which carries wall-clock values. CSV cells use '.' as the decimal separator.
-A run's own CSV files end lines with "\n"; the summary CSVs this module
-writes through the csv module (sweep_summary.csv, compare_matching.csv,
-analysis_embedding.csv) end lines with "\r\n".
+Every subcommand that runs simulations takes a scenario from --config PATH
+or --preset NAME (exactly one), with --seed and --out overriding the file;
+sweep-lambda and compare-matching also take --jobs for parallel member
+runs. Outputs are byte-stable for identical inputs except the summary
+JSON's "meta" block, which carries wall-clock values. Every file goes
+through engine's two writers, so every CSV and JSON file has one cell and
+line-end rule (see engine._write_csv and engine._write_json).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -33,6 +32,7 @@ import numpy as np
 from .analysis import PointSet, classical_mds, cluster_summary, kmeans
 from .core import ConfigurationError, InteractionMatrix
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
+from .engine import _write_csv, _write_json
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
 from .presets import get_preset, preset_names
@@ -47,8 +47,6 @@ __all__ = [
     "compare_matching",
     "equilibrium_audit",
 ]
-
-_FMT = repr
 
 # Counts previously reported for the default matrix treated as a
 # common-interest game; the audit reports both sides without requiring
@@ -138,6 +136,11 @@ def _multiplier_tag(m: float) -> str:
     return str(int(m)) if float(m).is_integer() else repr(float(m))
 
 
+def _columns(rows: list[dict], keys: list[str]) -> list[np.ndarray]:
+    """One array per key, holding that key's value from every row in order."""
+    return [np.asarray([row[key] for row in rows]) for key in keys]
+
+
 def sweep_lambda(
     scenario: Scenario,
     multipliers: list[float],
@@ -176,18 +179,8 @@ def sweep_lambda(
             }
         )
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["multiplier", "time_to_plateau", "plateau_happiness", "status"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _FMT(row["multiplier"]),
-                    _FMT(row["time_to_plateau"]),
-                    _FMT(row["plateau_happiness"]),
-                    row["status"],
-                ]
-            )
+    header = ["multiplier", "time_to_plateau", "plateau_happiness", "status"]
+    _write_csv(out / "sweep_summary.csv", header, _columns(rows, header))
     return rows
 
 
@@ -271,21 +264,10 @@ def compare_matching(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "compare_matching.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "seed", "min_population", "convergent_happiness", "status"])
-        for mode in modes:
-            for row in per_run[mode.value]:
-                writer.writerow(
-                    [
-                        mode.value,
-                        row["seed"],
-                        row["min_population"],
-                        _FMT(row["convergent_happiness"]),
-                        row["status"],
-                    ]
-                )
-    (out / "compare_matching.json").write_text(json.dumps(report, indent=2) + "\n")
+    rows = [{"mode": mode.value, **row} for mode in modes for row in per_run[mode.value]]
+    header = ["mode", "seed", "min_population", "convergent_happiness", "status"]
+    _write_csv(out / "compare_matching.csv", header, _columns(rows, header))
+    _write_json(out / "compare_matching.json", report)
     return report
 
 
@@ -316,7 +298,7 @@ def equilibrium_audit(out_dir: str | Path | None = None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "equilibria.json").write_text(json.dumps(report, indent=2) + "\n")
+        _write_json(out / "equilibria.json", report)
     return report
 
 
@@ -359,11 +341,9 @@ def analyze_population(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "analysis_embedding.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"e{d}" for d in range(embed_dim)] + ["cluster"])
-        for pid, coords, label in zip(ids, embedded.rows, result.labels):
-            writer.writerow([pid] + [_FMT(float(c)) for c in coords] + [int(label)])
+    header = ["id", *(f"e{d}" for d in range(embed_dim)), "cluster"]
+    columns = [np.asarray(ids), *embedded.rows.T, result.labels]
+    _write_csv(out / "analysis_embedding.csv", header, columns)
     payload = {
         "input": str(input_path),
         "clusters": [
@@ -376,7 +356,7 @@ def analyze_population(
         ],
         "inertia": float(result.inertia),
     }
-    (out / "analysis_clusters.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "analysis_clusters.json", payload)
     return payload
 
 
@@ -399,7 +379,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, help="override the scenario seed")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel member runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep-lambda", help="rerun per learning-rate multiplier")
     _add_scenario_flags(sweep)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel member runs")
     sweep.add_argument(
         "--multipliers",
         default="1,3,10,30",
@@ -422,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = subs.add_parser("compare-matching", help="optimal vs noisy matching")
     _add_scenario_flags(cmp_)
+    cmp_.add_argument("--jobs", type=int, default=1, help="parallel member runs")
     cmp_.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
 
     ana = subs.add_parser("analyze", help="embed and cluster a population snapshot")

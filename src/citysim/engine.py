@@ -1,8 +1,8 @@
 """Round-based simulation engine.
 
-Runs the co-evolution loop: at every mating round the available males and
-females are paired under the configured matching mode, successful pairs
-each bear one child, expired persons are buried, and the society vector
+Runs the co-evolution loop: at every mating round expired persons are
+buried, the available males and females are paired under the configured
+matching mode, successful pairs each bear one child, and the society vector
 takes one ascent step. Everything stochastic draws from a named substream
 of the master seed, so switching one feature (say, matching noise) on or
 off never perturbs the draws of the others.
@@ -378,12 +378,16 @@ def _block_codes(loc: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return loc[0] * grid[1] + loc[1]
 
 
+def _block_xy(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """gx and gy of every block code in order, the inverse of _block_codes."""
+    return np.divmod(np.arange(grid[0] * grid[1]), grid[1])
+
+
 def _block_penalty(config: SimConfig) -> np.ndarray:
     """gamma times the grid distance between every two blocks, indexed by
     block code. Entry (i, j) equals gamma * grid_distances of one person in
     block i and one in block j, so looking it up costs no rounding."""
-    w, h = config.grid
-    blocks = np.stack(np.divmod(np.arange(w * h), h), axis=1)
+    blocks = np.stack(_block_xy(config.grid), axis=1)
     return config.matching.gamma * grid_distances(blocks, blocks, config.matching.distance)
 
 
@@ -441,18 +445,17 @@ def _success_mask(
     roster: Roster,
     sel_y: np.ndarray,
     sel_z: np.ndarray,
-    alive: np.ndarray,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
 ) -> np.ndarray:
-    """Which matched pairs bear a child. The crowding term counts everyone
-    alive, or with block scope the mean alive count of the partners' home
-    blocks."""
+    """Which matched pairs bear a child. The crowding term counts the
+    roster, which holds only the living, or with block scope the mean head
+    count of the partners' home blocks."""
     if config.success_pop_scope == "global":
-        pop = int(alive.sum())
+        pop = roster.size
     else:
         codes = _block_codes(roster.loc, config.grid)
-        counts = np.bincount(codes[alive], minlength=config.grid[0] * config.grid[1])
+        counts = np.bincount(codes, minlength=config.grid[0] * config.grid[1])
         pop = (counts[codes[sel_y]] + counts[codes[sel_z]]) / 2.0
     return mating_succeeds(
         pop,
@@ -472,10 +475,11 @@ def _reproduce(
     gain: np.ndarray,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
-) -> None:
-    """Each matched pair (sel_y[i], sel_z[i]) bears one child at t, who is
-    appended to roster with ids from first_id on and takes the home block
-    of one parent, picked uniformly. Parents recover until t + gap(h)."""
+) -> int:
+    """Each matched pair (sel_y[i], sel_z[i]) bears one child at t, with ids
+    from first_id on and the home block of one parent, picked uniformly.
+    Parents recover until t + gap(h). The children who outlive t are
+    appended to roster; returns how many died at birth."""
     d = config.demographics
     traits = born_batch(roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d)
     loc = None
@@ -485,7 +489,10 @@ def _reproduce(
     children = _newborns(first_id, traits.T, t, gain, loc, config, streams)
     roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
     roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
-    roster.extend(children)
+    alive = children.death > t
+    n_dead = children.size - int(alive.sum())
+    roster.extend(children.take(alive) if n_dead else children)
+    return n_dead
 
 
 def _status(roster: Roster) -> str:
@@ -500,13 +507,14 @@ def _status(roster: Roster) -> str:
 def run(config: SimConfig) -> TimeSeriesLog:
     """Execute the full timeline and return the log.
 
-    Round order at each t = k * mating_period: collect available, match,
-    filter by mating success at the round-start population, bear children
-    (happiness frozen against the current society vector), push parents'
-    next availability to t + mating_gap, bury death_time <= t, step the
-    society vector, log. A round whose gate must reject every pair skips
-    matching (see skip_closed). Ends early, with status, on extinction
-    (nobody left) or sterility (one sex extinct).
+    Round order at each t = k * mating_period: bury death_time <= t,
+    collect available, match, filter by mating success at the surviving
+    population, bear children (happiness frozen against the current society
+    vector; a child with death_time <= t is buried at birth), push parents'
+    next availability to t + mating_gap, step the society vector, log. A
+    round whose gate must reject every pair skips matching (see
+    skip_closed). Ends early, with status, on extinction (nobody left) or
+    sterility (one sex extinct).
     """
     d = config.demographics
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
@@ -537,8 +545,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
     rows: list[tuple] = []
     grid_rows: list[np.ndarray] = []
     if config.grid is not None:
-        n_blocks = config.grid[0] * config.grid[1]
-        block_xy = np.divmod(np.arange(n_blocks), config.grid[1])
+        block_xy = _block_xy(config.grid)
+        n_blocks = block_xy[0].size
 
     def log_row(t: float, births_acc: int, deaths_acc: int, x_bar: np.ndarray | None) -> None:
         # x_bar is the roster's mean trait vector, None when nobody is alive.
@@ -569,29 +577,27 @@ def run(config: SimConfig) -> TimeSeriesLog:
     if status == "completed":
         for k_round in range(1, n_rounds + 1):
             t = k_round * period
-            alive = roster.death > t
-            avail = alive & (roster.avail <= t)
+            keep = roster.death > t
+            n_dead = roster.size - int(keep.sum())
+            if n_dead:
+                roster = roster.take(keep)
+            avail = roster.avail <= t
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
 
             n_children = 0
             closed = skip_closed and mating_closed(
-                int(alive.sum()), roster.happiness[yi], roster.happiness[zi], d
+                roster.size, roster.happiness[yi], roster.happiness[zi], d
             )
             if len(yi) and len(zi) and not closed:
                 sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams, penalty)
                 if sel_y.shape[0]:
-                    ok = _success_mask(roster, sel_y, sel_z, alive, config, streams)
+                    ok = _success_mask(roster, sel_y, sel_z, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]
                 n_children = sel_y.shape[0]
                 if n_children:
-                    _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
+                    n_dead += _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
                     next_id += n_children
-
-            keep = roster.death > t
-            n_dead = roster.size - int(keep.sum())
-            if n_dead:
-                roster = roster.take(keep)
             births_acc += n_children
             deaths_acc += n_dead
 
@@ -624,6 +630,11 @@ def run(config: SimConfig) -> TimeSeriesLog:
         initial_population=initial,
         final_population=roster,
     )
+
+
+def _write_json(path: str | Path, obj) -> None:
+    """Write obj as JSON indented by two spaces, with a final "\n"."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -663,7 +674,7 @@ def write_run_outputs(
     first, last, traits = log.initial_population, log.final_population, config.interaction.row_names
     writers = {
         "log.csv": log.write_csv,
-        "summary.json": lambda p: p.write_text(json.dumps(summary, indent=2) + "\n"),
+        "summary.json": lambda p: _write_json(p, summary),
         "population_initial.csv": lambda p: write_population_csv(first, p, traits),
         "population_final.csv": lambda p: write_population_csv(last, p, traits),
     }

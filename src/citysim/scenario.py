@@ -173,27 +173,13 @@ def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationG
     return tuple(groups)
 
 
-_ROOT_KEYS = {
-    "name",
-    "seed",
-    "population",
-    "theta0",
-    "interaction",
-    "demographics",
-    "matching",
-    "schedule",
-    "mating_period",
-    "max_time",
-    "grid",
-    "log_every",
-    "success_pop_scope",
-    "out",
-    "preset",
-}
-
-
 # Root keys that are SimConfig fields of the same name and kind.
 _ROOT_SCALARS = ("mating_period", "max_time", "log_every", "success_pop_scope")
+
+_ROOT_KEYS = {
+    "name", "seed", "population", "theta0", "interaction", "grid", "out", "preset",
+    *_SECTIONS, *_ROOT_SCALARS,
+}
 
 
 def scenario_from_mapping(
@@ -299,10 +285,7 @@ def dump_scenario(scenario: Scenario) -> str:
         ],
         "interaction": scenario.interaction_source,
         **{key: _dump_section(getattr(cfg, key)) for key in _SECTIONS},
-        "mating_period": cfg.mating_period,
-        "max_time": cfg.max_time,
-        "log_every": cfg.log_every,
-        "success_pop_scope": cfg.success_pop_scope,
+        **{key: getattr(cfg, key) for key in _ROOT_SCALARS},
     }
     if cfg.grid is not None:
         doc["grid"] = [cfg.grid[0], cfg.grid[1]]

@@ -1,5 +1,6 @@
 """Scenario files, presets, and the command-line surface."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -13,6 +14,7 @@ from citysim.cli import (
     _multiplier_tag,
     _signed_direction,
     analyze_population,
+    build_parser,
     compare_matching,
     detect_plateau,
     equilibrium_audit,
@@ -381,6 +383,15 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: grid[0]")
 
+    def test_jobs_only_where_members_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "baseline-mixed", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        for command in ("sweep-lambda", "compare-matching"):
+            args = build_parser().parse_args([command, "--preset", "lambda-sweep", "--jobs", "2"])
+            assert args.jobs == 2
+
 
 class TestCliSweep:
     def test_single_multiplier_matches_simulate(self, tmp_path):
@@ -540,6 +551,46 @@ class TestCliAnalyze:
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         payload = analyze_population(out / "population_final.csv", tmp_path / "ana")
         assert "gx" not in payload["clusters"][0]["mean"]
+
+
+# The words a CSV cell may hold besides a number; gx and gy are empty
+# without a grid.
+CSV_WORDS = {"", "male", "female", "completed", "extinct", "sterile", "optimal", "noisy"}
+
+
+def test_every_csv_ends_lines_with_newline_and_reads_back(tmp_path):
+    # Every CSV a command writes ends each line with "\n" alone, csv.reader
+    # reads back exactly the cells between the commas, and a numeric cell
+    # is the decimal of an integer or the repr of a float.
+    cfg = write_config(
+        tmp_path, small_mapping(grid=[2, 2], matching={"mode": "locality", "gamma": 1.0})
+    )
+    run_dir = tmp_path / "run"
+    for argv in (
+        ["simulate", "--out", str(run_dir)],
+        ["sweep-lambda", "--out", str(tmp_path / "sweep"), "--multipliers", "1,2.5"],
+        ["compare-matching", "--out", str(tmp_path / "compare"), "--seeds", "2"],
+    ):
+        assert main([*argv, "--config", str(cfg)]) == 0, argv[0]
+    snapshot = str(run_dir / "population_final.csv")
+    assert main(["analyze", "--input", snapshot, "--out", str(tmp_path / "ana")]) == 0
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert {p.name for p in paths} == {
+        "log.csv", "grid_log.csv", "population_initial.csv", "population_final.csv",
+        "sweep_summary.csv", "compare_matching.csv", "analysis_embedding.csv",
+    }
+    for path in paths:
+        raw = path.read_bytes()
+        assert b"\r" not in raw, path
+        lines = raw.decode().split("\n")
+        assert lines.pop() == "", path
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [line.split(",") for line in lines], path
+        assert {len(row) for row in rows} == {len(rows[0])}, path
+        for cell in (c for row in rows[1:] for c in row if c not in CSV_WORDS):
+            is_int = cell.lstrip("-").isdigit()
+            assert cell == (str(int(cell)) if is_int else repr(float(cell))), (path, cell)
 
 
 class TestCliEquilibria:
