@@ -55,6 +55,7 @@ from .scenario import (
 from .society import (
     LearningRateSchedule,
     society_gradient,
+    society_path,
     society_update,
     trait_gain,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "scenario_from_mapping",
     "score",
     "society_gradient",
+    "society_path",
     "society_update",
     "support_enumeration",
     "support_enumeration_report",

@@ -60,10 +60,13 @@ class PointSet:
 def classical_mds(points: PointSet, out_dim: int = 2) -> PointSet:
     """Torgerson embedding of the pairwise Euclidean geometry.
 
-    Double-centers the squared-distance matrix, eigendecomposes, and keeps
-    the out_dim leading eigenpairs; negative eigenvalues (numerical noise,
-    since the input is genuinely Euclidean) floor at zero. The embedding is
-    centered at the origin and unique up to rotation and reflection.
+    Double-centring the squared distances of Euclidean rows gives the Gram
+    matrix of the centred rows, so its leading eigenpairs are their
+    principal components: the embedding is the centred rows' leading
+    principal-component scores, taken from a thin SVD of the n x D matrix
+    in O(n D^2) time and O(n D) memory. Components past the rank D are
+    zero columns. The embedding is centered at the origin and unique up to
+    rotation and reflection.
     """
     if out_dim < 1:
         raise ConfigurationError(f"out_dim must be >= 1, got {out_dim}")
@@ -72,21 +75,19 @@ def classical_mds(points: PointSet, out_dim: int = 2) -> PointSet:
             f"need at least {out_dim} points to embed into {out_dim} dimensions, "
             f"got {points.n}"
         )
-    D2 = cdist(points.rows, points.rows, metric="sqeuclidean")
-    n = points.n
-    J = np.eye(n) - np.full((n, n), 1.0 / n)
-    B = -0.5 * (J @ D2 @ J)
-    eigvals, eigvecs = np.linalg.eigh(B)
-    order = np.argsort(eigvals)[::-1][:out_dim]
-    lam = np.maximum(eigvals[order], 0.0)
-    embedding = eigvecs[:, order] * np.sqrt(lam)
-    if np.all(lam <= 1e-12 * max(1.0, abs(float(eigvals[-1])))):
+    centred = points.rows - points.rows.mean(axis=0)
+    u, s, _ = np.linalg.svd(centred, full_matrices=False)
+    k = min(out_dim, s.size)
+    embedding = np.zeros((points.n, out_dim))
+    # The Gram matrix's eigenvalues are the squared singular values.
+    if s[0] ** 2 <= 1e-12:
         warnings.warn(
             "all points coincide; MDS embedding is identically zero",
             RuntimeWarning,
             stacklevel=2,
         )
-        embedding = np.zeros((n, out_dim))
+    else:
+        embedding[:, :k] = u[:, :k] * s[:k]
     return PointSet(rows=embedding, labels=points.labels)
 
 

@@ -21,7 +21,7 @@ __all__ = [
     "lifespan",
     "mating_gap",
     "crowding_term",
-    "mating_closed",
+    "mating_opening_time",
     "mating_success_threshold",
     "mating_succeeds",
     "born_batch",
@@ -120,22 +120,26 @@ def crowding_term(
     return p.success_a * pop_size
 
 
-def mating_closed(
+def mating_opening_time(
     pop_size: float,
-    h_male: np.ndarray,
-    h_female: np.ndarray,
+    happiness: np.ndarray,
+    avail: np.ndarray,
+    sex: np.ndarray,
     params: DemographicsParams | None = None,
-) -> bool:
-    """Whether no pairing of these males with these females can pass the
-    deterministic success gate at this population size.
+) -> float:
+    """The earliest time at which some pair of these people can pass the
+    deterministic success gate at this population size; inf if never.
 
-    The threshold is the crowding term plus a veto term that is never
-    negative, and rounding is monotone, so a pair passes only if both
-    partners reach the crowding term. If one side has nobody who does,
-    every pair fails.
+    happiness, avail (next available time) and sex (0 male, 1 female) hold
+    one entry per person. The threshold is the crowding term plus a veto
+    term that is never negative, and rounding is monotone, so a pair passes
+    only if both partners reach the crowding term. The gate therefore opens
+    at the later, over the two sexes, of the earliest avail among those who
+    reach it. While happiness, pop_size and avail stay as they are, every
+    round before that time bears no child.
     """
-    bar = crowding_term(pop_size, params)
-    return not (np.any(h_male >= bar) and np.any(h_female >= bar))
+    reach = happiness >= crowding_term(pop_size, params)
+    return float(max(np.min(avail[reach & (sex == s)], initial=np.inf) for s in (0, 1)))
 
 
 def mating_success_threshold(

@@ -25,12 +25,12 @@ from .demographics import (
     DemographicsParams,
     born_batch,
     lifespan,
-    mating_closed,
     mating_gap,
+    mating_opening_time,
     mating_succeeds,
 )
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
-from .society import LearningRateSchedule, society_update, trait_gain
+from .society import LearningRateSchedule, society_path, trait_gain
 
 __all__ = [
     "PERSON_COLUMNS",
@@ -511,10 +511,14 @@ def run(config: SimConfig) -> TimeSeriesLog:
     collect available, match, filter by mating success at the surviving
     population, bear children (happiness frozen against the current society
     vector; a child with death_time <= t is buried at birth), push parents'
-    next availability to t + mating_gap, step the society vector, log. A
-    round whose gate must reject every pair skips matching (see
-    skip_closed). Ends early, with status, on extinction (nobody left) or
-    sterility (one sex extinct).
+    next availability to t + mating_gap, step the society vector, log. Ends
+    early, with status, on extinction (nobody left) or sterility (one sex
+    extinct).
+
+    Where the gate is known to stay shut (see skip_closed), the rounds up
+    to the next death or the gate's opening, whichever comes first, change
+    nothing but the society vector, and run() advances them in one step
+    with the outcome the rounds would have had one by one.
     """
     d = config.demographics
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
@@ -524,15 +528,15 @@ def run(config: SimConfig) -> TimeSeriesLog:
     roster = initial.take(initial.death > 0.0)
     theta = config.theta0.values
     # The trait payoff under the current theta: it scores the round's
-    # pairing and newborns, and the logged mean current happiness.
+    # pairing and newborns.
     gain = trait_gain(theta, config.interaction)
     period = config.mating_period
     n_rounds = int(math.floor(config.max_time / period + 1e-9))
     next_id = initial.size
     # Under the deterministic rule with a global crowding term, optimal
-    # matching draws nothing before the gate, so a round in which one side
-    # has nobody reaching the crowding term (mating_closed) skips ranking
-    # and the gate with exactly the outcome they would have had.
+    # matching draws nothing before the gate, so no round before
+    # mating_opening_time can bear a child, and skipping its ranking and
+    # gate leaves every stream where it was.
     skip_closed = (
         d.success_rule == "deterministic"
         and config.success_pop_scope == "global"
@@ -548,48 +552,75 @@ def run(config: SimConfig) -> TimeSeriesLog:
         block_xy = _block_xy(config.grid)
         n_blocks = block_xy[0].size
 
-    def log_row(t: float, births_acc: int, deaths_acc: int, x_bar: np.ndarray | None) -> None:
-        # x_bar is the roster's mean trait vector, None when nobody is alive.
-        # Mean current happiness is x_bar . (I theta), since the mean is linear.
+    def log_rows(
+        times: list[float],
+        thetas: np.ndarray,
+        gains: np.ndarray,
+        births: int,
+        deaths: int,
+        x_bar: np.ndarray | None,
+    ) -> None:
+        # One row per time, with the matching row of thetas and column of
+        # gains (I theta), all of the current roster: births and deaths go
+        # to the first row and the later rows record none. x_bar is the
+        # roster's mean trait vector, None when nobody is alive. Mean
+        # current happiness is x_bar . (I theta), since the mean is linear.
         n = roster.size
+        tallies = [(births, deaths)] + [(0, 0)] * (len(times) - 1)
         if n:
             tot = float(roster.happiness.sum())
-            mean_cur = float(score(x_bar, gain))
-            rows.append((t, n, births_acc, deaths_acc, tot, tot / n, mean_cur, theta, x_bar))
+            mean_cur = score(gains, x_bar).tolist()
+            for t, (b, dd), th, cur in zip(times, tallies, thetas, mean_cur):
+                rows.append((t, n, b, dd, tot, tot / n, cur, th, x_bar))
         else:
             nan = float("nan")
             no_traits = np.full(config.interaction.individual_dim, nan)
-            rows.append((t, 0, births_acc, deaths_acc, 0.0, nan, nan, theta, no_traits))
+            for t, (b, dd), th in zip(times, tallies, thetas):
+                rows.append((t, 0, b, dd, 0.0, nan, nan, th, no_traits))
         if config.grid is not None:
-            # One row per block in code order: t, gx, gy, population, mean
-            # happiness (nan for an empty block).
+            # One row per block in code order and time: t, gx, gy,
+            # population, mean happiness (nan for an empty block).
             codes = _block_codes(roster.loc, config.grid)
             counts = np.bincount(codes, minlength=n_blocks)
             sums = np.bincount(codes, weights=roster.happiness, minlength=n_blocks)
             means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
-            grid_rows.append(np.column_stack((np.full(n_blocks, t), *block_xy, counts, means)))
+            grid_rows.extend(
+                np.column_stack((np.full(n_blocks, t), *block_xy, counts, means)) for t in times
+            )
 
     status = _status(roster)
-    log_row(0.0, 0, 0, roster.traits.mean(axis=1) if roster.size else None)
+    x_bar = roster.traits.mean(axis=1) if roster.size else None
+    log_rows([0.0], theta[None], gain[:, None], 0, 0, x_bar)
 
     births_acc = 0
     deaths_acc = 0
-    if status == "completed":
-        for k_round in range(1, n_rounds + 1):
-            t = k_round * period
-            keep = roster.death > t
-            n_dead = roster.size - int(keep.sum())
-            if n_dead:
-                roster = roster.take(keep)
+    k_round = 0
+    while status == "completed" and k_round < n_rounds:
+        # One step runs round first, and when that round is idle every
+        # following round up to the next death or the gate's opening.
+        first = k_round + 1
+        t = first * period
+        keep = roster.death > t
+        n_dead = roster.size - int(keep.sum())
+        if n_dead:
+            roster = roster.take(keep)
+        last = first
+        n_children = 0
+        opens = -math.inf
+        if skip_closed:
+            opens = mating_opening_time(roster.size, roster.happiness, roster.avail, roster.sex, d)
+        if opens > t:
+            # Nobody is born or dies before the earlier of the two times,
+            # so N, the gate and the roster stay as they are until then.
+            # Each round's t is computed as above, k * period.
+            end = min(opens, roster.death.min(initial=math.inf))
+            while last < n_rounds and (last + 1) * period < end:
+                last += 1
+        else:
             avail = roster.avail <= t
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
-
-            n_children = 0
-            closed = skip_closed and mating_closed(
-                roster.size, roster.happiness[yi], roster.happiness[zi], d
-            )
-            if len(yi) and len(zi) and not closed:
+            if len(yi) and len(zi):
                 sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams, penalty)
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, config, streams)
@@ -598,26 +629,39 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 if n_children:
                     n_dead += _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
                     next_id += n_children
-            births_acc += n_children
-            deaths_acc += n_dead
+        births_acc += n_children
+        deaths_acc += n_dead
+        status = _status(roster)
+        if status != "completed":
+            last = first
 
-            x_bar = None
-            if roster.size:
-                # Each trait's mean is a pairwise sum along its contiguous
-                # row, the same bits as that row's own mean.
-                x_bar = roster.traits.mean(axis=1)
-                lam = config.schedule.rate(x_bar)
-                theta = society_update(theta, x_bar, config.interaction, lam).values
-                gain = trait_gain(theta, config.interaction)
-            status = _status(roster)
+        # The society steps once per round at the roster's x_bar, which
+        # holds over the step; an empty roster (always a one-round step,
+        # since it ends the run) leaves theta where it is.
+        x_bar = None
+        thetas = theta[None]
+        if roster.size:
+            # Each trait's mean is a pairwise sum along its contiguous
+            # row, the same bits as that row's own mean.
+            x_bar = roster.traits.mean(axis=1)
+            lam = config.schedule.rate(x_bar)
+            thetas = society_path(theta, x_bar, config.interaction, lam, last - first + 1)
 
-            terminal = status != "completed" or k_round == n_rounds
-            if k_round % config.log_every == 0 or terminal:
-                log_row(t, births_acc, deaths_acc, x_bar)
-                births_acc = 0
-                deaths_acc = 0
-            if status != "completed":
-                break
+        every = config.log_every
+        logged = list(range(-(-first // every) * every, last + 1, every))
+        if (status != "completed" or last == n_rounds) and logged[-1:] != [last]:
+            logged.append(last)
+        # I theta of each logged round and of the last round, whose gain
+        # pairs and scores the next active round.
+        thetas = thetas[np.subtract([*logged, last], first)]
+        gains = trait_gain(thetas.T, config.interaction)
+        theta, gain = thetas[-1], gains[:, -1].copy()
+        if logged:
+            times = [k * period for k in logged]
+            log_rows(times, thetas[:-1], gains[:, :-1], births_acc, deaths_acc, x_bar)
+            births_acc = 0
+            deaths_acc = 0
+        k_round = last
 
     # np.asarray stacks each column: Python ints give int64, and the theta
     # and mean-trait rows give (rows, dim) arrays.

@@ -18,6 +18,7 @@ from .matching import score
 
 __all__ = [
     "LearningRateSchedule",
+    "society_path",
     "society_update",
     "society_gradient",
     "trait_gain",
@@ -73,9 +74,16 @@ def _values(x, dim: int, *, what: str) -> np.ndarray:
 def trait_gain(theta, interaction: InteractionMatrix) -> np.ndarray:
     """I theta: each individual trait's payoff under society vector theta,
     summed over society traits by matching.score. A person's happiness is
-    the score of their traits against it."""
-    tv = _values(theta, interaction.society_dim, what="society vector")
-    return score(interaction.entries.T, tv)
+    the score of their traits against it. A (society_dim, m) block of
+    society vectors gives an (individual_dim, m) block, each column the
+    same bits as that vector's own gain."""
+    tv = theta.values if isinstance(theta, TraitVector) else np.asarray(theta, dtype=np.float64)
+    if tv.ndim not in (1, 2) or tv.shape[0] != interaction.society_dim:
+        raise ConfigurationError(
+            f"society vector has shape {tv.shape}, expected ({interaction.society_dim},) "
+            f"or ({interaction.society_dim}, m)"
+        )
+    return score(tv[:, None], interaction.entries.T)
 
 
 def society_gradient(x_bar, interaction: InteractionMatrix) -> np.ndarray:
@@ -85,13 +93,32 @@ def society_gradient(x_bar, interaction: InteractionMatrix) -> np.ndarray:
     return score(interaction.entries, xv)
 
 
+def society_path(
+    theta, x_bar, interaction: InteractionMatrix, lam: float, rounds: int = 1
+) -> np.ndarray:
+    """The society vector after each of `rounds` ascent steps at a fixed
+    x_bar and lam, one row per step: a (rounds, society_dim) array.
+
+    Each step adds lam * x_bar' I and clips back into the unit box. After
+    the first step theta lies in the box and every coordinate moves one
+    way, so clipping the running sum once gives the same bits as clipping
+    after every step: a coordinate that reaches the box edge stays there
+    both ways.
+    """
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ConfigurationError(f"learning rate must be finite and >= 0, got {lam}")
+    if require_int(rounds, "rounds") < 1:
+        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+    tv = _values(theta, interaction.society_dim, what="society vector")
+    step = lam * society_gradient(x_bar, interaction)
+    path = np.empty((rounds, tv.shape[0]))
+    path[0] = np.clip(tv + step, 0.0, 1.0)
+    path[1:] = step
+    return np.clip(np.add.accumulate(path, axis=0), 0.0, 1.0)
+
+
 def society_update(
     theta, x_bar, interaction: InteractionMatrix, lam: float
 ) -> TraitVector:
     """One ascent step, clipped back into the unit box per coordinate."""
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ConfigurationError(f"learning rate must be finite and >= 0, got {lam}")
-    tv = _values(theta, interaction.society_dim, what="society vector")
-    grad = society_gradient(x_bar, interaction)
-    return TraitVector(np.clip(tv + lam * grad, 0.0, 1.0))
-
+    return TraitVector(society_path(theta, x_bar, interaction, lam)[0])

@@ -93,6 +93,23 @@ class TestClassicalMDS:
         emb = classical_mds(PointSet(verts), out_dim=2).rows
         np.testing.assert_allclose(pairwise(emb), pairwise(oracle), atol=1e-9)
 
+    @pytest.mark.parametrize("out_dim", [1, 2, 3, 5])
+    def test_matches_dense_double_centring(self, out_dim):
+        # The dense Torgerson form: double-centre the squared distances with
+        # J = I - 11'/n and keep the leading eigenpairs of B = -JD2J/2. Past
+        # the data's 3 dimensions the embedding pads with zero columns.
+        rows = np.random.default_rng(9).normal(size=(15, 3)) * [3.0, 1.0, 0.2] + 4.0
+        n = rows.shape[0]
+        J = np.eye(n) - np.full((n, n), 1.0 / n)
+        B = -0.5 * (J @ pairwise(rows) ** 2 @ J)
+        w, v = np.linalg.eigh(B)
+        top = np.argsort(w)[::-1][:out_dim]
+        dense = v[:, top] * np.sqrt(np.maximum(w[top], 0.0))
+        emb = classical_mds(PointSet(rows), out_dim=out_dim).rows
+        assert emb.shape == (n, out_dim)
+        np.testing.assert_allclose(pairwise(emb), pairwise(dense), atol=1e-6)
+        assert np.all(emb[:, 3:] == 0.0)
+
     def test_labels_carried_through(self):
         rows = np.random.default_rng(8).normal(size=(10, 3))
         emb = classical_mds(PointSet(rows, labels=np.arange(10) % 2))

@@ -14,8 +14,8 @@ from citysim.demographics import (
     born_batch,
     crowding_term,
     lifespan,
-    mating_closed,
     mating_gap,
+    mating_opening_time,
     mating_succeeds,
     mating_success_threshold,
 )
@@ -198,10 +198,11 @@ class TestMatingSucceeds:
 
 
 @st.composite
-def crowded_rounds(draw):
-    """Params, alive count and both sides' happiness, drawn around the
-    crowding bar: some values sit a few ulps from it, some further off. A
-    side drawn as shut has every value moved below the bar."""
+def crowded_rosters(draw):
+    """Params, alive count, and happiness, next available time and sex
+    (0 male, 1 female) of a roster drawn around the crowding bar: some
+    happiness values sit a few ulps from it, some further off. A sex drawn
+    as shut has every value moved below the bar."""
     params = DemographicsParams(
         success_a=draw(st.floats(1e-4, 0.5)), success_scale=draw(st.floats(0.5, 60.0))
     )
@@ -218,40 +219,56 @@ def crowded_rounds(draw):
         h = np.array(draw(st.lists(near, min_size=1, max_size=12)))
         return np.minimum(h, below) if shut in (name, "both") else h
 
-    return params, n, side("male"), side("female"), shut
+    hm, hf = side("male"), side("female")
+    sex = np.repeat([0, 1], [hm.size, hf.size])
+    avail = np.array(draw(st.lists(st.integers(0, 8), min_size=sex.size, max_size=sex.size)))
+    return params, n, np.concatenate([hm, hf]), avail / 2.0, sex, shut
 
 
-class TestMatingClosed:
-    """mating_closed lets the engine skip a round's pairing, so a round it
-    calls closed must have no pair that passes the deterministic gate."""
+class TestMatingOpeningTime:
+    """The engine advances every round before mating_opening_time without
+    pairing anyone, so no pairing in such a round may pass the
+    deterministic gate."""
 
-    @given(crowded_rounds(), st.integers(0, 2**32 - 1))
-    def test_closed_round_has_no_passing_pair(self, drawn, seed):
-        params, n, hm, hf, shut = drawn
-        closed = mating_closed(n, hm, hf, params)
+    @given(crowded_rosters(), st.integers(0, 2**32 - 1))
+    def test_no_pair_passes_before_opening(self, drawn, seed):
+        params, n, h, avail, sex, shut = drawn
+        opens = mating_opening_time(n, h, avail, sex, params)
         if shut != "neither":
-            assert closed
-        if not closed:
-            return
-        iy, iz = rank_pair_indices(hm, hf)
-        assert not mating_succeeds(n, hm[iy], hf[iz], params).any()
+            assert opens == np.inf
         rng = np.random.default_rng(seed)
-        k = min(len(hm), len(hf))
-        ry = rng.permutation(len(hm))[:k]
-        rz = rng.permutation(len(hf))[:k]
-        assert not mating_succeeds(n, hm[ry], hf[rz], params).any()
+        # Every time someone becomes available before the opening, and the
+        # last float before it.
+        times = {t for t in avail.tolist() if t < opens}
+        if np.isfinite(opens):
+            times.add(np.nextafter(opens, -np.inf))
+        for t in times:
+            hm = h[(sex == 0) & (avail <= t)]
+            hf = h[(sex == 1) & (avail <= t)]
+            iy, iz = rank_pair_indices(hm, hf)
+            assert not mating_succeeds(n, hm[iy], hf[iz], params).any()
+            k = min(len(hm), len(hf))
+            ry = rng.permutation(len(hm))[:k]
+            rz = rng.permutation(len(hf))[:k]
+            assert not mating_succeeds(n, hm[ry], hf[rz], params).any()
+        if np.isfinite(opens):
+            # At the opening both sexes have someone available at the bar.
+            reach = (h >= crowding_term(n, params)) & (avail <= opens)
+            assert set(sex[reach].tolist()) == {0, 1}
 
     def test_bar_is_tight(self):
         # At h = success_a * N with a happy enough pair the veto rounds to
-        # zero, so a pair exactly at the bar passes and the round is open.
+        # zero, so a pair exactly at the bar passes and the gate opens once
+        # both are available. One ulp below the bar, it never opens.
         params = DemographicsParams()
         bar = crowding_term(1000, params)
-        h = np.array([bar])
-        assert not mating_closed(1000, h, h, params)
-        assert mating_succeeds(1000, h, h, params).all()
-        below = np.nextafter(h, -np.inf)
-        assert mating_closed(1000, below, h, params)
-        assert not mating_succeeds(1000, below, h, params).any()
+        h = np.array([bar, bar])
+        avail, sex = np.array([2.0, 3.0]), np.array([0, 1])
+        assert mating_opening_time(1000, h, avail, sex, params) == 3.0
+        assert mating_succeeds(1000, h[:1], h[1:], params).all()
+        h[0] = np.nextafter(bar, -np.inf)
+        assert mating_opening_time(1000, h, avail, sex, params) == np.inf
+        assert not mating_succeeds(1000, h[:1], h[1:], params).any()
 
 
 class TestBorn:

@@ -290,6 +290,16 @@ TRACE_CASES = {
         schedule=LearningRateSchedule(kind="fixed", base=1e-3),
         max_time=14.0,
     ),
+    # The crowded trace under a steep dynamic schedule: theta reaches the
+    # box edge in the middle of an idle stretch.
+    "crowded-dynamic": dict(
+        seed=910,
+        groups=(PopulationGroup(16, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2, success_a=0.3, lifespan_a=8.0),
+        schedule=LearningRateSchedule(kind="dynamic", base=1e-2, multiplier=50.0),
+        max_time=14.0,
+    ),
     # Happiness below the crowding bar: the deterministic gate would shut
     # these rounds, but the probabilistic rule still draws and sometimes
     # succeeds, so the engine must not skip them.
@@ -351,18 +361,32 @@ class TestReferenceTrace:
             log = run(SimConfig(**kwargs))
             assert log.births.sum() > 0, case
             assert len(log.times) > 1, case
-        # The crowded trace must skip ranking in some rounds, and bear
-        # children again after such a round.
-        calls = []
-        rank = engine.rank_pair_indices
+        # The crowded traces must skip ranking in some rounds, advance idle
+        # rounds several at a time, and bear children again after a stretch.
+        ranks, steps = [], []
+        rank, path = engine.rank_pair_indices, engine.society_path
+
+        def spy_path(*args):
+            steps.append(path(*args))
+            return steps[-1]
+
         monkeypatch.setattr(
-            engine, "rank_pair_indices", lambda a, b: (calls.append(a.size), rank(a, b))[1]
+            engine, "rank_pair_indices", lambda a, b: (ranks.append(a.size), rank(a, b))[1]
         )
+        monkeypatch.setattr(engine, "society_path", spy_path)
         log = run(SimConfig(**TRACE_CASES["crowded"]))
         rounds = len(log.times) - 1
-        assert 0 < len(calls) < rounds
+        assert 0 < len(ranks) < rounds
+        assert sum(len(p) for p in steps) == rounds
+        assert len(steps) < rounds
         quiet = np.flatnonzero(log.births[1:] == 0)
         assert quiet.size and log.births[quiet[0] + 1 :].sum() > 0
+        # In crowded-dynamic some coordinate is inside the box at the first
+        # round of a stretch and on its edge by the last.
+        steps.clear()
+        run(SimConfig(**TRACE_CASES["crowded-dynamic"]))
+        edge = [np.isin(p[[0, -1]], (0.0, 1.0)) for p in steps if len(p) > 1]
+        assert any((~e[0] & e[1]).any() for e in edge)
 
 
 class TestRunBehavior:
@@ -401,21 +425,37 @@ class TestRunBehavior:
         # Rows stay in id order, which the rank tie rule relies on.
         assert np.all(np.diff(ids) > 0)
 
-    def test_log_every_subsampling_consistent(self):
-        dense = run(small_config(max_time=42.0, log_every=1))
-        sparse = run(small_config(max_time=42.0, log_every=7))
+    @staticmethod
+    def dense_and_sparse(cfg):
+        """Runs of cfg logged every round and every 7th round, checked to
+        agree on every row they share; returns them with the dense row of
+        each sparse one."""
+        dense = run(dataclasses.replace(cfg, log_every=1))
+        sparse = run(dataclasses.replace(cfg, log_every=7))
         sparse.validate_conservation()
         assert sparse.times[-1] == dense.times[-1]
         lookup = {t: i for i, t in enumerate(dense.times)}
-        for j, t in enumerate(sparse.times):
-            i = lookup[t]
-            assert sparse.population[j] == dense.population[i]
-            np.testing.assert_allclose(sparse.theta[j], dense.theta[i], atol=1e-15)
+        rows = [lookup[t] for t in sparse.times]
+        for name in ("population", "theta", "mean_current_happiness"):
+            np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name)[rows])
         # births between consecutive sparse rows equal the dense sum over the gap
         for j in range(1, len(sparse.times)):
-            lo, hi = lookup[sparse.times[j - 1]], lookup[sparse.times[j]]
+            lo, hi = rows[j - 1], rows[j]
             assert sparse.births[j] == dense.births[lo + 1 : hi + 1].sum()
             assert sparse.deaths[j] == dense.deaths[lo + 1 : hi + 1].sum()
+        return dense, sparse, rows
+
+    def test_log_every_subsampling_consistent(self):
+        self.dense_and_sparse(small_config(max_time=42.0))
+
+    def test_log_every_carries_births_into_idle_stretch(self):
+        # The crowded trace shuts the gate for stretches of rounds, so the
+        # births of an unlogged round carry into a stretch's first logged
+        # row: a row of a round that itself bore nobody and buried nobody.
+        cfg = SimConfig(**{**TRACE_CASES["crowded"], "max_time": 100.0})
+        dense, sparse, rows = self.dense_and_sparse(cfg)
+        idle = (dense.births == 0) & (dense.deaths == 0)
+        assert ((sparse.births > 0) & idle[rows]).any()
 
     def test_max_time_zero_logs_single_row(self):
         log = run(small_config(max_time=0.0))

@@ -2,8 +2,10 @@
 
 Each case runs one scenario to a short horizon, writes its outputs and
 compares the sha256 of every deterministic file with tests/golden/
-digests.json. One longer case, baseline-mixed to t=300, reaches the
-crowding plateau, where many rounds bear no child. summary.json is left
+digests.json. Two longer cases reach the crowding plateau, where the
+gate shuts for long idle stretches of rounds: baseline-mixed to t=300,
+and high-intellect-pop-in-criminal-city, on the dynamic schedule, to
+t=1000. summary.json is left
 out: its "meta" block holds wall-clock values. A change that alters
 outputs on purpose regenerates the file once, with
 `PYTHONPATH=src python tests/test_golden.py --write`, and says why in
@@ -31,6 +33,7 @@ from citysim.presets import get_preset, preset_names
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 HORIZON = 60.0
 PLATEAU_HORIZON = 300.0
+CITY_HORIZON = 1000.0
 FILES = ("log.csv", "population_initial.csv", "population_final.csv", "grid_log.csv")
 
 
@@ -52,6 +55,8 @@ def _cases() -> dict:
     )
     cases = {name: replace(config, max_time=HORIZON) for name, config in cases.items()}
     cases["baseline-mixed@300"] = replace(baseline, max_time=PLATEAU_HORIZON)
+    city = get_preset("high-intellect-pop-in-criminal-city").config
+    cases["high-intellect-pop-in-criminal-city@1000"] = replace(city, max_time=CITY_HORIZON)
     return cases
 
 

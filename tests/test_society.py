@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citysim.core import ConfigurationError, InteractionMatrix, TraitVector
@@ -12,7 +12,9 @@ from citysim.scenario import scenario_from_mapping
 from citysim.society import (
     LearningRateSchedule,
     society_gradient,
+    society_path,
     society_update,
+    trait_gain,
 )
 from reference import Person, Sex, effective_lambda
 
@@ -111,6 +113,51 @@ class TestSocietyUpdate:
             society_update(np.full(12, 0.5), np.full(8, 0.5), MATRIX, 1e-4)
         with pytest.raises(ConfigurationError):
             society_update(np.full(13, 0.5), np.full(9, 0.5), MATRIX, 1e-4)
+
+
+class TestSocietyPath:
+    """run() advances an idle stretch of rounds with one society_path call,
+    so its rows must be the iterated single steps, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1), min_size=13, max_size=13),
+        st.lists(st.floats(0, 1), min_size=8, max_size=8),
+        st.sampled_from(["fixed", "dynamic"]),
+        st.floats(-5.0, -1.0),
+        st.integers(1, 3000),
+    )
+    # A steep, long stretch: every coordinate reaches the box edge.
+    @example([0.5] * 13, [0.9] * 8, "fixed", -1.0, 3000)
+    def test_rows_equal_iterated_steps(self, ts, xs, kind, log_lam, rounds):
+        # The schedule is set up so its rate at x_bar lands near 10**log_lam.
+        x_bar = np.asarray(xs)
+        x_bar[3] = max(x_bar[3], 0.05)
+        base = 10.0**log_lam / (x_bar[3] if kind == "dynamic" else 1.0)
+        lam = LearningRateSchedule(kind=kind, base=base).rate(x_bar)
+        path = society_path(np.asarray(ts), x_bar, MATRIX, lam, rounds)
+        assert path.shape == (rounds, 13)
+        theta = TraitVector(ts)
+        for row in path:
+            theta = society_update(theta, x_bar, MATRIX, lam)
+            assert row.tobytes() == theta.values.tobytes()
+
+    def test_gain_of_a_block_is_each_vectors_gain(self):
+        # run() logs a stretch's mean current happiness from one block call.
+        thetas = np.random.default_rng(3).uniform(size=(13, 50))
+        block = trait_gain(thetas, MATRIX)
+        assert block.shape == (8, 50)
+        for k in range(50):
+            assert block[:, k].tobytes() == trait_gain(thetas[:, k], MATRIX).tobytes()
+        with pytest.raises(ConfigurationError):
+            trait_gain(np.full((12, 3), 0.5), MATRIX)
+
+    def test_rejects_bad_lambda_and_rounds(self):
+        for lam in (-1e-4, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                society_path(np.full(13, 0.5), np.full(8, 0.5), MATRIX, lam, 5)
+        with pytest.raises(ConfigurationError):
+            society_path(np.full(13, 0.5), np.full(8, 0.5), MATRIX, 1e-4, 0)
 
 
 class TestLearningRateSchedule:
