@@ -139,7 +139,10 @@ def mating_opening_time(
     round before that time bears no child.
     """
     reach = happiness >= crowding_term(pop_size, params)
-    return float(max(np.min(avail[reach & (sex == s)], initial=np.inf) for s in (0, 1)))
+    male = sex == 0
+    return float(
+        max(avail[reach & male].min(initial=math.inf), avail[reach & ~male].min(initial=math.inf))
+    )
 
 
 def mating_success_threshold(

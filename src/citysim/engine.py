@@ -555,21 +555,26 @@ def run(config: SimConfig) -> TimeSeriesLog:
     def log_rows(
         times: list[float],
         thetas: np.ndarray,
-        gains: np.ndarray,
+        gain: np.ndarray,
         births: int,
         deaths: int,
         x_bar: np.ndarray | None,
     ) -> None:
-        # One row per time, with the matching row of thetas and column of
-        # gains (I theta), all of the current roster: births and deaths go
-        # to the first row and the later rows record none. x_bar is the
-        # roster's mean trait vector, None when nobody is alive. Mean
-        # current happiness is x_bar . (I theta), since the mean is linear.
+        # One row per time, with the matching row of thetas, all of the
+        # current roster: births and deaths go to the first row and the
+        # later rows record none. gain is I theta of the last row of thetas,
+        # which may hold one row more than times. x_bar is the roster's mean
+        # trait vector, None when nobody is alive. Mean current happiness is
+        # x_bar . (I theta), since the mean is linear.
         n = roster.size
         tallies = [(births, deaths)] + [(0, 0)] * (len(times) - 1)
         if n:
             tot = float(roster.happiness.sum())
-            mean_cur = score(gains, x_bar).tolist()
+            mean_cur = [float(score(x_bar, gain))]
+            if len(thetas) > 1:
+                # Rows inside an idle stretch are scored as one block.
+                gains = trait_gain(thetas[:-1].T, config.interaction)
+                mean_cur[:0] = score(gains, x_bar).tolist()
             for t, (b, dd), th, cur in zip(times, tallies, thetas, mean_cur):
                 rows.append((t, n, b, dd, tot, tot / n, cur, th, x_bar))
         else:
@@ -590,7 +595,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
 
     status = _status(roster)
     x_bar = roster.traits.mean(axis=1) if roster.size else None
-    log_rows([0.0], theta[None], gain[:, None], 0, 0, x_bar)
+    log_rows([0.0], theta[None], gain, 0, 0, x_bar)
 
     births_acc = 0
     deaths_acc = 0
@@ -651,14 +656,15 @@ def run(config: SimConfig) -> TimeSeriesLog:
         logged = list(range(-(-first // every) * every, last + 1, every))
         if (status != "completed" or last == n_rounds) and logged[-1:] != [last]:
             logged.append(last)
-        # I theta of each logged round and of the last round, whose gain
-        # pairs and scores the next active round.
-        thetas = thetas[np.subtract([*logged, last], first)]
-        gains = trait_gain(thetas.T, config.interaction)
-        theta, gain = thetas[-1], gains[:, -1].copy()
+        # The last round's gain pairs and scores the next active round.
+        theta = thetas[-1]
+        gain = trait_gain(theta, config.interaction)
         if logged:
+            picked = [k - first for k in logged]
+            if picked[-1] != last - first:
+                picked.append(last - first)
             times = [k * period for k in logged]
-            log_rows(times, thetas[:-1], gains[:, :-1], births_acc, deaths_acc, x_bar)
+            log_rows(times, thetas[picked], gain, births_acc, deaths_acc, x_bar)
             births_acc = 0
             deaths_acc = 0
         k_round = last

@@ -34,11 +34,6 @@ class MatchMode(str, Enum):
     LOCALITY = "locality"
 
 
-# Row length (elements per trait) below which score() accumulates in one
-# call: the two ways took the same time at 128 on one Xeon core.
-_ACCUMULATE_BELOW = 128
-
-
 def score(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_j cols[j] * g[j], added left to right as numpy elementwise
     products, with no BLAS call.
@@ -50,11 +45,8 @@ def score(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
     more axes lines them up with the leading axes of cols and broadcasts,
     which lets society.trait_gain score a block of society vectors at once.
     """
-    terms = cols * np.reshape(g, np.shape(g) + (1,) * (np.ndim(cols) - np.ndim(g)))
-    if terms[0].size < _ACCUMULATE_BELOW:
-        # Both ways add the rows left to right, so the bits agree; one
-        # accumulate call is faster on short rows and slower on long ones.
-        return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+    cols, g = np.asarray(cols), np.asarray(g)
+    terms = list(cols * g.reshape(g.shape + (1,) * (cols.ndim - g.ndim)))
     total = terms[0].copy()
     for term in terms[1:]:
         total += term

@@ -62,12 +62,13 @@ class LearningRateSchedule:
         return lam
 
 
-def _values(x, dim: int, *, what: str) -> np.ndarray:
+def _values(x, dim: int, *, what: str, block: bool = False) -> np.ndarray:
+    """x as a (dim,) float array; with block=True a (dim, m) block of such
+    vectors is accepted too."""
     arr = x.values if isinstance(x, TraitVector) else np.asarray(x, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ConfigurationError(
-            f"{what} has shape {arr.shape}, expected ({dim},)"
-        )
+    if arr.ndim not in ((1, 2) if block else (1,)) or arr.shape[0] != dim:
+        expected = f"({dim},) or ({dim}, m)" if block else f"({dim},)"
+        raise ConfigurationError(f"{what} has shape {arr.shape}, expected {expected}")
     return arr
 
 
@@ -77,12 +78,7 @@ def trait_gain(theta, interaction: InteractionMatrix) -> np.ndarray:
     the score of their traits against it. A (society_dim, m) block of
     society vectors gives an (individual_dim, m) block, each column the
     same bits as that vector's own gain."""
-    tv = theta.values if isinstance(theta, TraitVector) else np.asarray(theta, dtype=np.float64)
-    if tv.ndim not in (1, 2) or tv.shape[0] != interaction.society_dim:
-        raise ConfigurationError(
-            f"society vector has shape {tv.shape}, expected ({interaction.society_dim},) "
-            f"or ({interaction.society_dim}, m)"
-        )
+    tv = _values(theta, interaction.society_dim, what="society vector", block=True)
     return score(tv[:, None], interaction.entries.T)
 
 

@@ -306,9 +306,7 @@ class TestScoreAndTieRule:
     """Scores come from one elementwise kernel, and ranking orders by score
     descending, then id ascending."""
 
-    # Up to 300 people, so a whole roster and one person alone take the
-    # two ways score() has of adding the rows.
-    @given(trait_columns(max_n=300), society_vectors, st.data())
+    @given(trait_columns(), society_vectors, st.data())
     def test_scores_are_bitwise_invariant_to_order_and_subset(self, cols, theta, data):
         gain = trait_gain(theta, MATRIX)
         n = cols.shape[1]

@@ -149,8 +149,9 @@ class TestSocietyPath:
         assert block.shape == (8, 50)
         for k in range(50):
             assert block[:, k].tobytes() == trait_gain(thetas[:, k], MATRIX).tobytes()
-        with pytest.raises(ConfigurationError):
-            trait_gain(np.full((12, 3), 0.5), MATRIX)
+        for bad in (np.full((12, 3), 0.5), np.full((13, 3, 2), 0.5)):
+            with pytest.raises(ConfigurationError):
+                trait_gain(bad, MATRIX)
 
     def test_rejects_bad_lambda_and_rounds(self):
         for lam in (-1e-4, np.inf, np.nan):
@@ -158,6 +159,9 @@ class TestSocietyPath:
                 society_path(np.full(13, 0.5), np.full(8, 0.5), MATRIX, lam, 5)
         with pytest.raises(ConfigurationError):
             society_path(np.full(13, 0.5), np.full(8, 0.5), MATRIX, 1e-4, 0)
+        # Only trait_gain takes a block of society vectors.
+        with pytest.raises(ConfigurationError):
+            society_path(np.full((13, 2), 0.5), np.full(8, 0.5), MATRIX, 1e-4, 5)
 
 
 class TestLearningRateSchedule:
