@@ -56,7 +56,6 @@ from .society import (
     LearningRateSchedule,
     society_gradient,
     society_path,
-    society_update,
     trait_gain,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "score",
     "society_gradient",
     "society_path",
-    "society_update",
     "support_enumeration",
     "support_enumeration_report",
     "trait_gain",

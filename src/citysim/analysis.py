@@ -31,7 +31,7 @@ class PointSet:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
+        if rows.ndim != 2 or min(rows.shape) < 1:
             raise ConfigurationError(
                 f"rows must be a nonempty N x D matrix, got shape {rows.shape}"
             )

@@ -12,8 +12,8 @@ or --preset NAME (exactly one), with --seed and --out overriding the file;
 sweep-lambda and compare-matching also take --jobs for parallel member
 runs. Outputs are byte-stable for identical inputs except the summary
 JSON's "meta" block, which carries wall-clock values. Every file goes
-through engine's two writers, so every CSV and JSON file has one cell and
-line-end rule (see engine._write_csv and engine._write_json).
+through core's two writers, so every CSV and JSON file has one cell and
+line-end rule (see core._write_csv and core._write_json).
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PointSet, classical_mds, cluster_summary, kmeans
-from .core import ConfigurationError, InteractionMatrix
+from .core import ConfigurationError, InteractionMatrix, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
-from .engine import _write_csv, _write_json
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
 from .presets import get_preset, preset_names

@@ -1,4 +1,5 @@
-"""Trait vectors, the interaction matrix, and the package's exceptions.
+"""Trait vectors, the interaction matrix, the package's exceptions, and the
+two writers every CSV and JSON output goes through.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -10,9 +11,10 @@ for life.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -179,6 +181,9 @@ class InteractionMatrix:
             )
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ConfigurationError("trait names must be unique per axis")
+        # Names become CSV header cells, which are written unquoted.
+        if any(c in name for name in rows + cols for c in ',"\r\n'):
+            raise ConfigurationError("trait names must not hold a comma, quote or line break")
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError("interaction matrix contains non-finite entries")
         if np.any(np.abs(arr) > 1.0):
@@ -254,9 +259,19 @@ class InteractionMatrix:
 
     def to_csv(self, path: str | Path) -> None:
         """Write the matrix in printed orientation (society rows x individual columns)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["", *self.row_names])
-            printed = self.entries.T
-            for j, society in enumerate(self.col_names):
-                writer.writerow([society, *(repr(float(v)) for v in printed[j])])
+        _write_csv(path, ["", *self.row_names], [np.asarray(self.col_names), *self.entries])
+
+
+def _write_json(path: str | Path, obj) -> None:
+    """Write obj as JSON indented by two spaces, with a final "\n"."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as CSV rows under header, streaming row by
+    row. A cell is str of the column's Python value: the repr of a float,
+    the decimal of an integer, a string as it is. Lines end with "\n"."""
+    cells = [map(str, col.tolist()) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

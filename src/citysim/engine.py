@@ -10,7 +10,6 @@ off never perturbs the draws of the others.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -21,6 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector, require_int
+from .core import _write_csv, _write_json
 from .demographics import (
     DemographicsParams,
     born_batch,
@@ -199,11 +199,13 @@ class SimConfig:
 class TimeSeriesLog:
     """Per-round record of the run, plus the initial and final rosters.
 
-    Rows are appended at t=0, then at every log_every-th round and always at
-    the final round. births and deaths accumulate everything since the
-    previous logged row, so population[i] = population[i-1] + births[i] -
-    deaths[i] holds for every row. theta and the happiness columns reflect
-    the state after the row's round completed.
+    run() records a row for every round, then keeps t=0, every log_every-th
+    round and the final round, which is where a run that dies out stops.
+    A kept row's births and deaths count every round since the previous
+    kept row, so population[i] = population[i-1] + births[i] - deaths[i]
+    holds for every row. theta and the happiness columns reflect the state
+    after the row's round completed; with nobody alive, mean_happiness,
+    mean_current_happiness and mean_traits are nan.
     """
 
     times: np.ndarray
@@ -221,10 +223,6 @@ class TimeSeriesLog:
     grid_rows: np.ndarray | None = None
     initial_population: Roster | None = None
     final_population: Roster | None = None
-
-    @property
-    def extinct(self) -> bool:
-        return self.status != "completed"
 
     def validate_conservation(self) -> None:
         pops, births, deaths = self.population, self.births, self.deaths
@@ -296,6 +294,14 @@ class Roster:
     @property
     def size(self) -> int:
         return self.ids.shape[0]
+
+    def mean_traits(self) -> np.ndarray:
+        """The mean trait vector, all nan when nobody is alive. Each trait's
+        mean is a pairwise sum along its contiguous row, the same bits as
+        that row's own mean."""
+        if self.size:
+            return self.traits.mean(axis=1)
+        return np.full(self.traits.shape[0], np.nan)
 
     def take(self, keep: np.ndarray) -> "Roster":
         """The people where keep is true, as a new roster with copied arrays."""
@@ -544,61 +550,45 @@ def run(config: SimConfig) -> TimeSeriesLog:
     )
     penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
 
-    # One tuple per logged row, holding the TimeSeriesLog columns in field
-    # order (times through mean_traits).
+    # One tuple per round from t=0 on, so row k is round k, holding the
+    # TimeSeriesLog columns in field order (times through mean_traits); on
+    # a grid, one (counts, means) pair of per-block arrays per round too.
     rows: list[tuple] = []
-    grid_rows: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
     if config.grid is not None:
         block_xy = _block_xy(config.grid)
         n_blocks = block_xy[0].size
 
-    def log_rows(
-        times: list[float],
-        thetas: np.ndarray,
-        gain: np.ndarray,
-        births: int,
-        deaths: int,
-        x_bar: np.ndarray | None,
+    def log_rounds(
+        first: int, thetas: np.ndarray, gain: np.ndarray, x_bar: np.ndarray, born: int, died: int
     ) -> None:
-        # One row per time, with the matching row of thetas, all of the
-        # current roster: births and deaths go to the first row and the
-        # later rows record none. gain is I theta of the last row of thetas,
-        # which may hold one row more than times. x_bar is the roster's mean
-        # trait vector, None when nobody is alive. Mean current happiness is
-        # x_bar . (I theta), since the mean is linear.
+        # One row per row of thetas, for rounds first on, all of the
+        # current roster: born and died go to the first row and the
+        # later rows record none. gain is I theta of the last row of
+        # thetas, and x_bar the roster's mean trait vector. Mean current
+        # happiness is x_bar . (I theta), since the mean is linear.
         n = roster.size
-        tallies = [(births, deaths)] + [(0, 0)] * (len(times) - 1)
-        if n:
-            tot = float(roster.happiness.sum())
-            mean_cur = [float(score(x_bar, gain))]
-            if len(thetas) > 1:
-                # Rows inside an idle stretch are scored as one block.
-                gains = trait_gain(thetas[:-1].T, config.interaction)
-                mean_cur[:0] = score(gains, x_bar).tolist()
-            for t, (b, dd), th, cur in zip(times, tallies, thetas, mean_cur):
-                rows.append((t, n, b, dd, tot, tot / n, cur, th, x_bar))
-        else:
-            nan = float("nan")
-            no_traits = np.full(config.interaction.individual_dim, nan)
-            for t, (b, dd), th in zip(times, tallies, thetas):
-                rows.append((t, 0, b, dd, 0.0, nan, nan, th, no_traits))
+        tot = float(roster.happiness.sum())
+        mean_cur = [float(score(x_bar, gain))]
+        if len(thetas) > 1:
+            # Rows inside an idle stretch are scored as one block.
+            gains = trait_gain(thetas[:-1].T, config.interaction)
+            mean_cur[:0] = score(gains, x_bar).tolist()
+        mean = tot / n if n else math.nan
+        tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
+        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
+            rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar))
         if config.grid is not None:
-            # One row per block in code order and time: t, gx, gy,
-            # population, mean happiness (nan for an empty block).
+            # Head count and mean happiness (nan when empty) of each block.
             codes = _block_codes(roster.loc, config.grid)
             counts = np.bincount(codes, minlength=n_blocks)
             sums = np.bincount(codes, weights=roster.happiness, minlength=n_blocks)
             means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
-            grid_rows.extend(
-                np.column_stack((np.full(n_blocks, t), *block_xy, counts, means)) for t in times
-            )
+            blocks.extend([(counts, means)] * len(thetas))
 
     status = _status(roster)
-    x_bar = roster.traits.mean(axis=1) if roster.size else None
-    log_rows([0.0], theta[None], gain, 0, 0, x_bar)
+    log_rounds(0, theta[None], gain, roster.mean_traits(), 0, 0)
 
-    births_acc = 0
-    deaths_acc = 0
     k_round = 0
     while status == "completed" and k_round < n_rounds:
         # One step runs round first, and when that round is idle every
@@ -609,10 +599,13 @@ def run(config: SimConfig) -> TimeSeriesLog:
         n_dead = roster.size - int(keep.sum())
         if n_dead:
             roster = roster.take(keep)
+            # Only burial can end the run: a roster without both sexes
+            # bears nobody, and births only add people.
+            status = _status(roster)
         last = first
         n_children = 0
         opens = -math.inf
-        if skip_closed:
+        if skip_closed and status == "completed":
             opens = mating_opening_time(roster.size, roster.happiness, roster.avail, roster.sex, d)
         if opens > t:
             # Nobody is born or dies before the earlier of the two times,
@@ -634,67 +627,47 @@ def run(config: SimConfig) -> TimeSeriesLog:
                 if n_children:
                     n_dead += _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
                     next_id += n_children
-        births_acc += n_children
-        deaths_acc += n_dead
-        status = _status(roster)
-        if status != "completed":
-            last = first
 
         # The society steps once per round at the roster's x_bar, which
         # holds over the step; an empty roster (always a one-round step,
         # since it ends the run) leaves theta where it is.
-        x_bar = None
+        x_bar = roster.mean_traits()
         thetas = theta[None]
         if roster.size:
-            # Each trait's mean is a pairwise sum along its contiguous
-            # row, the same bits as that row's own mean.
-            x_bar = roster.traits.mean(axis=1)
             lam = config.schedule.rate(x_bar)
             thetas = society_path(theta, x_bar, config.interaction, lam, last - first + 1)
-
-        every = config.log_every
-        logged = list(range(-(-first // every) * every, last + 1, every))
-        if (status != "completed" or last == n_rounds) and logged[-1:] != [last]:
-            logged.append(last)
         # The last round's gain pairs and scores the next active round.
         theta = thetas[-1]
         gain = trait_gain(theta, config.interaction)
-        if logged:
-            picked = [k - first for k in logged]
-            if picked[-1] != last - first:
-                picked.append(last - first)
-            times = [k * period for k in logged]
-            log_rows(times, thetas[picked], gain, births_acc, deaths_acc, x_bar)
-            births_acc = 0
-            deaths_acc = 0
+        log_rounds(first, thetas, gain, x_bar, n_children, n_dead)
         k_round = last
 
-    # np.asarray stacks each column: Python ints give int64, and the theta
-    # and mean-trait rows give (rows, dim) arrays.
+    # Keep t=0, every log_every-th round and the final round. np.asarray
+    # stacks each column: Python ints give int64, and the theta and
+    # mean-trait rows give (rows, dim) arrays. Births and deaths become
+    # running totals, so a kept row's difference counts every round since
+    # the previous kept row.
+    kept = sorted({*range(0, len(rows), config.log_every), len(rows) - 1})
+    columns = [np.asarray(column) for column in zip(*rows)]
+    columns[2:4] = (np.cumsum(c) for c in columns[2:4])
+    columns = [c[kept] for c in columns]
+    columns[2:4] = (np.diff(c, prepend=0) for c in columns[2:4])
+    grid_rows = None
+    if config.grid is not None:
+        # One row per block in code order and kept round: t, gx, gy,
+        # population, mean happiness.
+        grid_rows = np.concatenate([
+            np.column_stack((np.full(n_blocks, k * period), *block_xy, *blocks[k])) for k in kept
+        ])
     return TimeSeriesLog(
-        *(np.asarray(column) for column in zip(*rows)),
+        *columns,
         trait_names=config.interaction.row_names,
         society_names=config.interaction.col_names,
         status=status,
-        grid_rows=np.concatenate(grid_rows) if config.grid is not None else None,
+        grid_rows=grid_rows,
         initial_population=initial,
         final_population=roster,
     )
-
-
-def _write_json(path: str | Path, obj) -> None:
-    """Write obj as JSON indented by two spaces, with a final "\n"."""
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV rows under header, streaming row by
-    row. A cell is str of the column's Python value: the repr of a float,
-    the decimal of an integer, a string as it is. Lines end with "\n"."""
-    cells = [map(str, col.tolist()) for col in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence[str]) -> None:

@@ -19,7 +19,6 @@ from .matching import score
 __all__ = [
     "LearningRateSchedule",
     "society_path",
-    "society_update",
     "society_gradient",
     "trait_gain",
 ]
@@ -112,9 +111,3 @@ def society_path(
     path[1:] = step
     return np.clip(np.add.accumulate(path, axis=0), 0.0, 1.0)
 
-
-def society_update(
-    theta, x_bar, interaction: InteractionMatrix, lam: float
-) -> TraitVector:
-    """One ascent step, clipped back into the unit box per coordinate."""
-    return TraitVector(society_path(theta, x_bar, interaction, lam)[0])

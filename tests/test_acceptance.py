@@ -36,7 +36,7 @@ from citysim.equilibrium import (
 )
 from citysim.matching import MatchMode
 from citysim.presets import get_preset
-from citysim.society import society_gradient, society_update
+from citysim.society import society_gradient, society_path
 from dataclasses import replace
 from reference import expected_child
 
@@ -135,7 +135,7 @@ def test_criterion_04_gradient_check():
     for _ in range(20):
         x_bar = rng.uniform(0.0, 1.0, size=8)
         theta = rng.uniform(0.3, 0.7, size=13)
-        stepped = society_update(theta, x_bar, interaction, lam).values
+        stepped = society_path(theta, x_bar, interaction, lam)[0]
         step_dir = (stepped - theta) / lam
         fd = np.empty(13)
         for j in range(13):

@@ -28,6 +28,11 @@ class TestPointSet:
         with pytest.raises(ConfigurationError):
             PointSet(np.array([[1.0, np.nan]]))
 
+    def test_rejects_zero_dimensions(self):
+        # classical_mds would index an empty SVD; the error comes up front.
+        with pytest.raises(ConfigurationError, match="nonempty N x D"):
+            PointSet(np.zeros((4, 0)))
+
     def test_label_length_must_match(self):
         with pytest.raises(ConfigurationError):
             PointSet(np.zeros((4, 2)), labels=[0, 1])

@@ -137,6 +137,12 @@ class TestInteractionMatrix:
         assert np.array_equal(loaded.entries, matrix.entries)
         assert loaded.row_names == matrix.row_names
         assert loaded.col_names == matrix.col_names
+        assert b"\r" not in path.read_bytes()
+
+    def test_names_fit_an_unquoted_csv_cell(self):
+        for bad in ("a,b", 'a"b', "a\nb"):
+            with pytest.raises(ConfigurationError, match="comma"):
+                InteractionMatrix(np.zeros((1, 1)), row_names=(bad,), col_names=("s",))
 
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -426,24 +426,45 @@ class TestRunBehavior:
         assert np.all(np.diff(ids) > 0)
 
     @staticmethod
-    def dense_and_sparse(cfg):
-        """Runs of cfg logged every round and every 7th round, checked to
-        agree on every row they share; returns them with the dense row of
-        each sparse one."""
+    def dense_and_sparse(cfg, every=7):
+        """Runs of cfg logged every round and every `every`-th round, checked
+        to agree on every column of the rows they share; returns them with
+        the dense row of each sparse one."""
         dense = run(dataclasses.replace(cfg, log_every=1))
-        sparse = run(dataclasses.replace(cfg, log_every=7))
+        sparse = run(dataclasses.replace(cfg, log_every=every))
         sparse.validate_conservation()
-        assert sparse.times[-1] == dense.times[-1]
-        lookup = {t: i for i, t in enumerate(dense.times)}
-        rows = [lookup[t] for t in sparse.times]
-        for name in ("population", "theta", "mean_current_happiness"):
-            np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name)[rows])
-        # births between consecutive sparse rows equal the dense sum over the gap
-        for j in range(1, len(sparse.times)):
-            lo, hi = rows[j - 1], rows[j]
-            assert sparse.births[j] == dense.births[lo + 1 : hi + 1].sum()
-            assert sparse.deaths[j] == dense.deaths[lo + 1 : hi + 1].sum()
+        # Dense row k is round k; sparse keeps t=0, every every-th round and
+        # the final round.
+        last = len(dense.times) - 1
+        rows = sorted({*range(0, last + 1, every), last})
+        for f in dataclasses.fields(engine.TimeSeriesLog):
+            got, want = getattr(sparse, f.name), getattr(dense, f.name)
+            if f.name in ("births", "deaths"):
+                # A sparse row counts every round since the previous one.
+                want = np.add.reduceat(want, [0, *(k + 1 for k in rows[:-1])])
+            elif f.name == "grid_rows" and want is not None:
+                width = want.shape[1]
+                want = want.reshape(last + 1, -1, width)[rows].reshape(-1, width)
+            elif isinstance(want, np.ndarray):
+                want = want[rows]
+            if isinstance(want, Roster):
+                for name in Roster.__slots__:
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
         return dense, sparse, rows
+
+    @staticmethod
+    def dying_config(std):
+        # A crowding term nobody reaches keeps every pair under the mating
+        # threshold, so the founders die without issue: all in one round
+        # with std 0 (extinct), else one by one until one sex is gone.
+        return small_config(
+            groups=(PopulationGroup(40, TraitVector([0.45] * 8), std),),
+            theta0=TraitVector([0.6] * 13),
+            demographics=DemographicsParams(success_a=5.0),
+            max_time=500.0,
+        )
 
     def test_log_every_subsampling_consistent(self):
         self.dense_and_sparse(small_config(max_time=42.0))
@@ -477,22 +498,35 @@ class TestRunBehavior:
         cfg = small_config(groups=(PopulationGroup(1, TraitVector([0.9] * 8), 0.0),))
         log = run(cfg)
         assert log.status == "sterile"
-        assert log.extinct
         assert log.population[0] == 1
 
     def test_midrun_extinction_stops_early(self):
-        # Low theta keeps happiness under the mating threshold while
-        # lifespans stay short, so the founders die without issue.
-        cfg = small_config(
-            groups=(PopulationGroup(40, TraitVector([0.45] * 8), 0.05),),
-            theta0=TraitVector([0.25] * 13),
-            max_time=500.0,
-        )
-        log = run(cfg)
-        assert log.status in ("extinct", "sterile")
-        assert log.times[-1] < 500.0
-        if log.status == "extinct":
-            assert log.population[-1] == 0
+        log = run(self.dying_config(0.0))
+        assert log.status == "extinct"
+        assert 0.0 < log.times[-1] < 500.0
+        assert log.population[0] == 40
+        assert log.population[-1] == 0
+        assert np.isnan(log.mean_traits[-1]).all()
+
+    @pytest.mark.parametrize("every", [7, 50])
+    @pytest.mark.parametrize("case", ["grid", "extinct", "sterile"])
+    def test_log_every_keeps_every_column(self, case, every):
+        # Each run ends between kept rounds. The grid run is the crowded
+        # trace on a grid, so idle stretches log grid rows too.
+        if case == "grid":
+            cfg = SimConfig(**{**TRACE_CASES["crowded"], "grid": (3, 3), "max_time": 103.0})
+        else:
+            cfg = self.dying_config(0.0 if case == "extinct" else 0.05)
+        dense, sparse, _ = self.dense_and_sparse(cfg, every)
+        assert sparse.status == ("completed" if case == "grid" else case)
+        assert dense.times[-1] % every
+        if case == "grid":
+            # Each kept round's blocks add up to that round's roster.
+            blocks = sparse.grid_rows.reshape(len(sparse.times), 9, 5)
+            t, _, _, pop, mean = blocks.transpose(2, 0, 1)
+            np.testing.assert_array_equal(t, np.repeat(sparse.times[:, None], 9, axis=1))
+            np.testing.assert_array_equal(pop.sum(axis=1), sparse.population)
+            np.testing.assert_allclose(np.nansum(pop * mean, axis=1), sparse.total_happiness)
 
     def test_partitioned_mode_runs_clean(self):
         cfg = small_config(
