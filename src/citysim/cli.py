@@ -125,7 +125,9 @@ def _run_config(config: SimConfig) -> TimeSeriesLog:
 
 
 def _run_many(configs: list[SimConfig], jobs: int) -> list[TimeSeriesLog]:
-    if jobs <= 1 or len(configs) <= 1:
+    if jobs < 1:
+        raise ConfigurationError(f"jobs: need at least 1, got {jobs}")
+    if jobs == 1 or len(configs) <= 1:
         return [run(c) for c in configs]
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return list(pool.map(_run_config, configs))
@@ -332,6 +334,8 @@ def analyze_population(
     seed: int = 0,
 ) -> dict:
     """Cluster raw traits, embed for display, write both artifacts."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     ids, traits, trait_names = _read_population_csv(Path(input_path))
     points = PointSet(traits)
     result = kmeans(points, clusters, np.random.default_rng(seed))

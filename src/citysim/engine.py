@@ -5,7 +5,9 @@ buried, the available males and females are paired under the configured
 matching mode, successful pairs each bear one child, and the society vector
 takes one ascent step. Everything stochastic draws from a named substream
 of the master seed, so switching one feature (say, matching noise) on or
-off never perturbs the draws of the others.
+off never perturbs the draws of the others. Round k's matching noise and
+partitions draw from a generator keyed by (seed, stream, k), the rest in
+sequence.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
             f"unknown stream name {name!r}; choices: {sorted(_STREAM_IDS)}"
         ) from None
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
+def _round_stream(seed: int, name: str, k: int) -> np.random.Generator:
+    """Round k's generator for one named purpose, whether or not earlier rounds drew."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_IDS[name], k)))
 
 
 @dataclass(frozen=True)
@@ -403,11 +410,11 @@ def _match_pairs(
     zi: np.ndarray,
     gain: np.ndarray,
     config: SimConfig,
-    streams: dict[str, np.random.Generator],
+    k: int,
     penalty: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roster indices of the matched male/female pairs. Everyone is scored
-    once against gain; locality matching subtracts penalty, the
+    """Roster indices of the matched male/female pairs of round k. Everyone
+    is scored once against gain; locality matching subtracts penalty, the
     _block_penalty table (None in the other modes)."""
     mcfg = config.matching
     scores = score(roster.traits, gain)
@@ -432,11 +439,12 @@ def _match_pairs(
     if mcfg.mode is MatchMode.LOCALITY:
         return solve(yi, zi, None)
     if mcfg.mode is MatchMode.NOISY:
-        return solve(yi, zi, streams["noise"])
+        return solve(yi, zi, _round_stream(config.seed, "noise", k))
     # Partitioned: random blocks of partition_size per side; male block i
-    # meets female block i, and surplus blocks sit out. Draw order: male
-    # permutation, female permutation, then one noise matrix per block.
-    rng = streams["partition"]
+    # meets female block i, and surplus blocks sit out. Draw order, from
+    # round k's generator: male and female permutations, then one noise
+    # matrix per block.
+    rng = _round_stream(config.seed, "partition", k)
     perm_y = yi[rng.permutation(len(yi))]
     perm_z = zi[rng.permutation(len(zi))]
     size = mcfg.partition_size
@@ -524,7 +532,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
     Where the gate is known to stay shut (see skip_closed), the rounds up
     to the next death or the gate's opening, whichever comes first, change
     nothing but the society vector, and run() advances them in one step
-    with the outcome the rounds would have had one by one.
+    with the outcome the rounds would have had one by one. A round draws
+    its matching noise from its own key, so this holds in every mode.
     """
     d = config.demographics
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
@@ -539,15 +548,11 @@ def run(config: SimConfig) -> TimeSeriesLog:
     period = config.mating_period
     n_rounds = int(math.floor(config.max_time / period + 1e-9))
     next_id = initial.size
-    # Under the deterministic rule with a global crowding term, optimal
-    # matching draws nothing before the gate, so no round before
-    # mating_opening_time can bear a child, and skipping its ranking and
-    # gate leaves every stream where it was.
-    skip_closed = (
-        d.success_rule == "deterministic"
-        and config.success_pop_scope == "global"
-        and config.matching.mode is MatchMode.OPTIMAL
-    )
+    # Under the deterministic rule with a global crowding term, no round
+    # before mating_opening_time can bear a child, whatever the pairing,
+    # and the gate draws nothing. Matching draws only from its round's own
+    # key, so skipping a round's pairing and gate moves no later draw.
+    skip_closed = d.success_rule == "deterministic" and config.success_pop_scope == "global"
     penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
 
     # One tuple per round from t=0 on, so row k is round k, holding the
@@ -560,21 +565,16 @@ def run(config: SimConfig) -> TimeSeriesLog:
         n_blocks = block_xy[0].size
 
     def log_rounds(
-        first: int, thetas: np.ndarray, gain: np.ndarray, x_bar: np.ndarray, born: int, died: int
+        first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray, born: int, died: int
     ) -> None:
-        # One row per row of thetas, for rounds first on, all of the
-        # current roster: born and died go to the first row and the
-        # later rows record none. gain is I theta of the last row of
-        # thetas, and x_bar the roster's mean trait vector. Mean current
-        # happiness is x_bar . (I theta), since the mean is linear.
+        # One row per row of thetas (column of gains, its I theta), for
+        # rounds first on, all of the current roster: born and died go to
+        # the first row, the later rows record none. Mean current happiness
+        # is x_bar . (I theta), x_bar being the roster's mean trait vector.
         n = roster.size
         tot = float(roster.happiness.sum())
-        mean_cur = [float(score(x_bar, gain))]
-        if len(thetas) > 1:
-            # Rows inside an idle stretch are scored as one block.
-            gains = trait_gain(thetas[:-1].T, config.interaction)
-            mean_cur[:0] = score(gains, x_bar).tolist()
         mean = tot / n if n else math.nan
+        mean_cur = score(gains, x_bar).tolist()
         tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
         for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
             rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar))
@@ -587,7 +587,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             blocks.extend([(counts, means)] * len(thetas))
 
     status = _status(roster)
-    log_rounds(0, theta[None], gain, roster.mean_traits(), 0, 0)
+    log_rounds(0, theta[None], gain[:, None], roster.mean_traits(), 0, 0)
 
     k_round = 0
     while status == "completed" and k_round < n_rounds:
@@ -619,7 +619,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
             if len(yi) and len(zi):
-                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, streams, penalty)
+                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, first, penalty)
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]
@@ -637,9 +637,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
             lam = config.schedule.rate(x_bar)
             thetas = society_path(theta, x_bar, config.interaction, lam, last - first + 1)
         # The last round's gain pairs and scores the next active round.
-        theta = thetas[-1]
-        gain = trait_gain(theta, config.interaction)
-        log_rounds(first, thetas, gain, x_bar, n_children, n_dead)
+        gains = trait_gain(thetas.T, config.interaction)
+        theta, gain = thetas[-1], gains[:, -1]
+        log_rounds(first, thetas, gains, x_bar, n_children, n_dead)
         k_round = last
 
     # Keep t=0, every log_every-th round and the final round. np.asarray

@@ -8,10 +8,13 @@ reference_run() re-executes run() one Person record at a time: available
 people, pairing, a per-pair success gate, batched births, burial and the
 society step. It consumes the same named streams in the same order as
 run(), so the two must agree row for row; a disagreement points at a
-bookkeeping or ordering slip in the columnar engine. Scores, means and
-the society step use the engine's arithmetic (matching.score, a mean along
-each trait's contiguous row), so the final rosters agree bit for bit. Only
-the tests use this module.
+bookkeeping or ordering slip in the columnar engine. The oracle pairs
+every round, where run() skips the rounds it knows to be idle; round k's
+matching noise and partitions draw from a generator keyed by (seed,
+stream, k), so the two still draw alike. Scores, means and the society
+step use the engine's arithmetic (matching.score, a mean along each
+trait's contiguous row), so the final rosters agree bit for bit. Only the
+tests use this module.
 """
 
 from __future__ import annotations
@@ -40,7 +43,16 @@ from citysim.matching import (
     score,
 )
 
-STREAMS = ("init", "sex", "born", "noise", "partition", "location", "success")
+# Drawn in sequence, one generator per name for the whole run.
+STREAMS = ("init", "sex", "born", "location", "success")
+# Drawn afresh each round k, from the key (seed, stream id, k).
+ROUND_STREAM_IDS = {"noise": 3, "partition": 4}
+
+
+def round_stream(seed: int, name: str, k: int) -> np.random.Generator:
+    """Round k's generator for the matching noise or partitions."""
+    key = (ROUND_STREAM_IDS[name], k)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 class Sex(IntEnum):
@@ -198,8 +210,8 @@ def partitioned_match(Y, Z, gain, mutation_prob, partition_size, noise_sigma, rn
     return pairs
 
 
-def reference_pairs(Y, Z, gain, config, streams) -> list[tuple[Person, Person]]:
-    """Matched (male, female) pairs under the configured matching mode."""
+def reference_pairs(Y, Z, gain, config, k) -> list[tuple[Person, Person]]:
+    """Matched (male, female) pairs of round k under the configured matching mode."""
     m = config.matching
     p_mut = config.demographics.mutation_prob
     if m.mode is MatchMode.OPTIMAL:
@@ -207,7 +219,8 @@ def reference_pairs(Y, Z, gain, config, streams) -> list[tuple[Person, Person]]:
         return [(Y[i], Z[j]) for i, j in zip(iy, iz)]
     if m.mode is MatchMode.PARTITIONED:
         return partitioned_match(
-            Y, Z, gain, p_mut, m.partition_size, m.noise_sigma, streams["partition"]
+            Y, Z, gain, p_mut, m.partition_size, m.noise_sigma,
+            round_stream(config.seed, "partition", k),
         )
     W = expected_pair_weights(_scores(Y, gain), _scores(Z, gain), gain, p_mut)
     if m.mode is MatchMode.LOCALITY:
@@ -215,7 +228,7 @@ def reference_pairs(Y, Z, gain, config, streams) -> list[tuple[Person, Person]]:
         lz = np.array([p.location for p in Z])
         W = W - m.gamma * grid_distances(ly, lz, m.distance)
     else:
-        W = W + streams["noise"].normal(0.0, m.noise_sigma, size=W.shape)
+        W = W + round_stream(config.seed, "noise", k).normal(0.0, m.noise_sigma, size=W.shape)
     return _solve(W, Y, Z)
 
 
@@ -273,7 +286,7 @@ def reference_run(config):
                 gain = score(E.T, theta)
                 ok_pairs = [
                     (m, f)
-                    for m, f in reference_pairs(Y, Z, gain, config, streams)
+                    for m, f in reference_pairs(Y, Z, gain, config, k)
                     if _succeeds(m, f, people, t, config, streams)
                 ]
                 if ok_pairs:

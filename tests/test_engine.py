@@ -319,6 +319,18 @@ TRACE_CASES = {
     ),
 }
 
+# The crowded trace under noisy and partitioned matching: the engine skips
+# the solver in the idle stretch, and each round's draws come from its own
+# key, so the oracle, which solves every round, still agrees.
+TRACE_CASES["crowded-noisy"] = {
+    **TRACE_CASES["crowded"],
+    "matching": MatchingConfig(mode=MatchMode.NOISY, noise_sigma=0.5),
+}
+TRACE_CASES["crowded-partitioned"] = {
+    **TRACE_CASES["crowded"],
+    "matching": MatchingConfig(mode=MatchMode.PARTITIONED, partition_size=4, noise_sigma=0.5),
+}
+
 
 class TestReferenceTrace:
     @pytest.mark.parametrize("case", sorted(TRACE_CASES))
@@ -347,10 +359,8 @@ class TestReferenceTrace:
             assert np.array_equal(final.traits.T, np.stack([p.traits.values for p in people]))
         assert final.happiness.tolist() == [p.happiness for p in people]
         assert final.birth.tolist() == [p.birth_time for p in people]
-        np.testing.assert_allclose(final.death, [p.death_time for p in people], rtol=1e-12)
-        np.testing.assert_allclose(
-            final.avail, [p.next_available_time for p in people], rtol=1e-12
-        )
+        assert final.death.tolist() == [p.death_time for p in people]
+        assert final.avail.tolist() == [p.next_available_time for p in people]
         if cfg.grid is not None:
             assert [tuple(r) for r in final.loc.T.tolist()] == [p.location for p in people]
 
@@ -387,6 +397,25 @@ class TestReferenceTrace:
         run(SimConfig(**TRACE_CASES["crowded-dynamic"]))
         edge = [np.isin(p[[0, -1]], (0.0, 1.0)) for p in steps if len(p) > 1]
         assert any((~e[0] & e[1]).any() for e in edge)
+        # Noisy and partitioned matching skip the solver in idle rounds too,
+        # and bear children again after a skipped round. A step's first
+        # round follows the rounds of the steps before it.
+        solve = engine.linear_sum_assignment
+        solved = set()
+
+        def spy_solve(W, maximize):
+            solved.add(1 + sum(len(p) for p in steps))
+            return solve(W, maximize=maximize)
+
+        monkeypatch.setattr(engine, "linear_sum_assignment", spy_solve)
+        for case in ("crowded-noisy", "crowded-partitioned"):
+            steps.clear()
+            solved.clear()
+            log = run(SimConfig(**TRACE_CASES[case]))
+            rounds = len(log.times) - 1
+            assert 0 < len(solved) < rounds, case
+            skipped = sorted(set(range(1, rounds + 1)) - solved)
+            assert log.births[skipped[0] + 1 :].sum() > 0, case
 
 
 class TestRunBehavior:

@@ -5,12 +5,13 @@ compares the sha256 of every deterministic file with tests/golden/
 digests.json. Two longer cases reach the crowding plateau, where the
 gate shuts for long idle stretches of rounds: baseline-mixed to t=300,
 and high-intellect-pop-in-criminal-city, on the dynamic schedule, to
-t=1000. summary.json is left
-out: its "meta" block holds wall-clock values. A change that alters
-outputs on purpose regenerates the file once, with
-`PYTHONPATH=src python tests/test_golden.py --write`, and says why in
-CHANGES.md. The outputs must not depend on the BLAS thread count either,
-which a test checks in child processes.
+t=1000. summary.json is left out: its "meta" block holds wall-clock
+values. A change that alters outputs on purpose regenerates the digests
+of the cases it changes once, with
+`PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
+when none is named), and says why in CHANGES.md. The outputs must not
+depend on the BLAS thread count either, which a test checks in child
+processes.
 """
 
 from __future__ import annotations
@@ -122,9 +123,16 @@ def test_outputs_ignore_blas_thread_count():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write [CASE...]")
+    names = sys.argv[2:]
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; choices: {sorted(CASES)}")
 
+    # Named cases update the pinned table; no name rewrites it whole.
+    table = json.loads(GOLDEN.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digests(CASES[name], Path(tmp) / name) for name in sorted(CASES)}
+        for name in names or sorted(CASES):
+            table[name] = digests(CASES[name], Path(tmp) / name)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

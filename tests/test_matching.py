@@ -179,7 +179,7 @@ class TestBuildWeights:
         for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
             c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
             sel_y, sel_z = _match_pairs(
-                roster, np.array([0]), np.array([1, 2]), gain, c, {}, _block_penalty(c)
+                roster, np.array([0]), np.array([1, 2]), gain, c, 0, _block_penalty(c)
             )
             assert (sel_y.tolist(), sel_z.tolist()) == ([0], [partner])
 

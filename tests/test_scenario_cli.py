@@ -392,6 +392,15 @@ class TestCliSimulate:
             args = build_parser().parse_args([command, "--preset", "lambda-sweep", "--jobs", "2"])
             assert args.jobs == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["sweep-lambda", "compare-matching"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path, small_mapping())
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs")
+        assert not out.exists()
+
 
 class TestCliSweep:
     def test_single_multiplier_matches_simulate(self, tmp_path):
@@ -521,6 +530,12 @@ class TestCliAnalyze:
             "family_oriented",
             "religious",
         }
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # Rejected before the input is read: a missing file would exit 1.
+        missing = str(tmp_path / "none.csv")
+        assert main(["analyze", "--input", missing, "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
 
     def test_missing_input_exits_1(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "none.csv")]) == 1
