@@ -21,6 +21,7 @@ __all__ = [
     "lifespan",
     "mating_gap",
     "crowding_term",
+    "reaches_crowding_bar",
     "mating_opening_time",
     "mating_success_threshold",
     "mating_succeeds",
@@ -120,25 +121,30 @@ def crowding_term(
     return p.success_a * pop_size
 
 
-def mating_opening_time(
-    pop_size: float,
-    happiness: np.ndarray,
-    avail: np.ndarray,
-    sex: np.ndarray,
-    params: DemographicsParams | None = None,
-) -> float:
-    """The earliest time at which some pair of these people can pass the
-    deterministic success gate at this population size; inf if never.
+def reaches_crowding_bar(
+    pop_size: float, happiness: np.ndarray, params: DemographicsParams | None = None
+) -> np.ndarray:
+    """Whether each happiness reaches the crowding term at this population
+    size: only people who do can be in a pair that passes the deterministic
+    success gate.
 
-    happiness, avail (next available time) and sex (0 male, 1 female) hold
-    one entry per person. The threshold is the crowding term plus a veto
-    term that is never negative, and rounding is monotone, so a pair passes
-    only if both partners reach the crowding term. The gate therefore opens
-    at the later, over the two sexes, of the earliest avail among those who
-    reach it. While happiness, pop_size and avail stay as they are, every
-    round before that time bears no child.
+    The threshold is the crowding term plus a veto term that is never
+    negative, and rounding is monotone, so a pair passes only if both
+    partners reach the crowding term.
     """
-    reach = happiness >= crowding_term(pop_size, params)
+    return happiness >= crowding_term(pop_size, params)
+
+
+def mating_opening_time(reach: np.ndarray, avail: np.ndarray, sex: np.ndarray) -> float:
+    """The earliest time at which some pair of these people can pass the
+    deterministic success gate; inf if never.
+
+    reach (reaches_crowding_bar at the population size), avail (next
+    available time) and sex (0 male, 1 female) hold one entry per person.
+    The gate opens at the later, over the two sexes, of the earliest avail
+    among those who reach the bar. While happiness, population size and
+    avail stay as they are, every round before that time bears no child.
+    """
     male = sex == 0
     return float(
         max(avail[reach & male].min(initial=math.inf), avail[reach & ~male].min(initial=math.inf))

@@ -30,6 +30,7 @@ from .demographics import (
     mating_gap,
     mating_opening_time,
     mating_succeeds,
+    reaches_crowding_bar,
 )
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
 from .society import LearningRateSchedule, society_path, trait_gain
@@ -412,13 +413,27 @@ def _match_pairs(
     config: SimConfig,
     k: int,
     penalty: np.ndarray | None,
+    reach: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roster indices of the matched male/female pairs of round k. Everyone
     is scored once against gain; locality matching subtracts penalty, the
-    _block_penalty table (None in the other modes)."""
+    _block_penalty table (None in the other modes).
+
+    reach, given only where the deterministic gate counts the global
+    population, marks who reaches the crowding bar. Optimal matching then
+    ranks, on each side, only the people who score at least as high as
+    that side's lowest-scoring reacher, ties included: a prefix of the
+    side's ranking that holds every reacher, and so every rank whose pair
+    can pass the gate. The pairs within it are those of the full ranking,
+    and the pairs cut off would have failed a gate that draws nothing.
+    """
     mcfg = config.matching
     scores = score(roster.traits, gain)
     if mcfg.mode is MatchMode.OPTIMAL:
+        if reach is not None:
+            # Each side keeps, in roster order, whoever scores at least its
+            # lowest reacher's score; nobody when no one on it reaches.
+            yi, zi = (i[scores[i] >= scores[i[reach[i]]].min(initial=math.inf)] for i in (yi, zi))
         iy, iz = rank_pair_indices(scores[yi], scores[zi])
         return yi[iy], zi[iz]
 
@@ -534,6 +549,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
     nothing but the society vector, and run() advances them in one step
     with the outcome the rounds would have had one by one. A round draws
     its matching noise from its own key, so this holds in every mode.
+    Under the same condition, optimal matching ranks only the prefix of
+    each side that can pass the gate (see _match_pairs); the pairs it
+    leaves out would have borne nobody.
     """
     d = config.demographics
     streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
@@ -551,7 +569,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
     # Under the deterministic rule with a global crowding term, no round
     # before mating_opening_time can bear a child, whatever the pairing,
     # and the gate draws nothing. Matching draws only from its round's own
-    # key, so skipping a round's pairing and gate moves no later draw.
+    # key, so skipping a round's pairing and gate moves no later draw. For
+    # the same reason, optimal matching may leave out the pairs the gate
+    # is sure to refuse.
     skip_closed = d.success_rule == "deterministic" and config.success_pop_scope == "global"
     penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
 
@@ -604,9 +624,12 @@ def run(config: SimConfig) -> TimeSeriesLog:
             status = _status(roster)
         last = first
         n_children = 0
-        opens = -math.inf
+        opens, reach = -math.inf, None
         if skip_closed and status == "completed":
-            opens = mating_opening_time(roster.size, roster.happiness, roster.avail, roster.sex, d)
+            # Who reaches the crowding bar: it times the gate's opening and
+            # cuts the ranking of an active round.
+            reach = reaches_crowding_bar(roster.size, roster.happiness, d)
+            opens = mating_opening_time(reach, roster.avail, roster.sex)
         if opens > t:
             # Nobody is born or dies before the earlier of the two times,
             # so N, the gate and the roster stay as they are until then.
@@ -619,7 +642,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
             if len(yi) and len(zi):
-                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, first, penalty)
+                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, first, penalty, reach)
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]

@@ -44,13 +44,18 @@ def score(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
     roster, subset or row order. g is usually a (dim,) vector; a g with
     more axes lines them up with the leading axes of cols and broadcasts,
     which lets society.trait_gain score a block of society vectors at once.
+    The product is laid out C-ordered, so one with more than two axes is
+    added as flattened rows, without a copy: the same elementwise adds,
+    without the per-call cost of an N-D ufunc loop.
     """
     cols, g = np.asarray(cols), np.asarray(g)
-    terms = list(cols * g.reshape(g.shape + (1,) * (cols.ndim - g.ndim)))
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
+    terms = np.multiply(cols, g.reshape(g.shape + (1,) * (cols.ndim - g.ndim)), order="C")
+    shape = terms.shape[1:]
+    rows = terms.reshape(len(terms), -1) if len(shape) > 1 else terms
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total.reshape(shape)
 
 
 def expected_pair_weights(

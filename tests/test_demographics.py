@@ -18,6 +18,7 @@ from citysim.demographics import (
     mating_opening_time,
     mating_succeeds,
     mating_success_threshold,
+    reaches_crowding_bar,
 )
 from citysim.matching import rank_pair_indices
 from reference import expected_child
@@ -233,7 +234,7 @@ class TestMatingOpeningTime:
     @given(crowded_rosters(), st.integers(0, 2**32 - 1))
     def test_no_pair_passes_before_opening(self, drawn, seed):
         params, n, h, avail, sex, shut = drawn
-        opens = mating_opening_time(n, h, avail, sex, params)
+        opens = mating_opening_time(reaches_crowding_bar(n, h, params), avail, sex)
         if shut != "neither":
             assert opens == np.inf
         rng = np.random.default_rng(seed)
@@ -264,10 +265,10 @@ class TestMatingOpeningTime:
         bar = crowding_term(1000, params)
         h = np.array([bar, bar])
         avail, sex = np.array([2.0, 3.0]), np.array([0, 1])
-        assert mating_opening_time(1000, h, avail, sex, params) == 3.0
+        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex) == 3.0
         assert mating_succeeds(1000, h[:1], h[1:], params).all()
         h[0] = np.nextafter(bar, -np.inf)
-        assert mating_opening_time(1000, h, avail, sex, params) == np.inf
+        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex) == np.inf
         assert not mating_succeeds(1000, h[:1], h[1:], params).any()
 
 

@@ -373,20 +373,30 @@ class TestReferenceTrace:
             assert len(log.times) > 1, case
         # The crowded traces must skip ranking in some rounds, advance idle
         # rounds several at a time, and bear children again after a stretch.
-        ranks, steps = [], []
-        rank, path = engine.rank_pair_indices, engine.society_path
+        # Some round must rank fewer people than a side has available: the
+        # oracle ranks everyone, so the gate-prefix cut is compared too.
+        ranks, sides, steps = [], [], []
+        rank, match, path = engine.rank_pair_indices, engine._match_pairs, engine.society_path
+
+        def spy_match(roster, yi, zi, *args):
+            sides.append((yi.size, zi.size))
+            return match(roster, yi, zi, *args)
+
+        def spy_rank(a, b):
+            ranks.append((a.size, b.size))
+            return rank(a, b)
 
         def spy_path(*args):
             steps.append(path(*args))
             return steps[-1]
 
-        monkeypatch.setattr(
-            engine, "rank_pair_indices", lambda a, b: (ranks.append(a.size), rank(a, b))[1]
-        )
+        monkeypatch.setattr(engine, "rank_pair_indices", spy_rank)
+        monkeypatch.setattr(engine, "_match_pairs", spy_match)
         monkeypatch.setattr(engine, "society_path", spy_path)
         log = run(SimConfig(**TRACE_CASES["crowded"]))
         rounds = len(log.times) - 1
-        assert 0 < len(ranks) < rounds
+        assert 0 < len(ranks) == len(sides) < rounds
+        assert any(r < s for ranked, side in zip(ranks, sides) for r, s in zip(ranked, side))
         assert sum(len(p) for p in steps) == rounds
         assert len(steps) < rounds
         quiet = np.flatnonzero(log.births[1:] == 0)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import citysim.engine as engine
 from citysim.engine import run, write_run_outputs
 from citysim.matching import MatchMode
 from citysim.presets import get_preset, preset_names
@@ -77,6 +78,29 @@ def digests(config, out_dir: Path) -> dict[str, str]:
 def test_outputs_match_golden_digests(case, tmp_path):
     expected = json.loads(GOLDEN.read_text())[case]
     assert digests(CASES[case], tmp_path) == expected
+
+
+def test_plateau_case_ranks_only_the_gate_prefix(tmp_path, monkeypatch):
+    # On the plateau most active rounds rank fewer people than a side has
+    # available, and the digests still hold.
+    sides, ranks = [], []
+    match, rank = engine._match_pairs, engine.rank_pair_indices
+
+    def spy_match(roster, yi, zi, *args):
+        sides.append((yi.size, zi.size))
+        return match(roster, yi, zi, *args)
+
+    def spy_rank(a, b):
+        ranks.append((a.size, b.size))
+        return rank(a, b)
+
+    monkeypatch.setattr(engine, "_match_pairs", spy_match)
+    monkeypatch.setattr(engine, "rank_pair_indices", spy_rank)
+    case = "baseline-mixed@300"
+    assert digests(CASES[case], tmp_path) == json.loads(GOLDEN.read_text())[case]
+    assert len(ranks) == len(sides)
+    cut = [r < s for ranked, side in zip(ranks, sides) for r, s in zip(ranked, side)]
+    assert sum(cut) > len(cut) / 2
 
 
 def test_every_case_is_pinned():

@@ -8,14 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 import citysim
 from citysim.core import ConfigurationError, InteractionMatrix, TraitVector
-from citysim.demographics import DemographicsParams, mating_succeeds
+from citysim.demographics import (
+    DemographicsParams,
+    crowding_term,
+    mating_succeeds,
+    reaches_crowding_bar,
+)
 from citysim.engine import (
     MatchingConfig,
     PopulationGroup,
@@ -317,6 +322,7 @@ class TestScoreAndTieRule:
         assert bits(score(cols[:, sub], gain)) == bits(full[sub])
         # One person alone, and the row-major (n, 8) layout read as columns.
         assert all(bits(score(cols[:, i], gain)) == bits(full[i]) for i in range(n))
+        assert type(score(cols[:, 0], gain)) is np.float64
         assert bits(score(np.ascontiguousarray(cols.T).T, gain)) == bits(full)
 
     @given(st.integers(2, 30), st.data())
@@ -377,6 +383,95 @@ class TestScoreAndTieRule:
                 if name in ("dot", "matmul", "einsum", "inner"):
                     found.append(f"line {node.lineno}: {name}()")
         assert not found, f"{module}.py: {found}"
+
+
+@st.composite
+def gate_rounds(draw):
+    """One active round under the deterministic rule with global N: params,
+    N, then each side's (8, n) trait columns, rich in clones, and its frozen
+    happiness, drawn around the crowding bar. Sides differ in size, and on
+    each nobody, everybody or some of its people reach the bar."""
+    params = DemographicsParams(
+        success_a=draw(st.floats(1e-4, 0.5)), success_scale=draw(st.floats(0.5, 60.0))
+    )
+    n = draw(st.integers(0, 5000))
+    bar = crowding_term(n, params)
+    near = st.one_of(
+        st.integers(-2, 2).map(lambda k: bar + k * np.spacing(bar)),
+        st.floats(-1.0, 1.0).map(lambda d: bar + d),
+    )
+
+    def side():
+        cols = draw(trait_columns(max_n=30))
+        h = np.array(draw(st.lists(near, min_size=cols.shape[1], max_size=cols.shape[1])))
+        reach = draw(st.sampled_from(["some", "none", "all"]))
+        if reach == "none":
+            h = np.minimum(h, np.nextafter(bar, -np.inf))
+        elif reach == "all":
+            h = np.maximum(h, bar)
+        return cols, h
+
+    return params, n, *side(), *side()
+
+
+def gate_round(hy, hz, y_scores, z_scores):
+    """An explicit gate_rounds value at the default params and N = 1000, so
+    the bar is 2. Every trait of a person is their score / 8, which a gain
+    of ones scores back exactly."""
+    y, z = (np.tile(np.array(s, float) / 8, (8, 1)) for s in (y_scores, z_scores))
+    return DemographicsParams(), 1000, y, np.array(hy, float), z, np.array(hz, float)
+
+
+ONES = np.ones(8)
+
+
+class TestGatePrefix:
+    """Under the deterministic rule with global N, the engine's optimal
+    matching ranks each side only down to its lowest-scoring reacher of
+    the crowding bar (ties included). The pairs that pass the gate must be
+    those of the full ranking."""
+
+    @settings(derandomize=True)
+    @given(gate_rounds(), society_vectors.map(lambda theta: trait_gain(theta, MATRIX)))
+    # Five male clones tie at the lowest reacher's score, and three of them
+    # after it fall short of the bar; eight females all reach it.
+    @example(gate_round([3, 1, 3, 1, 1, 1], [3] * 8, [4] * 5 + [1], range(8, 0, -1)), ONES)
+    # Nobody on the female side reaches the bar.
+    @example(gate_round([3, 1, 3], [1, 1, 1.5, 1], [4, 3, 2], [4, 4, 3, 1]), ONES)
+    # Everyone reaches it, on sides of unequal size.
+    @example(gate_round([3] * 4, [2] * 6, [4, 4, 3, 1], [5, 2, 2, 2, 1, 1]), ONES)
+    def test_cut_keeps_the_passing_pairs(self, drawn, gain):
+        params, n, ys, hy, zs, hz = drawn
+        ny, nz = ys.shape[1], zs.shape[1]
+        roster = Roster(
+            ids=np.arange(ny + nz, dtype=np.int64),
+            sex=np.repeat(np.array([0, 1], dtype=np.int8), [ny, nz]),
+            traits=np.ascontiguousarray(np.hstack([ys, zs])),
+            happiness=np.concatenate([hy, hz]),
+            birth=np.zeros(ny + nz),
+            death=np.full(ny + nz, 100.0),
+            avail=np.zeros(ny + nz),
+            loc=None,
+        )
+        yi, zi = np.arange(ny), ny + np.arange(nz)
+        cfg = SimConfig(
+            seed=1,
+            groups=(PopulationGroup(2, TraitVector([0.5] * 8)),),
+            theta0=TraitVector([0.5] * 13),
+        )
+        reach = reaches_crowding_bar(n, roster.happiness, params)
+        full = _match_pairs(roster, yi, zi, gain, cfg, 0, None)
+        cut = _match_pairs(roster, yi, zi, gain, cfg, 0, None, reach)
+
+        def passing(sel_y, sel_z):
+            h = roster.happiness
+            ok = mating_succeeds(n, h[sel_y], h[sel_z], params)
+            return list(zip(sel_y[ok].tolist(), sel_z[ok].tolist()))
+
+        assert passing(*cut) == passing(*full)
+        # The cut pairs are the leading pairs of the full ranking.
+        k = cut[0].size
+        assert all(np.array_equal(c, f[:k]) for c, f in zip(cut, full))
 
 
 class TestPartitionedMatch:
