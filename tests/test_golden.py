@@ -2,10 +2,10 @@
 
 Each case runs one scenario to a short horizon, writes its outputs and
 compares the sha256 of every deterministic file with tests/golden/
-digests.json. Two longer cases reach the crowding plateau, where the
+digests.json. Three longer cases reach the crowding plateau, where the
 gate shuts for long idle stretches of rounds: baseline-mixed to t=300,
-and high-intellect-pop-in-criminal-city, on the dynamic schedule, to
-t=1000. summary.json is left out: its "meta" block holds wall-clock
+with and without a 10x10 grid, and high-intellect-pop-in-criminal-city,
+on the dynamic schedule, to t=1000. summary.json is left out: its "meta" block holds wall-clock
 values. A change that alters outputs on purpose regenerates the digests
 of the cases it changes once, with
 `PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
@@ -57,6 +57,9 @@ def _cases() -> dict:
     )
     cases = {name: replace(config, max_time=HORIZON) for name, config in cases.items()}
     cases["baseline-mixed@300"] = replace(baseline, max_time=PLATEAU_HORIZON)
+    # On a grid with a global crowding term: idle stretches and the cut
+    # ranking run alongside the block column and the grid log.
+    cases["baseline-mixed@300+grid"] = replace(baseline, max_time=PLATEAU_HORIZON, grid=(10, 10))
     city = get_preset("high-intellect-pop-in-criminal-city").config
     cases["high-intellect-pop-in-criminal-city@1000"] = replace(city, max_time=CITY_HORIZON)
     return cases
