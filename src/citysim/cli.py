@@ -191,6 +191,8 @@ def _convergent_happiness(log: TimeSeriesLog) -> float:
 
 
 def _signed_direction(diff: float) -> str:
+    if math.isnan(diff):
+        return "undefined"
     if diff > 0:
         return "noisy_higher"
     if diff < 0:

@@ -263,8 +263,11 @@ class InteractionMatrix:
 
 
 def _write_json(path: str | Path, obj) -> None:
-    """Write obj as JSON indented by two spaces, with a final "\n"."""
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write obj as JSON indented by two spaces, with a final "\n". Every
+    float that is not finite (nan, inf) is written as null, so a strict
+    parser reads the file: a first dump reads back with them as None."""
+    plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -65,6 +65,8 @@ _STREAM_IDS = {
     "location": 5,
     "success": 6,
 }
+# Drawn in sequence for the whole run; noise and partition use _round_stream.
+_SEQUENCE_STREAMS = ("init", "sex", "born", "location", "success")
 
 
 def named_stream(seed: int, name: str) -> np.random.Generator:
@@ -228,9 +230,9 @@ class TimeSeriesLog:
     trait_names: tuple[str, ...]
     society_names: tuple[str, ...]
     status: str
-    grid_rows: np.ndarray | None = None
-    initial_population: Roster | None = None
-    final_population: Roster | None = None
+    grid_rows: np.ndarray | None
+    initial_population: Roster
+    final_population: Roster
 
     def validate_conservation(self) -> None:
         pops, births, deaths = self.population, self.births, self.deaths
@@ -267,29 +269,24 @@ class TimeSeriesLog:
             "final_time": float(self.times[last]),
             "rows_logged": int(len(self.times)),
             "final_population": int(self.population[last]),
-            "final_mean_happiness": _json_float(self.mean_happiness[last]),
+            "final_mean_happiness": float(self.mean_happiness[last]),
             "final_theta": [float(v) for v in self.theta[last]],
             "total_births": int(self.births.sum()),
             "total_deaths": int(self.deaths.sum()),
         }
 
 
-def _json_float(x: float) -> float | None:
-    x = float(x)
-    return None if math.isnan(x) else x
-
-
 class Roster:
     """Columnar population store: id, sex (0 male, 1 female), traits,
-    frozen happiness, birth/death/next-available times and, on a grid, the
-    home block. The last axis of every array is the person: traits is one
-    C-contiguous (dim, n) array with a row per trait, loc is (2, n) with
-    rows gx and gy, and the rest are (n,). Ids ascend along that axis, so a
-    stable sort breaks ties by id."""
+    frozen happiness, birth/death/next-available times and, on a w x h
+    grid, the home block as one code gx * h + gy (None without a grid).
+    The last axis of every array is the person: traits is one C-contiguous
+    (dim, n) array with a row per trait, and the rest are (n,). Ids ascend
+    along that axis, so a stable sort breaks ties by id."""
 
-    __slots__ = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "loc")
+    __slots__ = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "block")
 
-    def __init__(self, ids, sex, traits, happiness, birth, death, avail, loc):
+    def __init__(self, ids, sex, traits, happiness, birth, death, avail, block):
         self.ids = ids
         self.sex = sex
         self.traits = traits
@@ -297,7 +294,7 @@ class Roster:
         self.birth = birth
         self.death = death
         self.avail = avail
-        self.loc = loc
+        self.block = block
 
     @property
     def size(self) -> int:
@@ -334,7 +331,7 @@ def _newborns(
     traits: np.ndarray,
     t: float,
     gain: np.ndarray,
-    loc: np.ndarray | None,
+    block: np.ndarray | None,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
 ) -> Roster:
@@ -353,7 +350,7 @@ def _newborns(
         birth=np.full(n, t),
         death=t + lifespan(happiness, d),
         avail=np.full(n, t + d.maturity_age * config.mating_period),
-        loc=loc,
+        block=block,
     )
 
 
@@ -364,13 +361,13 @@ def init_population(
     streams of config.seed).
 
     Traits draw per coordinate from each group's normal (then clip into
-    [0, 1]) on the "init" stream, group by group; grid locations draw in
-    one batch on the "location" stream. The founders are then newborns at
-    t=0 under theta0. Rows are in group order, and ids are row numbers, so
-    id ranges identify the founding groups.
+    [0, 1]) on the "init" stream, group by group; home blocks draw in one
+    batch of (gx, gy) rows on the "location" stream. The founders are then
+    newborns at t=0 under theta0. Rows are in group order, and ids are row
+    numbers, so id ranges identify the founding groups.
     """
     if streams is None:
-        streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
+        streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
     blocks = []
     for group in config.groups:
         raw = streams["init"].normal(
@@ -378,30 +375,26 @@ def init_population(
         )
         blocks.append(np.clip(raw, 0.0, 1.0))
     traits = np.ascontiguousarray(np.concatenate(blocks).T)
-    loc = None
+    block = None
     if config.grid is not None:
         high = np.asarray(config.grid, dtype=np.int64)
-        draws = streams["location"].integers(0, high, size=(traits.shape[1], 2))
-        loc = np.ascontiguousarray(draws.T)
+        gx, gy = streams["location"].integers(0, high, size=(traits.shape[1], 2)).T
+        block = gx * high[1] + gy
     gain = trait_gain(config.theta0, config.interaction)
-    return _newborns(0, traits, 0.0, gain, loc, config, streams)
+    return _newborns(0, traits, 0.0, gain, block, config, streams)
 
 
-def _block_codes(loc: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
-    """Each person's home block as one integer, gx * h + gy on a w x h grid."""
-    return loc[0] * grid[1] + loc[1]
-
-
-def _block_xy(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """gx and gy of every block code in order, the inverse of _block_codes."""
-    return np.divmod(np.arange(grid[0] * grid[1]), grid[1])
+def _block_xy(grid: tuple[int, int]) -> np.ndarray:
+    """(2, w * h) rows gx and gy of every block code in order: code c is
+    block divmod(c, h)."""
+    return np.stack(np.divmod(np.arange(grid[0] * grid[1]), grid[1]))
 
 
 def _block_penalty(config: SimConfig) -> np.ndarray:
     """gamma times the grid distance between every two blocks, indexed by
     block code. Entry (i, j) equals gamma * grid_distances of one person in
     block i and one in block j, so looking it up costs no rounding."""
-    blocks = np.stack(_block_xy(config.grid), axis=1)
+    blocks = _block_xy(config.grid).T
     return config.matching.gamma * grid_distances(blocks, blocks, config.matching.distance)
 
 
@@ -443,8 +436,7 @@ def _match_pairs(
         # assignment.
         W = expected_pair_weights(scores[by], scores[bz], gain, config.demographics.mutation_prob)
         if noise is None:
-            codes = _block_codes(roster.loc, config.grid)
-            W -= penalty[np.ix_(codes[by], codes[bz])]
+            W -= penalty[np.ix_(roster.block[by], roster.block[bz])]
         else:
             W = W + noise.normal(0.0, mcfg.noise_sigma, size=W.shape)
         # scipy returns the row indices sorted, so pairs come in male order.
@@ -483,9 +475,8 @@ def _success_mask(
     if config.success_pop_scope == "global":
         pop = roster.size
     else:
-        codes = _block_codes(roster.loc, config.grid)
-        counts = np.bincount(codes, minlength=config.grid[0] * config.grid[1])
-        pop = (counts[codes[sel_y]] + counts[codes[sel_z]]) / 2.0
+        counts = np.bincount(roster.block, minlength=config.grid[0] * config.grid[1])
+        pop = (counts[roster.block[sel_y]] + counts[roster.block[sel_z]]) / 2.0
     return mating_succeeds(
         pop,
         roster.happiness[sel_y],
@@ -511,11 +502,11 @@ def _reproduce(
     appended to roster; returns how many died at birth."""
     d = config.demographics
     traits = born_batch(roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d)
-    loc = None
+    block = None
     if config.grid is not None:
         pick = streams["location"].integers(0, 2, size=sel_y.shape[0])
-        loc = np.where(pick == 0, roster.loc[:, sel_y], roster.loc[:, sel_z])
-    children = _newborns(first_id, traits.T, t, gain, loc, config, streams)
+        block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
+    children = _newborns(first_id, traits.T, t, gain, block, config, streams)
     roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
     roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
     alive = children.death > t
@@ -554,7 +545,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
     leaves out would have borne nobody.
     """
     d = config.demographics
-    streams = {name: named_stream(config.seed, name) for name in _STREAM_IDS}
+    streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
     initial = init_population(config, streams)
     # Bury anyone dead at birth before the first row. take() copies every
     # column, so in-place updates to the roster never reach the snapshot.
@@ -600,9 +591,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
             rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar))
         if config.grid is not None:
             # Head count and mean happiness (nan when empty) of each block.
-            codes = _block_codes(roster.loc, config.grid)
-            counts = np.bincount(codes, minlength=n_blocks)
-            sums = np.bincount(codes, weights=roster.happiness, minlength=n_blocks)
+            counts = np.bincount(roster.block, minlength=n_blocks)
+            sums = np.bincount(roster.block, weights=roster.happiness, minlength=n_blocks)
             means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
             blocks.extend([(counts, means)] * len(thetas))
 
@@ -693,13 +683,15 @@ def run(config: SimConfig) -> TimeSeriesLog:
     )
 
 
-def write_population_csv(roster: Roster, path: str | Path, trait_names: Sequence[str]) -> None:
-    """Snapshot CSV: one row per person, PERSON_COLUMNS then one column per
-    named trait. gx and gy are empty when the run has no grid."""
-    loc = roster.loc if roster.loc is not None else np.full((2, roster.size), "")
+def write_population_csv(
+    roster: Roster, path: str | Path, trait_names: Sequence[str], grid: tuple[int, int] | None
+) -> None:
+    """Snapshot CSV of a run on grid: one row per person, PERSON_COLUMNS
+    then one column per named trait. gx and gy are empty without a grid."""
+    xy = np.full((2, roster.size), "") if grid is None else _block_xy(grid)[:, roster.block]
     sex = np.where(roster.sex == 0, "male", "female")
     columns = [roster.ids, sex, roster.birth, roster.death, roster.avail, roster.happiness]
-    _write_csv(path, [*PERSON_COLUMNS, *trait_names], [*columns, *loc, *roster.traits])
+    _write_csv(path, [*PERSON_COLUMNS, *trait_names], [*columns, *xy, *roster.traits])
 
 
 def write_run_outputs(
@@ -721,8 +713,8 @@ def write_run_outputs(
     writers = {
         "log.csv": log.write_csv,
         "summary.json": lambda p: _write_json(p, summary),
-        "population_initial.csv": lambda p: write_population_csv(first, p, traits),
-        "population_final.csv": lambda p: write_population_csv(last, p, traits),
+        "population_initial.csv": lambda p: write_population_csv(first, p, traits, config.grid),
+        "population_final.csv": lambda p: write_population_csv(last, p, traits, config.grid),
     }
     if log.grid_rows is not None:
         writers["grid_log.csv"] = log.write_grid_csv

@@ -105,13 +105,15 @@ def expected_child(father, mother, params: DemographicsParams | None = None) -> 
     return TraitVector((1.0 - p) * (_values(father) + _values(mother)) / 2.0 + p * 0.5)
 
 
-def persons(roster) -> list[Person]:
-    """One Person per roster entry, in roster order."""
+def persons(roster, grid=None) -> list[Person]:
+    """One Person per roster entry, in roster order. On a w x h grid, block
+    code c is the location (c // h, c % h)."""
     people = []
     for i in range(roster.size):
         loc = None
-        if roster.loc is not None:
-            loc = (int(roster.loc[0, i]), int(roster.loc[1, i]))
+        if grid is not None:
+            code = int(roster.block[i])
+            loc = (code // grid[1], code % grid[1])
         people.append(
             Person(
                 id=int(roster.ids[i]),
@@ -260,7 +262,7 @@ def reference_run(config):
     d = config.demographics
 
     theta = config.theta0.values.copy()
-    people = persons(init_population(config, streams))
+    people = persons(init_population(config, streams), config.grid)
     next_id = len(people)
     people = [p for p in people if p.death_time > 0.0]
     rows = []

@@ -16,9 +16,11 @@ from citysim.core import (
     ConfigurationError,
     InteractionMatrix,
     TraitVector,
+    _write_json,
 )
 from citysim.matching import score
 from citysim.society import trait_gain
+from conftest import load_json_strict
 from reference import Person, Sex, mean_traits, total_happiness
 
 # The default coupling table as conventionally printed: 13 society rows by
@@ -290,3 +292,13 @@ class TestPopulationAggregates:
         for k in range(8):
             oracle = (rows[0][k] + rows[1][k] + rows[2][k]) / 3.0
             assert got[k] == pytest.approx(oracle, abs=1e-15)
+
+
+def test_write_json_nulls_every_non_finite_float(tmp_path):
+    obj = {"a": math.nan, "b": [1.5, -math.inf, {"c": np.float64(math.inf)}], "d": (2, "x")}
+    _write_json(tmp_path / "x.json", obj)
+    text = (tmp_path / "x.json").read_text()
+    assert text.endswith("}\n")
+    assert load_json_strict(tmp_path / "x.json") == {
+        "a": None, "b": [1.5, None, {"c": None}], "d": [2, "x"]
+    }

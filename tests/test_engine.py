@@ -7,7 +7,6 @@ ordering slips in the columnar engine.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from citysim.engine import (
 from citysim.matching import MatchMode, score
 from citysim.presets import get_preset
 from citysim.society import LearningRateSchedule, trait_gain
+from conftest import load_json_strict
 from reference import Person, Sex, available, reference_run, update_pop
 
 
@@ -92,10 +92,9 @@ class TestInitPopulation:
             groups=(PopulationGroup(500, TraitVector([0.6] * 8), 0.1),),
             grid=(4, 3),
         )
-        locs = init_population(cfg).loc
-        assert locs[0].min() >= 0 and locs[0].max() <= 3
-        assert locs[1].min() >= 0 and locs[1].max() <= 2
-        assert len(np.unique(locs, axis=1).T) == 12
+        blocks = init_population(cfg).block
+        assert blocks.dtype == np.int64 and blocks.shape == (500,)
+        assert np.unique(blocks).tolist() == list(range(12))
 
     def test_deterministic_given_seed(self):
         cfg = small_config()
@@ -143,7 +142,7 @@ def tiny_roster(ids):
         birth=np.zeros(n),
         death=np.full(n, 9.0),
         avail=np.zeros(n),
-        loc=None,
+        block=None,
     )
 
 
@@ -175,7 +174,7 @@ class TestRosterLayout:
         kept = roster.take(np.array([True, False, True, False]))
         assert kept.ids.tolist() == [0, 5]
         assert kept.traits[3].tolist() == [0.1, 0.3]
-        assert kept.traits.flags.c_contiguous and kept.loc is None
+        assert kept.traits.flags.c_contiguous and kept.block is None
 
 
 class TestAvailableAndUpdate:
@@ -362,7 +361,8 @@ class TestReferenceTrace:
         assert final.death.tolist() == [p.death_time for p in people]
         assert final.avail.tolist() == [p.next_available_time for p in people]
         if cfg.grid is not None:
-            assert [tuple(r) for r in final.loc.T.tolist()] == [p.location for p in people]
+            h = cfg.grid[1]
+            assert [divmod(c, h) for c in final.block.tolist()] == [p.location for p in people]
 
     def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,
@@ -438,8 +438,8 @@ class TestRunBehavior:
             write_run_outputs(log, cfg, out, wall_time_s=0.0)
         for name in ("log.csv", "population_initial.csv", "population_final.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-        sa = json.loads((out_a / "summary.json").read_text())
-        sb = json.loads((out_b / "summary.json").read_text())
+        sa = load_json_strict(out_a / "summary.json")
+        sb = load_json_strict(out_b / "summary.json")
         sa.pop("meta")
         sb.pop("meta")
         assert sa == sb
@@ -637,8 +637,8 @@ class TestGridOutputs:
         for gx in range(w):
             for gy in range(h):
                 count, total = 0, 0.0
-                for (x, y), happy in zip(final.loc.T.tolist(), final.happiness.tolist()):
-                    if (x, y) == (gx, gy):
+                for code, happy in zip(final.block.tolist(), final.happiness.tolist()):
+                    if divmod(code, h) == (gx, gy):
                         count += 1
                         total += happy
                 mean = total / count if count else np.nan
@@ -655,9 +655,9 @@ class TestGridOutputs:
             demographics=DemographicsParams(success_a=0.05),
         )
         log = run(cfg)
-        loc = log.final_population.loc
-        assert loc.shape == (2, log.population[-1])
-        assert np.all((0 <= loc[0]) & (loc[0] < 5) & (0 <= loc[1]) & (loc[1] < 2))
+        block = log.final_population.block
+        assert block.shape == (log.population[-1],)
+        assert np.all((0 <= block) & (block < 10))
 
     def test_write_run_outputs_file_set(self, tmp_path):
         cfg = small_config(max_time=8.0)
@@ -696,6 +696,7 @@ class TestGridOutputs:
         header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,"
         header += ",".join(cfg.interaction.row_names)
         assert (tmp_path / "population_final.csv").read_text() == header + "\n"
+        assert load_json_strict(tmp_path / "summary.json")["final_mean_happiness"] is None
         lines = (tmp_path / "log.csv").read_text().split("\n")
         assert len(lines) == 3 and lines[2] == ""
         row = dict(zip(lines[0].split(","), lines[1].split(",")))

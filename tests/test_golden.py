@@ -5,9 +5,9 @@ compares the sha256 of every deterministic file with tests/golden/
 digests.json. Three longer cases reach the crowding plateau, where the
 gate shuts for long idle stretches of rounds: baseline-mixed to t=300,
 with and without a 10x10 grid, and high-intellect-pop-in-criminal-city,
-on the dynamic schedule, to t=1000. summary.json is left out: its "meta" block holds wall-clock
-values. A change that alters outputs on purpose regenerates the digests
-of the cases it changes once, with
+on the dynamic schedule, to t=1000. summary.json is left out: its
+"meta" block holds wall-clock values. A change that alters outputs on
+purpose regenerates the digests of the cases it changes once, with
 `PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
 when none is named), and says why in CHANGES.md. The outputs must not
 depend on the BLAS thread count either, which a test checks in child

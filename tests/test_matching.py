@@ -26,7 +26,6 @@ from citysim.engine import (
     PopulationGroup,
     Roster,
     SimConfig,
-    _block_codes,
     _block_penalty,
     _match_pairs,
     run,
@@ -127,8 +126,9 @@ class TestSolveAssignment:
         assert solve(W)[0] == solve(W + 17.25)[0]
 
 
-def locality_roster(y_traits, z_traits, y_loc, z_loc):
-    """Males first, then females; every person is alive and available."""
+def locality_roster(y_traits, z_traits, y_block, z_block):
+    """Males first, then females, in the given block codes; every person is
+    alive and available."""
     traits = np.ascontiguousarray(np.vstack([y_traits, z_traits]).T)
     n = traits.shape[1]
     return Roster(
@@ -139,7 +139,7 @@ def locality_roster(y_traits, z_traits, y_loc, z_loc):
         birth=np.zeros(n),
         death=np.full(n, 100.0),
         avail=np.zeros(n),
-        loc=np.array(list(y_loc) + list(z_loc), dtype=np.int64).T,
+        block=np.array(list(y_block) + list(z_block), dtype=np.int64),
     )
 
 
@@ -180,7 +180,8 @@ class TestBuildWeights:
         gain = MATRIX.entries @ cfg.theta0.values
         alpha = (1.0 - cfg.demographics.mutation_prob) / 2.0
         gap = alpha * float((z[1] - z[0]) @ gain)
-        roster = locality_roster(y, z, [(0, 0)], [(0, 0), (1, 1)])
+        # Blocks (0, 0) and (1, 1) of the 2 x 2 grid are codes 0 and 3.
+        roster = locality_roster(y, z, [0], [0, 3])
         for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
             c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
             sel_y, sel_z = _match_pairs(
@@ -247,9 +248,8 @@ class TestGridDistances:
             )
             loc_y = rng.integers(0, grid, size=(60, 2))
             loc_z = rng.integers(0, grid, size=(45, 2))
-            table = _block_penalty(cfg)[
-                np.ix_(_block_codes(loc_y.T, grid), _block_codes(loc_z.T, grid))
-            ]
+            code_y, code_z = (loc[:, 0] * grid[1] + loc[:, 1] for loc in (loc_y, loc_z))
+            table = _block_penalty(cfg)[np.ix_(code_y, code_z)]
             assert np.array_equal(table, gamma * grid_distances(loc_y, loc_z, metric))
 
     def test_unknown_metric_rejected(self):
@@ -451,7 +451,7 @@ class TestGatePrefix:
             birth=np.zeros(ny + nz),
             death=np.full(ny + nz, 100.0),
             avail=np.zeros(ny + nz),
-            loc=None,
+            block=None,
         )
         yi, zi = np.arange(ny), ny + np.arange(nz)
         cfg = SimConfig(

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import json
 import math
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from citysim.scenario import (
     scenario_from_mapping,
 )
 from citysim.society import LearningRateSchedule
+from conftest import load_json_strict
 
 MINIMAL = {
     "seed": 11,
@@ -318,6 +318,7 @@ def test_signed_direction():
     assert _signed_direction(0.5) == "noisy_higher"
     assert _signed_direction(-0.5) == "optimal_higher"
     assert _signed_direction(0.0) == "equal"
+    assert _signed_direction(math.nan) == "undefined"
 
 
 class TestCliSimulate:
@@ -350,8 +351,8 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in ("log.csv", "population_initial.csv", "population_final.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
+        s1 = load_json_strict(out1 / "summary.json")
+        s2 = load_json_strict(out2 / "summary.json")
         s1.pop("meta"), s2.pop("meta")
         assert s1 == s2
 
@@ -483,11 +484,30 @@ class TestCliCompare:
 
     def test_deterministic_report(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
-        compare_matching(sc, 2, tmp_path / "a")
+        report = compare_matching(sc, 2, tmp_path / "a")
         compare_matching(sc, 2, tmp_path / "b")
         assert (tmp_path / "a" / "compare_matching.json").read_bytes() == (
             tmp_path / "b" / "compare_matching.json"
         ).read_bytes()
+        assert load_json_strict(tmp_path / "a" / "compare_matching.json") == report
+
+    def test_extinct_runs_write_strict_json(self, tmp_path):
+        # Everyone is dead at birth, so every convergent happiness is nan:
+        # the file holds null for it, and its direction is undefined.
+        sc = get_preset("matching-comparison")
+        demographics = dataclasses.replace(sc.config.demographics, lifespan_b=1e6)
+        config = dataclasses.replace(sc.config, max_time=20.0, demographics=demographics)
+        compare_matching(dataclasses.replace(sc, config=config), 2, tmp_path)
+        report = load_json_strict(tmp_path / "compare_matching.json")
+        for mode in ("optimal", "noisy"):
+            assert [r["status"] for r in report["per_run"][mode]] == ["extinct"] * 2
+            assert [r["convergent_happiness"] for r in report["per_run"][mode]] == [None] * 2
+            assert report["paired_means"][mode]["convergent_happiness"] is None
+        assert report["differences_noisy_minus_optimal"]["convergent_happiness"] is None
+        assert report["direction"] == {
+            "convergent_happiness": "undefined",
+            "min_population": "equal",
+        }
 
     def test_single_seed_rejected(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
@@ -515,7 +535,7 @@ class TestCliAnalyze:
             ]
         )
         assert rc == 0
-        payload = json.loads((ana / "analysis_clusters.json").read_text())
+        payload = load_json_strict(ana / "analysis_clusters.json")
         total = sum(c["size"] for c in payload["clusters"])
         rows = (ana / "analysis_embedding.csv").read_text().splitlines()
         assert rows[0] == "id,e0,e1,cluster"
@@ -611,7 +631,7 @@ def test_every_csv_ends_lines_with_newline_and_reads_back(tmp_path):
 class TestCliEquilibria:
     def test_audit_counts_and_reference(self, tmp_path):
         report = equilibrium_audit(tmp_path)
-        on_disk = json.loads((tmp_path / "equilibria.json").read_text())
+        on_disk = load_json_strict(tmp_path / "equilibria.json")
         assert on_disk == report
         assert report["pure_count"] == len(report["pure_cells"])
         assert report["total_count"] >= report["pure_count"]
