@@ -105,7 +105,7 @@ def expected_child(father, mother, params: DemographicsParams | None = None) -> 
     return TraitVector((1.0 - p) * (_values(father) + _values(mother)) / 2.0 + p * 0.5)
 
 
-def persons(roster, grid=None) -> list[Person]:
+def persons(roster, grid) -> list[Person]:
     """One Person per roster entry, in roster order. On a w x h grid, block
     code c is the location (c // h, c % h)."""
     people = []
