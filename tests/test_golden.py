@@ -9,7 +9,9 @@ on the dynamic schedule, to t=1000. summary.json is left out: its
 "meta" block holds wall-clock values. A change that alters outputs on
 purpose regenerates the digests of the cases it changes once, with
 `PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
-when none is named), and says why in CHANGES.md. The outputs must not
+when none is named), and says why in CHANGES.md. tests/golden/
+presets.json pins the canned scenario text of every preset;
+`--write` with no case named rewrites it too. The outputs must not
 depend on the BLAS thread count either, which a test checks in child
 processes.
 """
@@ -31,8 +33,10 @@ import citysim.engine as engine
 from citysim.engine import run, write_run_outputs
 from citysim.matching import MatchMode
 from citysim.presets import get_preset, preset_names
+from citysim.scenario import dump_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+PRESET_GOLDEN = Path(__file__).parent / "golden" / "presets.json"
 HORIZON = 60.0
 PLATEAU_HORIZON = 300.0
 CITY_HORIZON = 1000.0
@@ -110,6 +114,16 @@ def test_every_case_is_pinned():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
+def preset_dumps() -> dict[str, str]:
+    return {name: dump_scenario(get_preset(name)) for name in preset_names()}
+
+
+def test_preset_definitions_match_golden():
+    # Every run case overrides max_time, so only this pin sees each
+    # preset's full definition, its own horizon included.
+    assert preset_dumps() == json.loads(PRESET_GOLDEN.read_text())
+
+
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 THREAD_CASES = {"baseline-mixed@300": None, "matching-comparison+noisy": 200.0}
 CHILD = """
@@ -157,7 +171,10 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown cases {unknown}; choices: {sorted(CASES)}")
 
-    # Named cases update the pinned table; no name rewrites it whole.
+    # Named cases update the pinned table; no name rewrites it whole, and
+    # the preset definitions with it.
+    if not names:
+        PRESET_GOLDEN.write_text(json.dumps(preset_dumps(), indent=2) + "\n")
     table = json.loads(GOLDEN.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or sorted(CASES):
