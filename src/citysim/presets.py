@@ -22,7 +22,6 @@ industrial, conservative, communist, then the six unnamed coordinates.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
 
 from .core import ConfigurationError, TraitVector
 from .demographics import DemographicsParams
@@ -55,131 +54,66 @@ _CITY_DEMOGRAPHICS = DemographicsParams(
     maturity_age=2.0,
 )
 
-_CITY_SCHEDULE = LearningRateSchedule(kind="dynamic", base=1e-4, multiplier=10.0)
+_CITY_SCHEDULE = LearningRateSchedule(kind="dynamic", multiplier=10.0)
 
 
-def _city_config(seed: int, groups: tuple[PopulationGroup, ...], theta0: TraitVector) -> SimConfig:
+def _city(groups: list[tuple[int, TraitVector]], theta0: TraitVector) -> SimConfig:
+    """A city preset: (count, archetype) founding groups under theta0."""
     return SimConfig(
-        seed=seed,
-        groups=groups,
+        seed=0,
+        groups=tuple(PopulationGroup(count, mean) for count, mean in groups),
         theta0=theta0,
         demographics=_CITY_DEMOGRAPHICS,
         schedule=_CITY_SCHEDULE,
-        max_time=10_000.0,
     )
 
 
-def _city_preset(name: str, groups, theta0: TraitVector) -> Scenario:
-    return Scenario(name=name, config=_city_config(0, tuple(groups), theta0), preset=name)
+_BASELINE = SimConfig(
+    seed=0,
+    groups=tuple(PopulationGroup(100, TraitVector([level] * 8)) for level in (0.7, 0.4)),
+    theta0=TraitVector([0.6] * 13),
+)
+_INTELLECT_IN_CRIMINAL_CITY = _city([(200, INTELLECTUAL)], CRIMINAL_CITY)
 
-
-def _baseline_mixed() -> Scenario:
-    config = SimConfig(
-        seed=0,
-        groups=(
-            PopulationGroup(100, TraitVector([0.7] * 8), 0.1),
-            PopulationGroup(100, TraitVector([0.4] * 8), 0.1),
-        ),
-        theta0=TraitVector([0.6] * 13),
-        schedule=LearningRateSchedule(kind="fixed", base=1e-4, multiplier=1.0),
-        max_time=10_000.0,
-    )
-    return Scenario(name="baseline-mixed", config=config, preset="baseline-mixed")
-
-
-def _locality_grid() -> Scenario:
+# Each preset's config, stating only what differs from the SimConfig
+# defaults; get_preset wraps it in a Scenario.
+_CONFIGS: dict[str, SimConfig] = {
+    "baseline-mixed": _BASELINE,
+    "high-intellect-pop-in-criminal-city": _INTELLECT_IN_CRIMINAL_CITY,
+    "criminal-pop-in-criminal-city": _city([(200, CRIMINAL)], CRIMINAL_CITY),
+    "high-intellect-pop-in-intellectual-city": _city([(200, INTELLECTUAL)], INTELLECTUAL_CITY),
+    "low-intellect-pop-in-intellectual-city": _city([(200, LOW_INTELLECT)], INTELLECTUAL_CITY),
+    "agrarian-80-20": _city([(160, FARMER), (40, INTELLECTUAL)], AGRARIAN_CITY),
+    "intellect-75-25": _city([(150, INTELLECTUAL), (50, LOW_INTELLECT)], INTELLECTUAL_CITY),
+    "criminal-75-25": _city([(150, CRIMINAL), (50, INTELLECTUAL)], CRIMINAL_CITY),
     # Block-scoped success is what keeps many communities alive: a globally
     # scoped bar turns the grid into one zero-sum market and a single block
     # absorbs everything within a few thousand time units. success_a = 1.2
     # caps each block near a dozen residents (initial two-person blocks face
     # a bar of ~2.4, below founder happiness), and period 5 keeps the
     # assignment solver affordable across the 2000 rounds.
-    config = SimConfig(
-        seed=0,
-        groups=(
-            PopulationGroup(100, TraitVector([0.7] * 8), 0.1),
-            PopulationGroup(100, TraitVector([0.4] * 8), 0.1),
-        ),
-        theta0=TraitVector([0.6] * 13),
+    "locality-grid-10x10": replace(
+        _BASELINE,
         demographics=DemographicsParams(success_a=1.2),
         matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=5.0, distance="manhattan"),
-        schedule=LearningRateSchedule(kind="fixed", base=1e-4, multiplier=1.0),
         mating_period=5.0,
-        max_time=10_000.0,
         grid=(10, 10),
         success_pop_scope="block",
-    )
-    return Scenario(name="locality-grid-10x10", config=config, preset="locality-grid-10x10")
-
-
-def _lambda_sweep() -> Scenario:
+    ),
     # Mutation churn keeps the late-time mean-happiness slope above the
     # plateau detector's 1e-5 threshold no matter how long the run is, so
     # the sweep scenario turns mutation off: the population converges to a
     # near-clonal state and the plateau time is set by the learning rate
     # alone, which is the quantity the sweep varies.
-    base = _baseline_mixed()
-    config = replace(
-        base.config, demographics=DemographicsParams(mutation_prob=0.0)
-    )
-    return Scenario(name="lambda-sweep", config=config, preset="lambda-sweep")
-
-
-def _matching_comparison() -> Scenario:
+    "lambda-sweep": replace(_BASELINE, demographics=DemographicsParams(mutation_prob=0.0)),
     # The misaligned city at a shorter horizon: the population minimum lands
     # near t=40 and happiness is still distinguishable between matching
     # modes at t=1000, while the noisy assignment stays affordable for the
     # twenty runs a ten-seed comparison needs.
-    base = get_preset("high-intellect-pop-in-criminal-city")
-    config = replace(base.config, max_time=1000.0)
-    return Scenario(
-        name="matching-comparison", config=config, preset="matching-comparison"
-    )
-
-
-_FACTORIES: dict[str, Callable[[], Scenario]] = {
-    "baseline-mixed": _baseline_mixed,
-    "high-intellect-pop-in-criminal-city": lambda: _city_preset(
-        "high-intellect-pop-in-criminal-city",
-        (PopulationGroup(200, INTELLECTUAL, 0.1),),
-        CRIMINAL_CITY,
-    ),
-    "criminal-pop-in-criminal-city": lambda: _city_preset(
-        "criminal-pop-in-criminal-city",
-        (PopulationGroup(200, CRIMINAL, 0.1),),
-        CRIMINAL_CITY,
-    ),
-    "high-intellect-pop-in-intellectual-city": lambda: _city_preset(
-        "high-intellect-pop-in-intellectual-city",
-        (PopulationGroup(200, INTELLECTUAL, 0.1),),
-        INTELLECTUAL_CITY,
-    ),
-    "low-intellect-pop-in-intellectual-city": lambda: _city_preset(
-        "low-intellect-pop-in-intellectual-city",
-        (PopulationGroup(200, LOW_INTELLECT, 0.1),),
-        INTELLECTUAL_CITY,
-    ),
-    "agrarian-80-20": lambda: _city_preset(
-        "agrarian-80-20",
-        (PopulationGroup(160, FARMER, 0.1), PopulationGroup(40, INTELLECTUAL, 0.1)),
-        AGRARIAN_CITY,
-    ),
-    "intellect-75-25": lambda: _city_preset(
-        "intellect-75-25",
-        (PopulationGroup(150, INTELLECTUAL, 0.1), PopulationGroup(50, LOW_INTELLECT, 0.1)),
-        INTELLECTUAL_CITY,
-    ),
-    "criminal-75-25": lambda: _city_preset(
-        "criminal-75-25",
-        (PopulationGroup(150, CRIMINAL, 0.1), PopulationGroup(50, INTELLECTUAL, 0.1)),
-        CRIMINAL_CITY,
-    ),
-    "locality-grid-10x10": _locality_grid,
-    "lambda-sweep": _lambda_sweep,
-    "matching-comparison": _matching_comparison,
+    "matching-comparison": replace(_INTELLECT_IN_CRIMINAL_CITY, max_time=1000.0),
 }
 
-PRESETS: tuple[str, ...] = tuple(_FACTORIES)
+PRESETS: tuple[str, ...] = tuple(_CONFIGS)
 
 
 def preset_names() -> tuple[str, ...]:
@@ -191,13 +125,10 @@ def get_preset(
 ) -> Scenario:
     """Build one preset Scenario, optionally overriding seed or output dir."""
     try:
-        factory = _FACTORIES[name]
+        config = _CONFIGS[name]
     except KeyError:
         known = ", ".join(PRESETS)
         raise ConfigurationError(f"unknown preset {name!r}; choices: {known}") from None
-    scenario = factory()
     if seed is not None:
-        scenario = replace(scenario, config=replace(scenario.config, seed=seed))
-    if out_dir is not None:
-        scenario = replace(scenario, out_dir=out_dir)
-    return scenario
+        config = replace(config, seed=seed)
+    return Scenario(name=name, config=config, out_dir=out_dir, preset=name)
