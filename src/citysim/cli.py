@@ -159,6 +159,10 @@ def sweep_lambda(
     for m in multipliers:
         if not (m > 0 and math.isfinite(m)):
             raise ConfigurationError(f"multipliers: must be positive, got {m}")
+    # Each multiplier's run writes to its own directory, named by value.
+    for i, m in enumerate(multipliers):
+        if float(m) in map(float, multipliers[:i]):
+            raise ConfigurationError(f"multipliers: {float(m)!r} repeats")
     out = Path(out_dir)
     configs = [
         replace(scenario.config, schedule=replace(scenario.config.schedule, multiplier=float(m)))

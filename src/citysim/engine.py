@@ -54,6 +54,17 @@ PERSON_COLUMNS = (
     "id", "sex", "birth_time", "death_time", "next_available_time", "happiness", "gx", "gy",
 )
 
+
+def _log_header(trait_names: Sequence[str], society_names: Sequence[str]) -> list[str]:
+    """The columns of log.csv: the fixed ones, then theta and the mean traits by name."""
+    return [
+        "time", "population", "births", "deaths", "total_happiness", "mean_happiness",
+        "mean_current_happiness",
+        *(f"theta_{n}" for n in society_names),
+        *(f"mean_{n}" for n in trait_names),
+    ]
+
+
 # Fixed spawn keys: each name owns one independent substream of the master
 # seed. Adding new names at the end keeps existing streams stable.
 _STREAM_IDS = {
@@ -182,6 +193,11 @@ class SimConfig:
         object.__setattr__(self, "mating_period", float(self.mating_period))
         if not (self.max_time >= 0 and math.isfinite(self.max_time)):
             raise ConfigurationError(f"max_time must be >= 0, got {self.max_time}")
+        if not math.isfinite(self.max_time / self.mating_period):
+            raise ConfigurationError(
+                f"max_time / mating_period must be a finite round count, got "
+                f"{self.max_time} / {self.mating_period}"
+            )
         if require_int(self.log_every, "log_every") < 1:
             raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
         if self.grid is not None:
@@ -197,6 +213,15 @@ class SimConfig:
             )
         if self.success_pop_scope == "block" and self.grid is None:
             raise ConfigurationError("block-scoped mating success requires a grid")
+        # Trait names and society names are unique, and only a mean_ column
+        # of log.csv can repeat a fixed one.
+        names = self.interaction.row_names
+        log_header = _log_header(names, self.interaction.col_names)
+        for name in names:
+            if log_header.count(f"mean_{name}") > 1 or name in PERSON_COLUMNS:
+                raise ConfigurationError(
+                    f"trait name {name!r} repeats a column of log.csv or the population snapshots"
+                )
         flex = self.schedule.flexibility_trait_index
         if self.schedule.kind == "dynamic" and flex >= self.interaction.individual_dim:
             raise ConfigurationError(
@@ -244,13 +269,7 @@ class TimeSeriesLog:
                 )
 
     def write_csv(self, path: str | Path) -> None:
-        header = [
-            "time", "population", "births", "deaths", "total_happiness", "mean_happiness",
-            "mean_current_happiness",
-            *(f"theta_{n}" for n in self.society_names),
-            *(f"mean_{n}" for n in self.trait_names),
-        ]
-        _write_csv(path, header, [
+        _write_csv(path, _log_header(self.trait_names, self.society_names), [
             self.times, self.population, self.births, self.deaths, self.total_happiness,
             self.mean_happiness, self.mean_current_happiness, *self.theta.T, *self.mean_traits.T,
         ])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import citysim.engine as engine
-from citysim.core import ConfigurationError, ConsistencyError, TraitVector
+from citysim.core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector
 from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
     MatchingConfig,
@@ -774,6 +774,22 @@ class TestConfigValidation:
             small_config(grid=(2.9, 3))
         with pytest.raises(ConfigurationError, match="log_every"):
             small_config(log_every=True)
+
+    @pytest.mark.parametrize("trait", ["happiness", "current_happiness", "gx"])
+    def test_trait_name_may_not_repeat_a_csv_column(self, trait):
+        # A trait named happiness repeated log.csv's mean_happiness and the
+        # snapshots' happiness column; current_happiness repeated
+        # mean_current_happiness, gx a snapshot column.
+        m = InteractionMatrix.default()
+        renamed = InteractionMatrix(m.entries, (*m.row_names[:7], trait), m.col_names)
+        with pytest.raises(ConfigurationError, match=f"trait name '{trait}'"):
+            small_config(interaction=renamed)
+
+    def test_round_count_must_be_finite(self):
+        # max_time / mating_period overflowed to inf, and run() died
+        # converting the round count to an integer.
+        with pytest.raises(ConfigurationError, match="max_time / mating_period"):
+            small_config(max_time=1.0e300, mating_period=1.0e-300)
 
     def test_named_stream_rejects_unknown(self):
         with pytest.raises(ConfigurationError):

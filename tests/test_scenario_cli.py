@@ -384,6 +384,21 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: grid[0]")
 
+    def test_trait_repeating_a_csv_column_exits_2(self, tmp_path, capsys):
+        m = InteractionMatrix.default()
+        InteractionMatrix(m.entries, (*m.row_names[:7], "happiness"), m.col_names).to_csv(
+            tmp_path / "matrix.csv"
+        )
+        cfg = write_config(tmp_path, small_mapping(interaction="matrix.csv"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "'happiness'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_overflowing_round_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_mapping(max_time=1.0e300, mating_period=1.0e-300))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "max_time / mating_period" in capsys.readouterr().err
+
     def test_jobs_only_where_members_run(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "baseline-mixed", "--jobs", "2"])
@@ -454,6 +469,20 @@ class TestCliSweep:
         cfg = write_config(tmp_path, small_mapping())
         assert main(["sweep-lambda", "--config", str(cfg), "--multipliers", "abc"]) == 2
         assert main(["sweep-lambda", "--config", str(cfg), "--multipliers", "0,1"]) == 2
+
+    def test_repeated_multiplier_rejected_before_any_run(self, tmp_path, capsys):
+        # 1.0 and 1 once ran twice into multiplier-1/, the second run
+        # overwriting the first, and gave the summary two rows for 1.
+        sc = scenario_from_mapping(small_mapping())
+        with pytest.raises(ConfigurationError, match="multipliers: 1.0 repeats"):
+            sweep_lambda(sc, [1.0, 1, 3.0], tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+        cfg = write_config(tmp_path, small_mapping())
+        out = tmp_path / "cli"
+        args = ["sweep-lambda", "--config", str(cfg), "--out", str(out)]
+        assert main([*args, "--multipliers", "1,1.0,3"]) == 2
+        assert capsys.readouterr().err.startswith("error: multipliers")
+        assert not out.exists()
 
     def test_empty_multipliers_rejected(self):
         sc = scenario_from_mapping(small_mapping())
