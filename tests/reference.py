@@ -5,10 +5,11 @@ keeps its population as columns, and only the tests need a record per
 person or the analytic expectation of a child.
 
 reference_run() re-executes run() one Person record at a time: available
-people, pairing, a per-pair success gate, batched births, burial and the
-society step. It consumes the same named streams in the same order as
-run(), so the two must agree row for row; a disagreement points at a
-bookkeeping or ordering slip in the columnar engine. The oracle pairs
+people, pairing, a per-pair success gate, batched births, burial, the
+society step, and the log's kept rows and per-block grid rows. It
+consumes the same named streams in the same order as run(), so the two
+must agree row for row; a disagreement points at a bookkeeping or
+ordering slip in the columnar engine. The oracle pairs
 every round, where run() skips the rounds it knows to be idle; round k's
 matching noise and partitions draw from a generator keyed by (seed,
 stream, k), so the two still draw alike. Scores, means and the society
@@ -252,10 +253,16 @@ def _succeeds(male, female, people, t, config, streams) -> bool:
 
 
 def reference_run(config):
-    """(rows, final population) of a Person-level re-execution of run().
+    """(rows, grid rows, final population) of a Person-level re-execution
+    of run().
 
     Each row is (t, population, births, deaths, total happiness, mean
-    happiness, mean current happiness, theta, mean traits).
+    happiness, mean current happiness, theta, mean traits). Rows are kept
+    at t=0, every log_every-th round and the final round; a kept row's
+    births and deaths count every round since the previous kept row. On a
+    w x h grid, each kept round adds one (t, gx, gy, head count, mean
+    happiness) row per block, gx-major, the mean nan for an empty block;
+    without a grid the grid rows are None.
     """
     streams = {name: named_stream(config.seed, name) for name in STREAMS}
     E = config.interaction.entries
@@ -265,7 +272,7 @@ def reference_run(config):
     people = persons(init_population(config, streams), config.grid)
     next_id = len(people)
     people = [p for p in people if p.death_time > 0.0]
-    rows = []
+    rows, blocks = [], []
 
     def snapshot(t, births, deaths):
         n = len(people)
@@ -276,6 +283,13 @@ def reference_run(config):
             rows.append((t, n, births, deaths, tot, tot / n, mean_cur, theta.copy(), means))
         else:
             rows.append((t, 0, births, deaths, 0.0, np.nan, np.nan, theta.copy(), None))
+        if config.grid is not None:
+            cells = []
+            for gx in range(config.grid[0]):
+                for gy in range(config.grid[1]):
+                    here = [p.happiness for p in people if p.location == (gx, gy)]
+                    cells.append((t, gx, gy, len(here), sum(here) / len(here) if here else np.nan))
+            blocks.append(cells)
 
     snapshot(0.0, 0, 0)
     n_rounds = int(math.floor(config.max_time / config.mating_period + 1e-9))
@@ -331,4 +345,15 @@ def reference_run(config):
             snapshot(t, len(births), n_dead)
             if not people or len({p.sex for p in people}) < 2:
                 break
-    return rows, people
+
+    kept, grid_rows = [], None if config.grid is None else []
+    births = deaths = 0
+    for k, (t, n, b, dd, *rest) in enumerate(rows):
+        births += b
+        deaths += dd
+        if k % config.log_every == 0 or k == len(rows) - 1:
+            kept.append((t, n, births, deaths, *rest))
+            births = deaths = 0
+            if grid_rows is not None:
+                grid_rows.extend(blocks[k])
+    return kept, grid_rows, people

@@ -334,9 +334,18 @@ TRACE_CASES["crowded-partitioned"] = {
 class TestReferenceTrace:
     @pytest.mark.parametrize("case", sorted(TRACE_CASES))
     def test_run_matches_person_level_reference(self, case):
-        cfg = SimConfig(**TRACE_CASES[case])
+        self.check(SimConfig(**TRACE_CASES[case]))
+
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_thinned_log_matches_person_level_reference(self, case):
+        # Rows at t=0, every third round and the final round, each counting
+        # the births and deaths since the row before.
+        self.check(SimConfig(**TRACE_CASES[case], log_every=3))
+
+    @staticmethod
+    def check(cfg):
         log = run(cfg)
-        ref, people = reference_run(cfg)
+        ref, grid_rows, people = reference_run(cfg)
         assert len(ref) == len(log.times)
         for i, (t, n, births, deaths, tot, mean, mean_cur, theta, mean_traits) in enumerate(ref):
             assert log.times[i] == t
@@ -351,6 +360,10 @@ class TestReferenceTrace:
                 assert log.mean_current_happiness[i] == mean_cur, f"row {i}"
                 np.testing.assert_array_equal(log.mean_traits[i], mean_traits)
             np.testing.assert_array_equal(log.theta[i], theta)
+        if cfg.grid is None:
+            assert log.grid_rows is None and grid_rows is None
+        else:
+            np.testing.assert_array_equal(log.grid_rows, np.array(grid_rows))
         final = log.final_population
         assert final.ids.tolist() == [p.id for p in people]
         assert final.sex.tolist() == [int(p.sex) for p in people]
