@@ -33,7 +33,6 @@ from .equilibrium import (
     DegeneracyReport,
     Equilibrium,
     pure_nash,
-    support_enumeration,
     support_enumeration_report,
     verify_equilibrium,
 )
@@ -44,12 +43,11 @@ from .matching import (
     rank_pair_indices,
     score,
 )
-from .presets import PRESETS, get_preset, preset_names
+from .presets import PRESETS, get_preset
 from .scenario import (
     Scenario,
     dump_scenario,
     load_scenario,
-    normalize_scenario,
     scenario_from_mapping,
 )
 from .society import (
@@ -96,8 +94,6 @@ __all__ = [
     "mating_gap",
     "mating_success_threshold",
     "named_stream",
-    "normalize_scenario",
-    "preset_names",
     "pure_nash",
     "rank_pair_indices",
     "run",
@@ -105,7 +101,6 @@ __all__ = [
     "score",
     "society_gradient",
     "society_path",
-    "support_enumeration",
     "support_enumeration_report",
     "trait_gain",
     "verify_equilibrium",

@@ -24,10 +24,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointSet:
-    """N points in D dimensions, optionally carrying cluster labels."""
+    """N points in D dimensions."""
 
     rows: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -39,14 +38,6 @@ class PointSet:
             raise ConfigurationError("rows contain non-finite values")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (rows.shape[0],):
-                raise ConfigurationError(
-                    f"labels shape {labels.shape} does not match {rows.shape[0]} rows"
-                )
-            labels.setflags(write=False)
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -88,7 +79,7 @@ def classical_mds(points: PointSet, out_dim: int = 2) -> PointSet:
         )
     else:
         embedding[:, :k] = u[:, :k] * s[:k]
-    return PointSet(rows=embedding, labels=points.labels)
+    return PointSet(embedding)
 
 
 class KMeansResult(NamedTuple):

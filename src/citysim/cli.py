@@ -34,7 +34,7 @@ from .core import ConfigurationError, InteractionMatrix, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
-from .presets import get_preset, preset_names
+from .presets import PRESETS, get_preset
 from .scenario import Scenario, load_scenario
 
 __all__ = [
@@ -47,25 +47,23 @@ __all__ = [
     "equilibrium_audit",
 ]
 
+# detect_plateau's trailing window, as a share of the run's horizon, and the
+# slope magnitude (happiness per time unit) under which it counts as flat.
+_PLATEAU_WINDOW_FRAC = 0.05
+_PLATEAU_TOL = 1e-5
+
 # Counts previously reported for the default matrix treated as a
 # common-interest game; the audit reports both sides without requiring
 # agreement.
 _REFERENCE_COUNTS = {"total": 36, "pure": 4}
 
 
-def detect_plateau(
-    times,
-    values,
-    max_time: float,
-    *,
-    window_frac: float = 0.05,
-    tol: float = 1e-5,
-) -> tuple[float, float]:
+def detect_plateau(times, values, max_time: float) -> tuple[float, float]:
     """(plateau time, plateau level) for a logged series.
 
     The plateau time is the earliest logged time from which every trailing
-    window of ``window_frac * max_time`` keeps a least-squares slope whose
-    magnitude stays under ``tol`` (happiness per time unit). Windows with a
+    window of 5% of ``max_time`` keeps a least-squares slope whose
+    magnitude stays under 1e-5 (happiness per time unit). Windows with a
     single point count as flat, so a constant series plateaus at its first
     logged time. The level is the mean of the series from the plateau on.
     Returns (nan, nan) when the slope never settles.
@@ -74,7 +72,7 @@ def detect_plateau(
     y = np.asarray(values, dtype=np.float64)
     if t.size == 0 or t.shape != y.shape:
         raise ConfigurationError("plateau detection needs matching nonempty series")
-    window = window_frac * max_time
+    window = _PLATEAU_WINDOW_FRAC * max_time
     lo = np.searchsorted(t, t - window, side="left")
     idx = np.arange(t.size)
     n = (idx - lo + 1).astype(np.float64)
@@ -91,7 +89,7 @@ def detect_plateau(
     with np.errstate(invalid="ignore", divide="ignore"):
         slope = np.where(denom > 0, (sty - st * sy / n) / np.where(denom > 0, denom, 1.0), 0.0)
 
-    flat = np.abs(slope) < tol
+    flat = np.abs(slope) < _PLATEAU_TOL
     settled = np.logical_and.accumulate(flat[::-1])[::-1]
     hits = np.nonzero(settled)[0]
     if hits.size == 0:
@@ -134,7 +132,10 @@ def _run_many(configs: list[SimConfig], jobs: int) -> list[TimeSeriesLog]:
 
 
 def _multiplier_tag(m: float) -> str:
-    return str(int(m)) if float(m).is_integer() else repr(float(m))
+    # Integral values below 1e16 are written in decimal (at most 16 digits);
+    # larger ones as a float repr (1e+300), so a directory name stays short.
+    m = float(m)
+    return str(int(m)) if m.is_integer() and m < 1e16 else repr(m)
 
 
 def _columns(rows: list[dict], keys: list[str]) -> list[np.ndarray]:
@@ -383,9 +384,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="scenario YAML file")
-    sub.add_argument(
-        "--preset", help="built-in scenario: " + ", ".join(preset_names())
-    )
+    sub.add_argument("--preset", help="built-in scenario: " + ", ".join(PRESETS))
     sub.add_argument("--seed", type=int, help="override the scenario seed")
     sub.add_argument("--out", help="output directory")
 
@@ -432,8 +431,6 @@ def _parse_multipliers(raw: str) -> list[float]:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigurationError(f"multipliers: could not parse {raw!r}") from None
-    if not values:
-        raise ConfigurationError("multipliers: need at least one value")
     return values
 
 

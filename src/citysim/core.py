@@ -207,22 +207,6 @@ class InteractionMatrix:
     def society_dim(self) -> int:
         return int(self.entries.shape[1])
 
-    def lookup(self, individual: str, society: str) -> float:
-        """Entry for a named (individual trait, society trait) pair."""
-        try:
-            i = self.row_names.index(individual)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown individual trait {individual!r}; choices: {self.row_names}"
-            ) from None
-        try:
-            j = self.col_names.index(society)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown society trait {society!r}; choices: {self.col_names}"
-            ) from None
-        return float(self.entries[i, j])
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "InteractionMatrix":
         """Load a matrix written in printed orientation.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "Equilibrium",
     "DegeneracyReport",
     "pure_nash",
-    "support_enumeration",
     "support_enumeration_report",
     "verify_equilibrium",
 ]
@@ -65,14 +63,11 @@ class BimatrixGame:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """One strategy profile with its payoffs and support metadata."""
+    """One strategy profile and its supports (row, column)."""
 
     sigma_p: np.ndarray
     sigma_s: np.ndarray
-    payoffs: tuple[float, float]
     supports: tuple[tuple[int, ...], tuple[int, ...]]
-    kind: Literal["pure", "mixed"]
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         for name in ("sigma_p", "sigma_s"):
@@ -88,10 +83,6 @@ class DegeneracyReport:
     examined_supports: int = 0
     singular_systems: int = 0
     zero_probability_solutions: int = 0
-
-    @property
-    def degenerate(self) -> bool:
-        return self.singular_systems > 0 or self.zero_probability_solutions > 0
 
 
 def pure_nash(game: BimatrixGame) -> list[tuple[int, int]]:
@@ -192,21 +183,13 @@ def _enumerate_size(
 
     found: list[Equilibrium] = []
     for idx in np.flatnonzero(is_eq):
-        zero_prob = bool(
-            (sigma_p_sup[idx] <= tol).any() or (sigma_s_sup[idx] <= tol).any()
-        )
-        if zero_prob:
+        if (sigma_p_sup[idx] <= tol).any() or (sigma_s_sup[idx] <= tol).any():
             report.zero_probability_solutions += 1
-        sp = _clean_probability(full_p[idx])
-        ss = _clean_probability(full_s[idx])
         found.append(
             Equilibrium(
-                sigma_p=sp,
-                sigma_s=ss,
-                payoffs=(float(sp @ game.A @ ss), float(sp @ game.B @ ss)),
+                sigma_p=_clean_probability(full_p[idx]),
+                sigma_s=_clean_probability(full_s[idx]),
                 supports=(tuple(int(i) for i in sup_r[idx]), tuple(int(j) for j in sup_c[idx])),
-                kind="pure" if k == 1 else "mixed",
-                degenerate=zero_prob,
             )
         )
     return found
@@ -241,10 +224,3 @@ def support_enumeration_report(
             accepted.append(eq)
     accepted.sort(key=lambda e: (len(e.supports[0]), e.supports[0], e.supports[1]))
     return accepted, report
-
-
-def support_enumeration(
-    game: BimatrixGame, max_support: int = 8, tol: float = 1e-9
-) -> list[Equilibrium]:
-    """Equilibria only; see support_enumeration_report for the skip counts."""
-    return support_enumeration_report(game, max_support, tol)[0]

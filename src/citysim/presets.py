@@ -30,7 +30,7 @@ from .matching import MatchMode
 from .scenario import Scenario
 from .society import LearningRateSchedule
 
-__all__ = ["PRESETS", "get_preset", "preset_names"]
+__all__ = ["PRESETS", "get_preset"]
 
 
 INTELLECTUAL = TraitVector([0.95, 0.3, 0.35, 0.7, 0.65, 0.7, 0.4, 0.15])
@@ -116,14 +116,8 @@ _CONFIGS: dict[str, SimConfig] = {
 PRESETS: tuple[str, ...] = tuple(_CONFIGS)
 
 
-def preset_names() -> tuple[str, ...]:
-    return PRESETS
-
-
-def get_preset(
-    name: str, seed: int | None = None, out_dir: str | None = None
-) -> Scenario:
-    """Build one preset Scenario, optionally overriding seed or output dir."""
+def get_preset(name: str, seed: int | None = None) -> Scenario:
+    """Build one preset Scenario, optionally overriding its seed."""
     try:
         config = _CONFIGS[name]
     except KeyError:
@@ -131,4 +125,4 @@ def get_preset(
         raise ConfigurationError(f"unknown preset {name!r}; choices: {known}") from None
     if seed is not None:
         config = replace(config, seed=seed)
-    return Scenario(name=name, config=config, out_dir=out_dir, preset=name)
+    return Scenario(name=name, config=config, preset=name)

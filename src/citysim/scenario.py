@@ -27,7 +27,6 @@ __all__ = [
     "load_scenario",
     "scenario_from_mapping",
     "dump_scenario",
-    "normalize_scenario",
 ]
 
 _NEUTRAL_LEVEL = 0.5
@@ -59,7 +58,8 @@ def _require_mapping(obj, field: str) -> dict:
 
 
 def _reject_unknown(data: dict, allowed: set[str], field: str) -> None:
-    unknown = sorted(set(data) - allowed)
+    # YAML keys need not be strings (5: 1), so unknown keys are named by text.
+    unknown = sorted(str(key) for key in set(data) - allowed)
     if unknown:
         raise ConfigurationError(f"{field}: unknown key(s) {', '.join(unknown)}")
 
@@ -79,7 +79,7 @@ def _number(value, where: str, kind=float):
 
 def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVector:
     if isinstance(value, dict):
-        bad = sorted(set(value) - set(names))
+        bad = sorted(str(key) for key in set(value) - set(names))
         if bad:
             raise ConfigurationError(f"{field}: unknown trait name(s) {', '.join(bad)}")
         raw = [value.get(n, _NEUTRAL_LEVEL) for n in names]
@@ -294,8 +294,3 @@ def dump_scenario(scenario: Scenario) -> str:
     if scenario.preset is not None:
         doc["preset"] = scenario.preset
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-def normalize_scenario(path: str | Path) -> str:
-    """The canonical text of a scenario file."""
-    return dump_scenario(load_scenario(path))

@@ -40,7 +40,6 @@ from citysim.matching import (
     MatchMode,
     expected_pair_weights,
     grid_distances,
-    rank_pair_indices,
     score,
 )
 
@@ -218,8 +217,13 @@ def reference_pairs(Y, Z, gain, config, k) -> list[tuple[Person, Person]]:
     m = config.matching
     p_mut = config.demographics.mutation_prob
     if m.mode is MatchMode.OPTIMAL:
-        iy, iz = rank_pair_indices(_scores(Y, gain), _scores(Z, gain))
-        return [(Y[i], Z[j]) for i, j in zip(iy, iz)]
+        # Best with best, each side by score descending and then by id
+        # ascending, stated apart from rank_pair_indices so that its tie
+        # rule is checked too.
+        sy, sz = _scores(Y, gain), _scores(Z, gain)
+        ys = sorted(range(len(Y)), key=lambda i: (-sy[i], Y[i].id))
+        zs = sorted(range(len(Z)), key=lambda j: (-sz[j], Z[j].id))
+        return [(Y[i], Z[j]) for i, j in zip(ys, zs)]
     if m.mode is MatchMode.PARTITIONED:
         return partitioned_match(
             Y, Z, gain, p_mut, m.partition_size, m.noise_sigma,

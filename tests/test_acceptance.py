@@ -30,7 +30,6 @@ from citysim.engine import init_population, run, write_run_outputs
 from citysim.equilibrium import (
     BimatrixGame,
     pure_nash,
-    support_enumeration,
     support_enumeration_report,
     verify_equilibrium,
 )
@@ -240,7 +239,7 @@ def test_criterion_06_equilibrium_audit():
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         B = rng.uniform(-1.0, 1.0, size=(3, 3))
         small = BimatrixGame(A, B)
-        found = support_enumeration(small, max_support=3)
+        found, _ = support_enumeration_report(small, max_support=3)
         if not all(verify_equilibrium(small, eq, tol=1e-9) for eq in found):
             games_ok = False
             break

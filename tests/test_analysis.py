@@ -19,6 +19,21 @@ def pairwise(rows):
     return np.sqrt((diff**2).sum(-1))
 
 
+@pytest.mark.parametrize(
+    "call,field",
+    [
+        (lambda ps: classical_mds(ps, out_dim=0), "out_dim"),
+        (lambda ps: kmeans(ps, 2, np.random.default_rng(0), max_iter=0), "max_iter"),
+        (lambda ps: kmeans(ps, 2, np.random.default_rng(0), restarts=0), "restarts"),
+        (lambda ps: cluster_summary(ps.rows[:, 0], [0] * ps.n), "population must be 2-D"),
+        (lambda ps: cluster_summary(ps.rows[:0], []), "population is empty"),
+    ],
+)
+def test_input_check_names_its_field(call, field):
+    with pytest.raises(ConfigurationError, match=field):
+        call(PointSet(np.arange(8.0).reshape(4, 2)))
+
+
 class TestPointSet:
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(ConfigurationError):
@@ -32,12 +47,6 @@ class TestPointSet:
         # classical_mds would index an empty SVD; the error comes up front.
         with pytest.raises(ConfigurationError, match="nonempty N x D"):
             PointSet(np.zeros((4, 0)))
-
-    def test_label_length_must_match(self):
-        with pytest.raises(ConfigurationError):
-            PointSet(np.zeros((4, 2)), labels=[0, 1])
-        ps = PointSet(np.zeros((3, 2)), labels=[0, 1, 0])
-        assert ps.labels.tolist() == [0, 1, 0]
 
 
 class TestClassicalMDS:
@@ -114,11 +123,6 @@ class TestClassicalMDS:
         assert emb.shape == (n, out_dim)
         np.testing.assert_allclose(pairwise(emb), pairwise(dense), atol=1e-6)
         assert np.all(emb[:, 3:] == 0.0)
-
-    def test_labels_carried_through(self):
-        rows = np.random.default_rng(8).normal(size=(10, 3))
-        emb = classical_mds(PointSet(rows, labels=np.arange(10) % 2))
-        assert emb.labels.tolist() == (np.arange(10) % 2).tolist()
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 12))

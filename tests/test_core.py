@@ -111,15 +111,6 @@ class TestInteractionMatrix:
             for p in range(8):
                 assert matrix.entries[p, s] == PRINTED[s][p]
 
-    def test_named_lookup_of_first_printed_cell(self, matrix):
-        assert matrix.lookup("intellect", "literacy") == 0.9
-
-    def test_lookup_rejects_unknown_names(self, matrix):
-        with pytest.raises(ConfigurationError):
-            matrix.lookup("charisma", "literacy")
-        with pytest.raises(ConfigurationError):
-            matrix.lookup("intellect", "weather")
-
     def test_rejects_entries_outside_band(self):
         with pytest.raises(ConfigurationError):
             InteractionMatrix(np.full((8, 13), 1.5))
@@ -146,6 +137,35 @@ class TestInteractionMatrix:
             with pytest.raises(ConfigurationError, match="comma"):
                 InteractionMatrix(np.zeros((1, 1)), row_names=(bad,), col_names=("s",))
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda path: InteractionMatrix(np.zeros(8)), "two-dimensional"),
+            (
+                lambda path: InteractionMatrix(np.zeros((2, 1)), ("a", "a"), ("s",)),
+                "trait names must be unique",
+            ),
+            (lambda path: InteractionMatrix(np.full((8, 13), np.nan)), "non-finite entries"),
+            (lambda path: InteractionMatrix.from_csv(path("")), "empty matrix file"),
+            (lambda path: InteractionMatrix.from_csv(path(",i\nrow1,high\n")), ":2: could not"),
+            (lambda path: InteractionMatrix.from_csv(path(",i,j\n\n")), "no matrix rows"),
+        ],
+    )
+    def test_input_check_names_its_field(self, tmp_path, build, message):
+        def path(text):
+            (tmp_path / "m.csv").write_text(text)
+            return tmp_path / "m.csv"
+
+        with pytest.raises(ConfigurationError, match=message):
+            build(path)
+
+    def test_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",i,j\n\nrow1,0.5,-0.5\n ,\nrow2,0.0,1.0\n")
+        m = InteractionMatrix.from_csv(path)
+        assert m.col_names == ("row1", "row2")
+        assert m.entries.tolist() == [[0.5, 0.0], [-0.5, 1.0]]
+
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",i,j\nrow1,0.5\n")
@@ -158,7 +178,7 @@ class TestInteractionMatrix:
             row_names=("x1", "x2"),
             col_names=("y1", "y2"),
         )
-        assert m.lookup("x2", "y2") == 1.0
+        assert m.entries[m.row_names.index("x2"), m.col_names.index("y2")] == 1.0
 
 
 def happiness(x, matrix, theta) -> float:

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -331,7 +331,67 @@ TRACE_CASES["crowded-partitioned"] = {
 }
 
 
+@st.composite
+def small_configs(draw):
+    """Small configs over every mode, grid, scope, rule and schedule. Short
+    lives (lifespan_a <= 12), a crowding term of at least 0.1 per head and
+    horizons of at most 25 keep the roster small: a noisy solve on an
+    unbounded roster can run for minutes. A zero spread, shared by the
+    groups, and zero mutation give clones, whose scores tie."""
+    mode = draw(st.sampled_from(list(MatchMode)))
+    sides = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    grid = draw(sides if mode is MatchMode.LOCALITY else st.none() | sides)
+    scope = "global" if grid is None else draw(st.sampled_from(["global", "block"]))
+    levels = st.floats(0.3, 0.9)
+    spread = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    group = st.builds(
+        PopulationGroup,
+        st.integers(3, 12),
+        st.builds(TraitVector, st.lists(levels, min_size=8, max_size=8)),
+        st.just(spread),
+    )
+    demographics = DemographicsParams(
+        lifespan_a=draw(st.floats(3.0, 12.0)),
+        lifespan_b=draw(st.floats(0.1, 2.0)),
+        success_a=draw(st.floats(0.1, 0.5)),
+        success_scale=draw(st.floats(0.5, 20.0)),
+        mutation_prob=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        maturity_age=draw(st.floats(0.5, 2.0)),
+        success_rule=draw(st.sampled_from(["deterministic", "probabilistic"])),
+    )
+    schedule = LearningRateSchedule(
+        kind=draw(st.sampled_from(["fixed", "dynamic"])),
+        base=draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
+        multiplier=draw(st.sampled_from([1.0, 10.0, 50.0])),
+    )
+    matching = MatchingConfig(
+        mode=mode,
+        gamma=draw(st.floats(0.0, 2.0)),
+        partition_size=draw(st.integers(1, 5)),
+        noise_sigma=draw(st.floats(0.0, 1.0)),
+        distance=draw(st.sampled_from(["hamming", "manhattan"])),
+    )
+    return SimConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        groups=tuple(draw(st.lists(group, min_size=1, max_size=2))),
+        theta0=TraitVector(draw(st.lists(levels, min_size=13, max_size=13))),
+        demographics=demographics,
+        matching=matching,
+        schedule=schedule,
+        mating_period=draw(st.floats(0.5, 2.0)),
+        max_time=draw(st.floats(4.0, 25.0)),
+        grid=grid,
+        log_every=draw(st.integers(1, 3)),
+        success_pop_scope=scope,
+    )
+
+
 class TestReferenceTrace:
+    @settings(max_examples=150, derandomize=True)
+    @given(small_configs())
+    def test_random_small_configs_match_reference(self, cfg):
+        self.check(cfg)
+
     @pytest.mark.parametrize("case", sorted(TRACE_CASES))
     def test_run_matches_person_level_reference(self, case):
         self.check(SimConfig(**TRACE_CASES[case]))
@@ -803,6 +863,41 @@ class TestConfigValidation:
         # converting the round count to an integer.
         with pytest.raises(ConfigurationError, match="max_time / mating_period"):
             small_config(max_time=1.0e300, mating_period=1.0e-300)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: PopulationGroup(-1, TraitVector([0.5] * 8)), "group count"),
+            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), -0.1), "std entries"),
+            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), float("inf")), "std entries"),
+            (lambda: MatchingConfig(gamma=-1.0), "gamma"),
+            (lambda: MatchingConfig(gamma=float("nan")), "gamma"),
+            (lambda: MatchingConfig(noise_sigma=-1.0), "noise_sigma"),
+            (lambda: MatchingConfig(noise_sigma=float("inf")), "noise_sigma"),
+            (lambda: small_config(groups=()), "population group"),
+            (
+                lambda: small_config(groups=(PopulationGroup(4, TraitVector([0.5] * 7)),)),
+                "group mean has 7 traits",
+            ),
+            (lambda: small_config(grid=(2, 2, 2)), "grid must be two dimensions"),
+            (lambda: small_config(grid=(0, 3)), "grid must be two dimensions"),
+            (
+                lambda: run(small_config(max_time=2.0)).write_grid_csv("unused.csv"),
+                "no grid log",
+            ),
+        ],
+    )
+    def test_input_check_names_its_field(self, build, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build()
+
+    def test_conservation_check_names_the_row(self):
+        log = run(small_config(max_time=3.0))
+        log.validate_conservation()
+        births = log.births.copy()
+        births[2] += 1
+        with pytest.raises(ConsistencyError, match="row 2: population"):
+            dataclasses.replace(log, births=births).validate_conservation()
 
     def test_named_stream_rejects_unknown(self):
         with pytest.raises(ConfigurationError):

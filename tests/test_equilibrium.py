@@ -10,7 +10,6 @@ from citysim.equilibrium import (
     BimatrixGame,
     Equilibrium,
     pure_nash,
-    support_enumeration,
     support_enumeration_report,
     verify_equilibrium,
 )
@@ -117,9 +116,7 @@ class TestVerifyEquilibrium:
         return Equilibrium(
             sigma_p=sp,
             sigma_s=ss,
-            payoffs=(float(game.A[i, j]), float(game.B[i, j])),
             supports=((i,), (j,)),
-            kind="pure",
         )
 
     def test_every_pure_nash_cell_verifies(self):
@@ -139,17 +136,13 @@ class TestVerifyEquilibrium:
         mixed = Equilibrium(
             sigma_p=np.array([0.5, 0.5]),
             sigma_s=np.array([0.5, 0.5]),
-            payoffs=(0.5, 0.5),
             supports=((0, 1), (0, 1)),
-            kind="mixed",
         )
         assert verify_equilibrium(game, mixed)
         tilted = Equilibrium(
             sigma_p=np.array([0.5, 0.5]),
             sigma_s=np.array([0.55, 0.45]),
-            payoffs=(0.5, 0.5),
             supports=((0, 1), (0, 1)),
-            kind="mixed",
         )
         assert not verify_equilibrium(game, tilted)
 
@@ -158,24 +151,21 @@ class TestSupportEnumeration:
     def test_matching_pennies_unique_mixed(self):
         A = np.array([[1.0, -1.0], [-1.0, 1.0]])
         game = BimatrixGame(A, -A)
-        eqs = support_enumeration(game, max_support=2)
+        eqs, _ = support_enumeration_report(game, max_support=2)
         assert len(eqs) == 1
         assert np.allclose(eqs[0].sigma_p, [0.5, 0.5], atol=1e-9)
         assert np.allclose(eqs[0].sigma_s, [0.5, 0.5], atol=1e-9)
-        assert eqs[0].kind == "mixed"
+        assert eqs[0].supports == ((0, 1), (0, 1))
 
     def test_coordination_game_three_equilibria(self):
         eye = np.eye(2)
-        eqs = support_enumeration(BimatrixGame(eye, eye), max_support=2)
-        assert len(eqs) == 3
-        kinds = sorted(e.kind for e in eqs)
-        assert kinds == ["mixed", "pure", "pure"]
-        mixed = [e for e in eqs if e.kind == "mixed"][0]
-        assert np.allclose(mixed.sigma_p, [0.5, 0.5], atol=1e-9)
+        eqs, _ = support_enumeration_report(BimatrixGame(eye, eye), max_support=2)
+        assert [e.supports for e in eqs] == [((0,), (0,)), ((1,), (1,)), ((0, 1), (0, 1))]
+        assert np.allclose(eqs[2].sigma_p, [0.5, 0.5], atol=1e-9)
 
     def test_support_size_one_equals_pure_nash(self):
         game = common_game()
-        eqs = support_enumeration(game, max_support=1)
+        eqs, _ = support_enumeration_report(game, max_support=1)
         cells = [(e.supports[0][0], e.supports[1][0]) for e in eqs]
         assert cells == pure_nash(game)
 
@@ -183,7 +173,7 @@ class TestSupportEnumeration:
         rng = np.random.default_rng(13)
         for _ in range(20):
             game = BimatrixGame(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
-            for eq in support_enumeration(game, max_support=3):
+            for eq in support_enumeration_report(game, max_support=3)[0]:
                 assert verify_equilibrium(game, eq, tol=1e-9)
 
     def test_matches_independent_oracle_on_random_games(self):
@@ -192,7 +182,7 @@ class TestSupportEnumeration:
             A = rng.uniform(-1, 1, size=(3, 3))
             B = rng.uniform(-1, 1, size=(3, 3))
             game = BimatrixGame(A, B)
-            eqs = support_enumeration(game, max_support=3)
+            eqs, _ = support_enumeration_report(game, max_support=3)
             oracle = oracle_equilibria(A, B)
             assert len(eqs) == len(oracle)
             for eq in eqs:
@@ -203,8 +193,8 @@ class TestSupportEnumeration:
         rng = np.random.default_rng(31)
         A = rng.uniform(-1, 1, size=(4, 4))
         B = rng.uniform(-1, 1, size=(4, 4))
-        base = support_enumeration(BimatrixGame(A, B), max_support=4)
-        scaled = support_enumeration(BimatrixGame(3.7 * A, 3.7 * B), max_support=4)
+        base, _ = support_enumeration_report(BimatrixGame(A, B), max_support=4)
+        scaled, _ = support_enumeration_report(BimatrixGame(3.7 * A, 3.7 * B), max_support=4)
         assert len(base) == len(scaled)
         for eq, eq2 in zip(base, scaled):
             assert eq.supports == eq2.supports
@@ -215,22 +205,26 @@ class TestSupportEnumeration:
         ones = np.ones((2, 2))
         eqs, report = support_enumeration_report(BimatrixGame(ones, ones), max_support=2)
         assert report.singular_systems > 0
-        assert report.degenerate
         assert len(eqs) == 4  # every pure cell; the k=2 continuum is skipped
 
     def test_rejects_bad_max_support(self):
         game = common_game()
         with pytest.raises(ConfigurationError):
-            support_enumeration(game, max_support=0)
+            support_enumeration_report(game, max_support=0)
         with pytest.raises(ConfigurationError):
-            support_enumeration(game, max_support=9)
+            support_enumeration_report(game, max_support=9)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ConfigurationError):
-            support_enumeration(common_game(), max_support=1, tol=0.0)
+            support_enumeration_report(common_game(), max_support=1, tol=0.0)
 
 
 class TestBimatrixGame:
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0), (2, 2, 2)])
+    def test_payoffs_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(ConfigurationError, match="payoff matrix must be 2-D and nonempty"):
+            BimatrixGame(np.zeros(shape), np.zeros(shape))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             BimatrixGame(np.zeros((2, 2)), np.zeros((2, 3)))

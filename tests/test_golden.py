@@ -32,7 +32,7 @@ import pytest
 import citysim.engine as engine
 from citysim.engine import run, write_run_outputs
 from citysim.matching import MatchMode
-from citysim.presets import get_preset, preset_names
+from citysim.presets import PRESETS, get_preset
 from citysim.scenario import dump_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
@@ -44,7 +44,7 @@ FILES = ("log.csv", "population_initial.csv", "population_final.csv", "grid_log.
 
 
 def _cases() -> dict:
-    cases = {name: get_preset(name).config for name in preset_names()}
+    cases = {name: get_preset(name).config for name in PRESETS}
     comparison = cases["matching-comparison"]
     cases["matching-comparison+noisy"] = replace(
         comparison, matching=replace(comparison.matching, mode=MatchMode.NOISY)
@@ -115,7 +115,7 @@ def test_every_case_is_pinned():
 
 
 def preset_dumps() -> dict[str, str]:
-    return {name: dump_scenario(get_preset(name)) for name in preset_names()}
+    return {name: dump_scenario(get_preset(name)) for name in PRESETS}
 
 
 def test_preset_definitions_match_golden():

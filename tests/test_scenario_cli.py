@@ -24,12 +24,11 @@ from citysim.core import ConfigurationError, InteractionMatrix
 from citysim.demographics import DemographicsParams
 from citysim.engine import MatchingConfig
 from citysim.matching import MatchMode
-from citysim.presets import PRESETS, get_preset, preset_names
+from citysim.presets import PRESETS, get_preset
 from citysim.scenario import (
     Scenario,
     dump_scenario,
     load_scenario,
-    normalize_scenario,
     scenario_from_mapping,
 )
 from citysim.society import LearningRateSchedule
@@ -184,6 +183,33 @@ class TestScenarioParsing:
         with pytest.raises(ConfigurationError, match=f"{section}: unknown key"):
             scenario_from_mapping(small_mapping(**{section: {"bogus": 1}}))
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"matching": 5}, "matching: expected a mapping"),
+            ({"population": [5]}, r"population\[0\]: expected a mapping"),
+            ({"theta0": 0.5}, "theta0: expected a list of 13 values or a name mapping"),
+            ({"population": []}, "population: expected a nonempty list"),
+            ({"population": {"count": 4}}, "population: expected a nonempty list"),
+            ({"population": [{"mean": [0.5] * 8}]}, r"population\[0\]: count and mean"),
+            ({"population": [{"count": 4}]}, r"population\[0\]: count and mean"),
+            (
+                {"population": [{"count": 4, "mean": [0.5] * 8, "std": "wide"}]},
+                r"population\[0\].std: expected a number or list",
+            ),
+            ({"population": [{"count": -1, "mean": [0.5] * 8}]}, r"population\[0\]: group count"),
+            ({"interaction": 5}, "interaction: expected 'default' or a CSV path"),
+            ({"interaction": "missing.csv"}, "interaction: file not found"),
+            ({"name": 5}, "name: expected a nonempty string"),
+            ({"name": ""}, "name: expected a nonempty string"),
+            ({"out": 5}, "out: expected a path string"),
+            ({"preset": 5}, "preset: expected a string"),
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_from_mapping(small_mapping(**overrides), base_dir=tmp_path)
+
     def test_interaction_csv_resolved_relative(self, tmp_path):
         matrix = InteractionMatrix.default()
         matrix.to_csv(tmp_path / "matrix.csv")
@@ -194,10 +220,6 @@ class TestScenarioParsing:
 
 
 class TestScenarioRoundTrip:
-    def test_normalize_is_dump_of_load(self, tmp_path):
-        path = write_config(tmp_path, small_mapping(theta0=[0.25] * 13, grid=[4, 4]))
-        assert normalize_scenario(path) == dump_scenario(load_scenario(path))
-
     def test_dump_then_load_is_stable(self, tmp_path):
         original = write_config(
             tmp_path,
@@ -209,10 +231,10 @@ class TestScenarioRoundTrip:
                 out="somewhere",
             ),
         )
-        text1 = normalize_scenario(original)
+        text1 = dump_scenario(load_scenario(original))
         renormal = tmp_path / "normal.yaml"
         renormal.write_text(text1)
-        assert normalize_scenario(renormal) == text1
+        assert dump_scenario(load_scenario(renormal)) == text1
 
     def test_loaded_fields_survive(self, tmp_path):
         path = write_config(
@@ -252,7 +274,6 @@ class TestScenarioRoundTrip:
 
 class TestPresets:
     def test_registry_names(self):
-        assert preset_names() == PRESETS
         for expected in (
             "baseline-mixed",
             "high-intellect-pop-in-criminal-city",
@@ -271,9 +292,9 @@ class TestPresets:
             get_preset("no-such-place")
 
     def test_overrides(self):
-        sc = get_preset("baseline-mixed", seed=99, out_dir="elsewhere")
+        sc = get_preset("baseline-mixed", seed=99)
         assert sc.config.seed == 99
-        assert sc.out_dir == "elsewhere"
+        assert sc.out_dir is None
         assert get_preset("baseline-mixed").config.seed == 0
 
 
@@ -312,6 +333,10 @@ def test_multiplier_tag_formats():
     assert _multiplier_tag(1.0) == "1"
     assert _multiplier_tag(30) == "30"
     assert _multiplier_tag(2.5) == "2.5"
+    # Decimal up to 16 digits; a larger integral value as its float repr.
+    assert _multiplier_tag(9.9e15) == "9900000000000000"
+    assert _multiplier_tag(1e16) == "1e+16"
+    assert _multiplier_tag(1e300) == "1e+300"
 
 
 def test_signed_direction():
@@ -399,6 +424,21 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "max_time / mating_period" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("5: 1", "scenario: unknown key(s) 5"),
+            ("theta0: {1: 0.5, literacy: 0.2}", "theta0: unknown trait name(s) 1"),
+            ("matching: {mode: noisy, 3: 1, foo: 2}", "matching: unknown key(s) 3, foo"),
+        ],
+    )
+    def test_non_string_key_exits_2(self, tmp_path, capsys, extra, message):
+        # YAML keys need not be strings; naming one once raised TypeError.
+        cfg = tmp_path / "scn.yaml"
+        cfg.write_text(yaml.safe_dump(small_mapping()) + extra + "\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_jobs_only_where_members_run(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "baseline-mixed", "--jobs", "2"])
@@ -483,6 +523,16 @@ class TestCliSweep:
         assert main([*args, "--multipliers", "1,1.0,3"]) == 2
         assert capsys.readouterr().err.startswith("error: multipliers")
         assert not out.exists()
+
+    def test_huge_integral_multiplier_names_a_short_directory(self, tmp_path):
+        # 1e300 was named by all 301 of its digits, too long for a file
+        # name, after every member had run.
+        sc = get_preset("lambda-sweep")
+        sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config, max_time=5.0))
+        rows = sweep_lambda(sc, [1.0, 1e300], tmp_path / "s")
+        assert [r["multiplier"] for r in rows] == [1.0, 1e300]
+        dirs = sorted(p.name for p in (tmp_path / "s").iterdir())
+        assert dirs == ["multiplier-1", "multiplier-1e+300", "sweep_summary.csv"]
 
     def test_empty_multipliers_rejected(self):
         sc = scenario_from_mapping(small_mapping())
@@ -615,6 +665,38 @@ class TestCliAnalyze:
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         payload = analyze_population(out / "population_final.csv", tmp_path / "ana")
         assert "gx" not in payload["clusters"][0]["mean"]
+
+
+SNAPSHOT_HEADER = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,a\n"
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["analyze", "--input"], "", "{file}: empty population file"),
+        (["analyze", "--input"], SNAPSHOT_HEADER, "{file}: no rows to analyze"),
+        (
+            ["sweep-lambda", "--multipliers", ",", "--config"],
+            yaml.safe_dump(small_mapping()),
+            "multipliers: need at least one value",
+        ),
+    ],
+)
+def test_cli_input_check_exits_2(tmp_path, capsys, argv, text, message):
+    file = tmp_path / "input"
+    file.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, str(file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
+    assert not out.exists()
+
+
+def test_scenario_out_is_the_default_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, small_mapping(out="from-file"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert (tmp_path / "from-file" / "log.csv").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 # The words a CSV cell may hold besides a number; gx and gy are empty
