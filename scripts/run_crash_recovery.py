@@ -7,12 +7,11 @@ the end clears its value at the trough.
 """
 
 import argparse
-import time
 from pathlib import Path
 
 import numpy as np
 
-from citysim.engine import run, write_run_outputs
+from citysim.cli import simulate_scenario
 from citysim.presets import get_preset
 
 
@@ -26,10 +25,7 @@ def main() -> int:
     recovered = 0
     for seed in range(args.seeds):
         scenario = get_preset(args.preset, seed=seed)
-        t0 = time.perf_counter()
-        log = run(scenario.config)
-        elapsed = time.perf_counter() - t0
-        write_run_outputs(log, scenario.config, args.out / f"seed-{seed}", elapsed)
+        log, _ = simulate_scenario(scenario, args.out / f"seed-{seed}")
 
         pops = np.asarray(log.population)
         trough = int(np.argmin(pops))
@@ -41,8 +37,8 @@ def main() -> int:
         print(
             f"seed {seed}: start {pops[0]}, trough {pops[trough]} "
             f"(x{crash:.2f} at t={log.times[trough]:.0f}), final {pops[-1]} "
-            f"(x{recovery:.2f}), happier at end: {happier}, "
-            f"{elapsed:.1f}s {'[crash+recovery]' if hit else ''}"
+            f"(x{recovery:.2f}), happier at end: {happier}"
+            f"{' [crash+recovery]' if hit else ''}"
         )
     print(f"{recovered}/{args.seeds} seeds show the full crash-recovery shape")
     return 0

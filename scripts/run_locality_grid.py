@@ -1,12 +1,11 @@
 """Run the grid preset and summarize how population spreads over blocks."""
 
 import argparse
-import time
 from pathlib import Path
 
 import numpy as np
 
-from citysim.engine import run, write_run_outputs
+from citysim.cli import simulate_scenario
 from citysim.presets import get_preset
 
 
@@ -18,16 +17,12 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = get_preset(args.preset, seed=args.seed)
-    t0 = time.perf_counter()
-    log = run(scenario.config)
-    write_run_outputs(log, scenario.config, args.out, time.perf_counter() - t0)
+    log, _ = simulate_scenario(scenario, args.out)
 
-    # The grid log's last w * h rows are the final time's blocks; column 3
-    # holds each block's population.
-    w, h = scenario.config.grid
-    counts = log.grid_rows[-w * h :, 3]
+    # Each block's head count at the final logged round.
+    counts = log.block_population[-1]
     occupied = counts[counts > 0]
-    print(f"final population {log.population[-1]} across {occupied.size}/{w * h} blocks")
+    print(f"final population {log.population[-1]} across {occupied.size}/{counts.size} blocks")
     print(
         f"occupied block sizes: min {occupied.min():.0f}, "
         f"median {np.median(occupied):.0f}, max {occupied.max():.0f}"

@@ -202,8 +202,10 @@ class SimConfig:
             raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
         if self.grid is not None:
             grid = tuple(require_int(v, f"grid[{k}]") for k, v in enumerate(self.grid))
-            if len(grid) != 2 or min(grid) < 1:
-                raise ConfigurationError(f"grid must be two dimensions >= 1, got {grid}")
+            if len(grid) != 2 or min(grid) < 1 or grid[0] * grid[1] >= 2**63:
+                raise ConfigurationError(
+                    f"grid must be two dimensions >= 1 with int64 block codes, got {grid}"
+                )
             object.__setattr__(self, "grid", grid)
         if self.matching.mode is MatchMode.LOCALITY and self.grid is None:
             raise ConfigurationError("locality matching requires a grid")
@@ -241,6 +243,10 @@ class TimeSeriesLog:
     holds for every row. theta and the happiness columns reflect the state
     after the row's round completed; with nobody alive, mean_happiness,
     mean_current_happiness and mean_traits are nan.
+
+    On a w x h grid, block_population and block_mean_happiness (rows, w, h)
+    hold each block's head count and mean happiness, 0 and nan when empty;
+    [r, gx, gy] is block code gx * h + gy. Both are None without a grid.
     """
 
     times: np.ndarray
@@ -252,10 +258,11 @@ class TimeSeriesLog:
     mean_current_happiness: np.ndarray
     theta: np.ndarray
     mean_traits: np.ndarray
+    block_population: np.ndarray | None
+    block_mean_happiness: np.ndarray | None
     trait_names: tuple[str, ...]
     society_names: tuple[str, ...]
     status: str
-    grid_rows: np.ndarray | None
     initial_population: Roster
     final_population: Roster
 
@@ -275,11 +282,13 @@ class TimeSeriesLog:
         ])
 
     def write_grid_csv(self, path: str | Path) -> None:
-        if self.grid_rows is None:
+        if self.block_population is None:
             raise ConfigurationError("this run has no grid log (no locality grid)")
-        t, gx, gy, pop, mean = self.grid_rows.T
-        ints = (c.astype(np.int64) for c in (gx, gy, pop))
-        _write_csv(path, ["time", "gx", "gy", "population", "mean_happiness"], [t, *ints, mean])
+        rows, w, h = self.block_population.shape
+        t = np.repeat(self.times, w * h)
+        xy = np.tile(_block_xy((w, h)), rows)
+        blocks = (self.block_population.ravel(), self.block_mean_happiness.ravel())
+        _write_csv(path, ["time", "gx", "gy", "population", "mean_happiness"], [t, *xy, *blocks])
 
     def summary(self) -> dict:
         last = len(self.times) - 1
@@ -586,13 +595,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
     penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
 
     # One tuple per round from t=0 on, so row k is round k, holding the
-    # TimeSeriesLog columns in field order (times through mean_traits); on
-    # a grid, one (counts, means) pair of per-block arrays per round too.
+    # TimeSeriesLog columns in field order (times through mean_traits, and
+    # on a grid the two per-block columns).
     rows: list[tuple] = []
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    if config.grid is not None:
-        block_xy = _block_xy(config.grid)
-        n_blocks = block_xy[0].size
 
     def log_rounds(
         first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray, born: int, died: int
@@ -606,14 +611,16 @@ def run(config: SimConfig) -> TimeSeriesLog:
         mean = tot / n if n else math.nan
         mean_cur = score(gains, x_bar).tolist()
         tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
-        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
-            rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar))
+        blocks = ()
         if config.grid is not None:
             # Head count and mean happiness (nan when empty) of each block.
-            counts = np.bincount(roster.block, minlength=n_blocks)
-            sums = np.bincount(roster.block, weights=roster.happiness, minlength=n_blocks)
-            means = np.divide(sums, counts, out=np.full(n_blocks, np.nan), where=counts > 0)
-            blocks.extend([(counts, means)] * len(thetas))
+            size = config.grid[0] * config.grid[1]
+            counts = np.bincount(roster.block, minlength=size)
+            sums = np.bincount(roster.block, weights=roster.happiness, minlength=size)
+            means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
+            blocks = (counts.reshape(config.grid), means.reshape(config.grid))
+        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
+            rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar, *blocks))
 
     status = _status(roster)
     log_rounds(0, theta[None], gain[:, None], roster.mean_traits(), 0, 0)
@@ -675,28 +682,21 @@ def run(config: SimConfig) -> TimeSeriesLog:
         k_round = last
 
     # Keep t=0, every log_every-th round and the final round. np.asarray
-    # stacks each column: Python ints give int64, and the theta and
-    # mean-trait rows give (rows, dim) arrays. Births and deaths become
-    # running totals, so a kept row's difference counts every round since
-    # the previous kept row.
+    # stacks each column: Python ints give int64, and array rows give
+    # (rows, *shape) arrays. Births and deaths become running totals, so a
+    # kept row's difference counts every round since the previous kept row.
     kept = sorted({*range(0, len(rows), config.log_every), len(rows) - 1})
     columns = [np.asarray(column) for column in zip(*rows)]
     columns[2:4] = (np.cumsum(c) for c in columns[2:4])
     columns = [c[kept] for c in columns]
     columns[2:4] = (np.diff(c, prepend=0) for c in columns[2:4])
-    grid_rows = None
-    if config.grid is not None:
-        # One row per block in code order and kept round: t, gx, gy,
-        # population, mean happiness.
-        grid_rows = np.concatenate([
-            np.column_stack((np.full(n_blocks, k * period), *block_xy, *blocks[k])) for k in kept
-        ])
+    if config.grid is None:
+        columns += [None, None]
     return TimeSeriesLog(
         *columns,
         trait_names=config.interaction.row_names,
         society_names=config.interaction.col_names,
         status=status,
-        grid_rows=grid_rows,
         initial_population=initial,
         final_population=roster,
     )
@@ -735,7 +735,7 @@ def write_run_outputs(
         "population_initial.csv": lambda p: write_population_csv(first, p, traits, config.grid),
         "population_final.csv": lambda p: write_population_csv(last, p, traits, config.grid),
     }
-    if log.grid_rows is not None:
+    if log.block_population is not None:
         writers["grid_log.csv"] = log.write_grid_csv
     for name, write in writers.items():
         write(out / name)

@@ -6,7 +6,7 @@ person or the analytic expectation of a child.
 
 reference_run() re-executes run() one Person record at a time: available
 people, pairing, a per-pair success gate, batched births, burial, the
-society step, and the log's kept rows and per-block grid rows. It
+society step, and the log's kept rows and per-block head counts. It
 consumes the same named streams in the same order as run(), so the two
 must agree row for row; a disagreement points at a bookkeeping or
 ordering slip in the columnar engine. The oracle pairs
@@ -257,16 +257,16 @@ def _succeeds(male, female, people, t, config, streams) -> bool:
 
 
 def reference_run(config):
-    """(rows, grid rows, final population) of a Person-level re-execution
+    """(rows, blocks, final population) of a Person-level re-execution
     of run().
 
     Each row is (t, population, births, deaths, total happiness, mean
     happiness, mean current happiness, theta, mean traits). Rows are kept
     at t=0, every log_every-th round and the final round; a kept row's
     births and deaths count every round since the previous kept row. On a
-    w x h grid, each kept round adds one (t, gx, gy, head count, mean
-    happiness) row per block, gx-major, the mean nan for an empty block;
-    without a grid the grid rows are None.
+    w x h grid, each kept row has one list of (head count, mean
+    happiness) per block, gx-major, the mean nan for an empty block;
+    without a grid blocks is None.
     """
     streams = {name: named_stream(config.seed, name) for name in STREAMS}
     E = config.interaction.entries
@@ -292,7 +292,7 @@ def reference_run(config):
             for gx in range(config.grid[0]):
                 for gy in range(config.grid[1]):
                     here = [p.happiness for p in people if p.location == (gx, gy)]
-                    cells.append((t, gx, gy, len(here), sum(here) / len(here) if here else np.nan))
+                    cells.append((len(here), sum(here) / len(here) if here else np.nan))
             blocks.append(cells)
 
     snapshot(0.0, 0, 0)
@@ -350,7 +350,7 @@ def reference_run(config):
             if not people or len({p.sex for p in people}) < 2:
                 break
 
-    kept, grid_rows = [], None if config.grid is None else []
+    kept, kept_blocks = [], None if config.grid is None else []
     births = deaths = 0
     for k, (t, n, b, dd, *rest) in enumerate(rows):
         births += b
@@ -358,6 +358,6 @@ def reference_run(config):
         if k % config.log_every == 0 or k == len(rows) - 1:
             kept.append((t, n, births, deaths, *rest))
             births = deaths = 0
-            if grid_rows is not None:
-                grid_rows.extend(blocks[k])
-    return kept, grid_rows, people
+            if kept_blocks is not None:
+                kept_blocks.append(blocks[k])
+    return kept, kept_blocks, people

@@ -8,6 +8,7 @@ analytic child expectation of the tests' oracle in criterion 3.
 
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -302,7 +303,9 @@ def test_criterion_07_crash_recovery():
 
 def test_criterion_08_matching_comparison(tmp_path):
     scenario = get_preset("matching-comparison")
-    report_dict = compare_matching(scenario, 10, tmp_path)
+    # Members run in parallel; test_jobs_do_not_change_results pins that the
+    # pool leaves every result as a serial run has it.
+    report_dict = compare_matching(scenario, 10, tmp_path, jobs=min(2, os.cpu_count() or 1))
     directions = report_dict["direction"]
     structural = (
         len(report_dict["per_run"]["optimal"]) == 10
@@ -365,13 +368,7 @@ def test_criterion_09_learning_rate_sweep(sweep_data):
 def test_criterion_10_locality_viability():
     scenario = get_preset("locality-grid-10x10")
     log = run(scenario.config)
-    rows = np.asarray(log.grid_rows)
-    last_t = rows[-1][0]
-    w, h = scenario.config.grid
-    counts = np.zeros(w * h)
-    for t, gx, gy, n, _ in rows:
-        if t == last_t:
-            counts[int(gx) * h + int(gy)] = n
+    counts = log.block_population[-1]
     cv = counts.std() / counts.mean() if counts.mean() > 0 else math.inf
     occupied = int((counts > 0).sum())
     ok = log.population[-1] > 0 and cv > 0.3
@@ -379,7 +376,7 @@ def test_criterion_10_locality_viability():
         10,
         ok,
         "locality viability",
-        f"final population {log.population[-1]}, {occupied}/{w*h} blocks, CV {cv:.2f}",
+        f"final population {log.population[-1]}, {occupied}/{counts.size} blocks, CV {cv:.2f}",
     )
     assert ok
 

@@ -405,7 +405,7 @@ class TestReferenceTrace:
     @staticmethod
     def check(cfg):
         log = run(cfg)
-        ref, grid_rows, people = reference_run(cfg)
+        ref, blocks, people = reference_run(cfg)
         assert len(ref) == len(log.times)
         for i, (t, n, births, deaths, tot, mean, mean_cur, theta, mean_traits) in enumerate(ref):
             assert log.times[i] == t
@@ -421,9 +421,13 @@ class TestReferenceTrace:
                 np.testing.assert_array_equal(log.mean_traits[i], mean_traits)
             np.testing.assert_array_equal(log.theta[i], theta)
         if cfg.grid is None:
-            assert log.grid_rows is None and grid_rows is None
+            assert log.block_population is log.block_mean_happiness is blocks is None
         else:
-            np.testing.assert_array_equal(log.grid_rows, np.array(grid_rows))
+            # The oracle's blocks are gx-major, so row r's block gx * h + gy
+            # lands at [r, gx, gy].
+            pop, mean = np.moveaxis(np.array(blocks), 2, 0).reshape(2, len(ref), *cfg.grid)
+            np.testing.assert_array_equal(log.block_population, pop)
+            np.testing.assert_array_equal(log.block_mean_happiness, mean)
         final = log.final_population
         assert final.ids.tolist() == [p.id for p in people]
         assert final.sex.tolist() == [int(p.sex) for p in people]
@@ -554,9 +558,6 @@ class TestRunBehavior:
             if f.name in ("births", "deaths"):
                 # A sparse row counts every round since the previous one.
                 want = np.add.reduceat(want, [0, *(k + 1 for k in rows[:-1])])
-            elif f.name == "grid_rows" and want is not None:
-                width = want.shape[1]
-                want = want.reshape(last + 1, -1, width)[rows].reshape(-1, width)
             elif isinstance(want, np.ndarray):
                 want = want[rows]
             if isinstance(want, Roster):
@@ -624,7 +625,7 @@ class TestRunBehavior:
     @pytest.mark.parametrize("case", ["grid", "extinct", "sterile"])
     def test_log_every_keeps_every_column(self, case, every):
         # Each run ends between kept rounds. The grid run is the crowded
-        # trace on a grid, so idle stretches log grid rows too.
+        # trace on a grid, so idle stretches log block arrays too.
         if case == "grid":
             cfg = SimConfig(**{**TRACE_CASES["crowded"], "grid": (3, 3), "max_time": 103.0})
         else:
@@ -634,11 +635,9 @@ class TestRunBehavior:
         assert dense.times[-1] % every
         if case == "grid":
             # Each kept round's blocks add up to that round's roster.
-            blocks = sparse.grid_rows.reshape(len(sparse.times), 9, 5)
-            t, _, _, pop, mean = blocks.transpose(2, 0, 1)
-            np.testing.assert_array_equal(t, np.repeat(sparse.times[:, None], 9, axis=1))
-            np.testing.assert_array_equal(pop.sum(axis=1), sparse.population)
-            np.testing.assert_allclose(np.nansum(pop * mean, axis=1), sparse.total_happiness)
+            pop, mean = sparse.block_population, sparse.block_mean_happiness
+            np.testing.assert_array_equal(pop.sum(axis=(1, 2)), sparse.population)
+            np.testing.assert_allclose(np.nansum(pop * mean, axis=(1, 2)), sparse.total_happiness)
 
     def test_partitioned_mode_runs_clean(self):
         cfg = small_config(
@@ -676,7 +675,7 @@ class TestRunBehavior:
 
 
 class TestGridOutputs:
-    def test_grid_rows_partition_population(self, tmp_path):
+    def test_block_population_partitions_population(self):
         cfg = small_config(
             max_time=12.0,
             grid=(4, 4),
@@ -685,18 +684,14 @@ class TestGridOutputs:
             log_every=3,
         )
         log = run(cfg)
-        assert log.grid_rows is not None
-        rows = log.grid_rows
-        times = np.unique(rows[:, 0])
-        assert len(rows) == len(times) * 16
-        for i, t in enumerate(log.times):
-            block = rows[rows[:, 0] == t]
-            assert block[:, 3].sum() == log.population[i]
-        assert rows[:, 1].max() <= 3 and rows[:, 2].max() <= 3
+        pop = log.block_population
+        assert pop.dtype == np.int64 and pop.shape == (len(log.times), 4, 4)
+        assert log.block_mean_happiness.shape == pop.shape
+        np.testing.assert_array_equal(pop.sum(axis=(1, 2)), log.population)
 
-    def test_grid_rows_match_per_block_loop(self):
+    def test_block_arrays_match_per_block_loop(self):
         # Reference: one pass per block, summing happiness in roster order.
-        # The grid has more blocks than people fill, so some rows are empty.
+        # The grid has more blocks than people fill, so some are empty.
         w, h = 7, 6
         cfg = small_config(
             max_time=12.0,
@@ -706,7 +701,7 @@ class TestGridOutputs:
         )
         log = run(cfg)
         final = log.final_population
-        expected = []
+        counts, means = np.zeros((w, h), dtype=np.int64), np.full((w, h), np.nan)
         for gx in range(w):
             for gy in range(h):
                 count, total = 0, 0.0
@@ -714,11 +709,12 @@ class TestGridOutputs:
                     if divmod(code, h) == (gx, gy):
                         count += 1
                         total += happy
-                mean = total / count if count else np.nan
-                expected.append((log.times[-1], gx, gy, count, mean))
-        counts = [row[3] for row in expected]
-        assert 0 in counts and max(counts) > 1
-        np.testing.assert_array_equal(log.grid_rows[-w * h :], np.array(expected))
+                counts[gx, gy] = count
+                if count:
+                    means[gx, gy] = total / count
+        assert counts.min() == 0 and counts.max() > 1
+        np.testing.assert_array_equal(log.block_population[-1], counts)
+        np.testing.assert_array_equal(log.block_mean_happiness[-1], means)
 
     def test_children_inherit_a_parent_block(self):
         cfg = small_config(
@@ -881,6 +877,7 @@ class TestConfigValidation:
             ),
             (lambda: small_config(grid=(2, 2, 2)), "grid must be two dimensions"),
             (lambda: small_config(grid=(0, 3)), "grid must be two dimensions"),
+            (lambda: small_config(grid=(2**62, 2)), "grid .* with int64 block codes"),
             (
                 lambda: run(small_config(max_time=2.0)).write_grid_csv("unused.csv"),
                 "no grid log",

@@ -424,6 +424,14 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "max_time / mating_period" in capsys.readouterr().err
 
+    def test_overflowing_grid_exits_2(self, tmp_path, capsys):
+        # Block codes gx * h + gy overflowed int64, and init_population died
+        # with OverflowError.
+        cfg = write_config(tmp_path, small_mapping(grid=[1.0e300, 2]))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: grid must be two dimensions")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "extra,message",
         [
