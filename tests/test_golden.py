@@ -10,10 +10,13 @@ on the dynamic schedule, to t=1000. summary.json is left out: its
 purpose regenerates the digests of the cases it changes once, with
 `PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
 when none is named), and says why in CHANGES.md. tests/golden/
-presets.json pins the canned scenario text of every preset;
-`--write` with no case named rewrites it too. The outputs must not
-depend on the BLAS thread count either, which a test checks in child
-processes.
+presets.json pins the canned scenario text of every preset, and
+tests/golden/experiments.json the tables two experiments write:
+sweep_summary.csv of lambda-sweep to t=300 over multipliers 1, 3 and 30,
+and compare_matching.csv and .json of matching-comparison to t=60 over 3
+paired seeds. `--write` with no case named rewrites both. The outputs
+must not depend on the BLAS thread count either, which a test checks in
+child processes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import citysim.engine as engine
+from citysim.cli import compare_matching, sweep_lambda
 from citysim.engine import run, write_run_outputs
 from citysim.matching import MatchMode
 from citysim.presets import PRESETS, get_preset
@@ -37,6 +41,7 @@ from citysim.scenario import dump_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 PRESET_GOLDEN = Path(__file__).parent / "golden" / "presets.json"
+EXPERIMENT_GOLDEN = Path(__file__).parent / "golden" / "experiments.json"
 HORIZON = 60.0
 PLATEAU_HORIZON = 300.0
 CITY_HORIZON = 1000.0
@@ -72,13 +77,13 @@ def _cases() -> dict:
 CASES = _cases()
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests(config, out_dir: Path) -> dict[str, str]:
     write_run_outputs(run(config), config, out_dir, 0.0)
-    return {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in FILES
-        if (out_dir / name).exists()
-    }
+    return {name: _sha256(out_dir / name) for name in FILES if (out_dir / name).exists()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -122,6 +127,25 @@ def test_preset_definitions_match_golden():
     # Every run case overrides max_time, so only this pin sees each
     # preset's full definition, its own horizon included.
     assert preset_dumps() == json.loads(PRESET_GOLDEN.read_text())
+
+
+def experiment_digests(out_dir: Path) -> dict[str, str]:
+    sweep = get_preset("lambda-sweep")
+    sweep = replace(sweep, config=replace(sweep.config, max_time=PLATEAU_HORIZON))
+    sweep_lambda(sweep, [1.0, 3.0, 30.0], out_dir / "sweep")
+    comparison = get_preset("matching-comparison")
+    comparison = replace(comparison, config=replace(comparison.config, max_time=HORIZON))
+    compare_matching(comparison, 3, out_dir / "compare", jobs=1)
+    tables = (
+        out_dir / "sweep" / "sweep_summary.csv",
+        out_dir / "compare" / "compare_matching.csv",
+        out_dir / "compare" / "compare_matching.json",
+    )
+    return {path.name: _sha256(path) for path in tables}
+
+
+def test_experiment_tables_match_golden(tmp_path):
+    assert experiment_digests(tmp_path) == json.loads(EXPERIMENT_GOLDEN.read_text())
 
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -172,9 +196,12 @@ if __name__ == "__main__":
         sys.exit(f"unknown cases {unknown}; choices: {sorted(CASES)}")
 
     # Named cases update the pinned table; no name rewrites it whole, and
-    # the preset definitions with it.
+    # the preset definitions and experiment tables with it.
     if not names:
         PRESET_GOLDEN.write_text(json.dumps(preset_dumps(), indent=2) + "\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            table = experiment_digests(Path(tmp))
+        EXPERIMENT_GOLDEN.write_text(json.dumps(table, indent=2) + "\n")
     table = json.loads(GOLDEN.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or sorted(CASES):
