@@ -138,9 +138,10 @@ def _multiplier_tag(m: float) -> str:
     return str(int(m)) if m.is_integer() and m < 1e16 else repr(m)
 
 
-def _columns(rows: list[dict], keys: list[str]) -> list[np.ndarray]:
-    """One array per key, holding that key's value from every row in order."""
-    return [np.asarray([row[key] for row in rows]) for key in keys]
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """Write dicts that share their keys as a CSV headed by those keys."""
+    header = list(rows[0])
+    _write_csv(path, header, [np.asarray([row[key] for row in rows]) for key in header])
 
 
 def sweep_lambda(
@@ -185,14 +186,21 @@ def sweep_lambda(
             }
         )
     out.mkdir(parents=True, exist_ok=True)
-    header = ["multiplier", "time_to_plateau", "plateau_happiness", "status"]
-    _write_csv(out / "sweep_summary.csv", header, _columns(rows, header))
+    _write_rows(out / "sweep_summary.csv", rows)
     return rows
 
 
 def _convergent_happiness(log: TimeSeriesLog) -> float:
     tail = max(1, math.ceil(0.1 * len(log.times)))
     return float(np.mean(log.mean_happiness[-tail:]))
+
+
+# compare_matching's metrics, each read from a member's log, in the order
+# per_run and paired_means list them.
+_METRICS = {
+    "min_population": lambda log: int(min(log.population)),
+    "convergent_happiness": _convergent_happiness,
+}
 
 
 def _signed_direction(diff: float) -> str:
@@ -219,62 +227,43 @@ def compare_matching(
     """
     if n_seeds < 2:
         raise ConfigurationError(f"seeds: need at least 2 paired seeds, got {n_seeds}")
-    base = scenario.config.seed
+    config, base = scenario.config, scenario.config.seed
     modes = (MatchMode.OPTIMAL, MatchMode.NOISY)
     configs = [
-        replace(
-            scenario.config,
-            seed=base + i,
-            matching=replace(scenario.config.matching, mode=mode),
-        )
+        replace(config, seed=base + i, matching=replace(config.matching, mode=mode))
         for mode in modes
         for i in range(n_seeds)
     ]
     logs = _run_many(configs, jobs)
 
     per_run: dict[str, list[dict]] = {m.value: [] for m in modes}
-    for config, log in zip(configs, logs):
-        per_run[config.matching.mode.value].append(
-            {
-                "seed": config.seed,
-                "min_population": int(min(log.population)),
-                "convergent_happiness": _convergent_happiness(log),
-                "status": log.status,
-            }
+    for member, log in zip(configs, logs):
+        metrics = {name: read(log) for name, read in _METRICS.items()}
+        per_run[member.matching.mode.value].append(
+            {"seed": member.seed, **metrics, "status": log.status}
         )
-
-    def _mean(mode: str, key: str) -> float:
-        return float(np.mean([r[key] for r in per_run[mode]]))
-
-    diff_h = _mean("noisy", "convergent_happiness") - _mean("optimal", "convergent_happiness")
-    diff_p = _mean("noisy", "min_population") - _mean("optimal", "min_population")
-
+    means = {
+        mode: {name: float(np.mean([r[name] for r in runs])) for name in _METRICS}
+        for mode, runs in per_run.items()
+    }
+    # Differences and directions have listed happiness first since they
+    # were first written, so they walk the table backwards.
+    diffs = {name: means["noisy"][name] - means["optimal"][name] for name in reversed(_METRICS)}
     report = {
         "scenario": scenario.name,
         "seeds": [base + i for i in range(n_seeds)],
         "per_run": per_run,
-        "paired_means": {
-            mode.value: {
-                "min_population": _mean(mode.value, "min_population"),
-                "convergent_happiness": _mean(mode.value, "convergent_happiness"),
-            }
-            for mode in modes
-        },
-        "differences_noisy_minus_optimal": {
-            "convergent_happiness": diff_h,
-            "min_population": diff_p,
-        },
-        "direction": {
-            "convergent_happiness": _signed_direction(diff_h),
-            "min_population": _signed_direction(diff_p),
-        },
+        "paired_means": means,
+        "differences_noisy_minus_optimal": diffs,
+        "direction": {name: _signed_direction(diff) for name, diff in diffs.items()},
     }
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [{"mode": mode.value, **row} for mode in modes for row in per_run[mode.value]]
-    header = ["mode", "seed", "min_population", "convergent_happiness", "status"]
-    _write_csv(out / "compare_matching.csv", header, _columns(rows, header))
+    _write_rows(
+        out / "compare_matching.csv",
+        [{"mode": mode, **row} for mode, runs in per_run.items() for row in runs],
+    )
     _write_json(out / "compare_matching.json", report)
     return report
 
@@ -428,10 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_multipliers(raw: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigurationError(f"multipliers: could not parse {raw!r}") from None
-    return values
 
 
 def main(argv=None) -> int:
