@@ -24,7 +24,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +213,16 @@ def _signed_direction(diff: float) -> str:
     return "equal"
 
 
+def _paired_signs(optimal: list[dict], noisy: list[dict], name: str) -> dict:
+    """How many paired seeds point each way on one metric, and the exact
+    two-sided sign-test p over the untied pairs (None when none is untied)."""
+    signs = [_signed_direction(n[name] - o[name]) for o, n in zip(optimal, noisy)]
+    counts = {w: signs.count(w) for w in ("noisy_higher", "optimal_higher", "equal", "undefined")}
+    h, l = counts["noisy_higher"], counts["optimal_higher"]
+    tail = sum(math.comb(h + l, i) for i in range(min(h, l) + 1))
+    return {**counts, "sign_test_p": min(1.0, 2 * tail / 2 ** (h + l)) if h + l else None}
+
+
 def compare_matching(
     scenario: Scenario,
     n_seeds: int,
@@ -223,7 +233,8 @@ def compare_matching(
 
     Per run the report records the population minimum (depth of the initial
     drop) and the convergent happiness (mean over the last 10% of logged
-    rounds). Directions are reported as observed, whichever way they point.
+    rounds). Directions are reported as observed, whichever way they point;
+    paired_signs counts the seeds behind each and gives a sign-test p.
     """
     if n_seeds < 2:
         raise ConfigurationError(f"seeds: need at least 2 paired seeds, got {n_seeds}")
@@ -256,6 +267,7 @@ def compare_matching(
         "paired_means": means,
         "differences_noisy_minus_optimal": diffs,
         "direction": {name: _signed_direction(diff) for name, diff in diffs.items()},
+        "paired_signs": {name: _paired_signs(*per_run.values(), name) for name in diffs},
     }
 
     out = Path(out_dir)
@@ -280,11 +292,7 @@ def equilibrium_audit(out_dir: str | Path | None = None) -> dict:
         "support_sizes": sorted(
             {f"{len(eq.supports[0])}x{len(eq.supports[1])}" for eq in found}
         ),
-        "degeneracy": {
-            "examined_supports": degeneracy.examined_supports,
-            "singular_systems": degeneracy.singular_systems,
-            "zero_probability_solutions": degeneracy.zero_probability_solutions,
-        },
+        "degeneracy": asdict(degeneracy),
         "reference": {
             "total": _REFERENCE_COUNTS["total"],
             "pure": _REFERENCE_COUNTS["pure"],
@@ -444,7 +452,9 @@ def main(argv=None) -> int:
             out = _resolved_out(scenario, args.out, "-compare")
             report = compare_matching(scenario, args.seeds, out, args.jobs)
             for metric, direction in report["direction"].items():
-                print(f"{metric}: {direction}")
+                signs = report["paired_signs"][metric]
+                print(f"{metric}: {direction} (noisy higher in {signs['noisy_higher']}, lower in "
+                      f"{signs['optimal_higher']}; sign-test p {signs['sign_test_p']})")
             print(f"report in {out / 'compare_matching.json'}")
         elif args.command == "analyze":
             payload = analyze_population(

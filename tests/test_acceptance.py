@@ -318,9 +318,19 @@ def test_criterion_08_matching_comparison(tmp_path):
     # Soft checks only: the upstream account has noisy matching ending
     # happier with a shallower population drop, but that depended on
     # scenario vectors that were never published.
-    soft_h = "PASS" if directions["convergent_happiness"] == "noisy_higher" else "FLAG"
-    soft_p = "PASS" if directions["min_population"] == "noisy_higher" else "FLAG"
-    print(f"  soft direction checks: convergent happiness {soft_h}, population drop {soft_p}")
+    # Each verdict carries the seed counts behind it and the sign-test p.
+    def soft(metric: str) -> str:
+        signs = report_dict["paired_signs"][metric]
+        verdict = "PASS" if directions[metric] == "noisy_higher" else "FLAG"
+        return (
+            f"{verdict} (noisy higher in {signs['noisy_higher']}, lower in "
+            f"{signs['optimal_higher']}, sign-test p {signs['sign_test_p']})"
+        )
+
+    print(
+        f"  soft direction checks: convergent happiness {soft('convergent_happiness')}, "
+        f"population drop {soft('min_population')}"
+    )
     report(
         8,
         structural,

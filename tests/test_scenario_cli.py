@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.stats import binomtest
 
 from citysim.cli import (
     _multiplier_tag,
+    _paired_signs,
     _signed_direction,
     analyze_population,
     build_parser,
@@ -346,6 +348,21 @@ def test_signed_direction():
     assert _signed_direction(math.nan) == "undefined"
 
 
+@pytest.mark.parametrize("higher,lower", [(10, 0), (9, 1), (5, 5), (0, 0)])
+def test_sign_test_p_matches_binomtest(higher, lower):
+    # A tie and a nan pair ride along; each is counted apart and leaves p alone.
+    diffs = [1.0] * higher + [-1.0] * lower + [0.0, math.nan]
+    optimal = [{"m": 2.0} for _ in diffs]
+    noisy = [{"m": 2.0 + d} for d in diffs]
+    signs = _paired_signs(optimal, noisy, "m")
+    p = signs.pop("sign_test_p")
+    assert signs == {"noisy_higher": higher, "optimal_higher": lower, "equal": 1, "undefined": 1}
+    if higher + lower:
+        assert p == pytest.approx(binomtest(higher, higher + lower).pvalue, rel=1e-12)
+    else:
+        assert p is None
+
+
 class TestCliSimulate:
     def test_simulate_writes_four_files(self, tmp_path):
         cfg = write_config(tmp_path, small_mapping())
@@ -565,6 +582,17 @@ class TestCliCompare:
                 "optimal_higher",
                 "equal",
             )
+        assert list(report)[-2:] == ["direction", "paired_signs"]
+        assert list(report["paired_signs"]) == list(report["direction"])
+        for signs in report["paired_signs"].values():
+            assert list(signs) == [
+                "noisy_higher",
+                "optimal_higher",
+                "equal",
+                "undefined",
+                "sign_test_p",
+            ]
+            assert sum(list(signs.values())[:4]) == 2
         lines = (tmp_path / "compare_matching.csv").read_text().splitlines()
         assert lines[0] == "mode,seed,min_population,convergent_happiness,status"
         assert len(lines) == 5
@@ -594,6 +622,12 @@ class TestCliCompare:
         assert report["direction"] == {
             "convergent_happiness": "undefined",
             "min_population": "equal",
+        }
+        # nan pairs are counted apart, and with no untied pair there is no p.
+        none_untied = {"noisy_higher": 0, "optimal_higher": 0, "sign_test_p": None}
+        assert report["paired_signs"] == {
+            "convergent_happiness": {**none_untied, "equal": 0, "undefined": 2},
+            "min_population": {**none_untied, "equal": 2, "undefined": 0},
         }
 
     def test_single_seed_rejected(self, tmp_path):
