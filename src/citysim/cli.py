@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 import time
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PointSet, classical_mds, cluster_summary, kmeans
-from .core import ConfigurationError, InteractionMatrix, _write_csv, _write_json
+from .core import ConfigurationError, InteractionMatrix, _read_text, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
@@ -308,23 +309,22 @@ def equilibrium_audit(out_dir: str | Path | None = None) -> dict:
 
 
 def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigurationError(f"{path}: empty population file") from None
+    trait_cols = [i for i, name in enumerate(header) if name not in PERSON_COLUMNS]
+    if "id" not in header or not trait_cols:
+        raise ConfigurationError(f"{path}: not a population snapshot CSV")
+    id_col = header.index("id")
+    ids, rows = [], []
+    for record in reader:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty population file") from None
-        trait_cols = [i for i, name in enumerate(header) if name not in PERSON_COLUMNS]
-        if "id" not in header or not trait_cols:
-            raise ConfigurationError(f"{path}: not a population snapshot CSV")
-        id_col = header.index("id")
-        ids, rows = [], []
-        for record in reader:
-            try:
-                ids.append(int(record[id_col]))
-                rows.append([float(record[i]) for i in trait_cols])
-            except (ValueError, IndexError):
-                raise ConfigurationError(f"{path}:{reader.line_num}: bad row {record!r}") from None
+            ids.append(int(record[id_col]))
+            rows.append([float(record[i]) for i in trait_cols])
+        except (ValueError, IndexError):
+            raise ConfigurationError(f"{path}:{reader.line_num}: bad row {record!r}") from None
     if not rows:
         raise ConfigurationError(f"{path}: no rows to analyze")
     return ids, np.asarray(rows, dtype=np.float64), [header[i] for i in trait_cols]

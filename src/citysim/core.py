@@ -1,5 +1,6 @@
-"""Trait vectors, the interaction matrix, the package's exceptions, and the
-two writers every CSV and JSON output goes through.
+"""Trait vectors, the interaction matrix, the package's exceptions, the
+reader every input goes through and the two writers every CSV and JSON
+output goes through. Every file is read and written as UTF-8.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -11,6 +12,7 @@ for life.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,27 +217,26 @@ class InteractionMatrix:
         with a society trait name and continues with one real per individual
         trait.
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ConfigurationError(f"{path}: empty matrix file") from None
+        row_names = tuple(name.strip() for name in header[1:])
+        col_names: list[str] = []
+        printed_rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(row_names) + 1:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: expected {len(row_names) + 1} cells, got {len(row)}"
+                )
+            col_names.append(row[0].strip())
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigurationError(f"{path}: empty matrix file") from None
-            row_names = tuple(name.strip() for name in header[1:])
-            col_names: list[str] = []
-            printed_rows: list[list[float]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(row_names) + 1:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: expected {len(row_names) + 1} cells, got {len(row)}"
-                    )
-                col_names.append(row[0].strip())
-                try:
-                    printed_rows.append([float(cell) for cell in row[1:]])
-                except ValueError as exc:
-                    raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+                printed_rows.append([float(cell) for cell in row[1:]])
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
         if not printed_rows:
             raise ConfigurationError(f"{path}: no matrix rows found")
         printed = np.asarray(printed_rows, dtype=np.float64)
@@ -246,12 +247,24 @@ class InteractionMatrix:
         _write_csv(path, ["", *self.row_names], [np.asarray(self.col_names), *self.entries])
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's text decoded as UTF-8, line ends as they are. Bytes that
+    are not UTF-8 end in a ConfigurationError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _write_json(path: str | Path, obj) -> None:
     """Write obj as JSON indented by two spaces, with a final "\n". Every
     float that is not finite (nan, inf) is written as null, so a strict
     parser reads the file: a first dump reads back with them as None."""
     plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -259,6 +272,6 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.nda
     row. A cell is str of the column's Python value: the repr of a float,
     the decimal of an integer, a string as it is. Lines end with "\n"."""
     cells = [map(str, col.tolist()) for col in columns]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))

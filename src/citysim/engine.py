@@ -172,8 +172,13 @@ class SimConfig:
         groups = tuple(self.groups)
         if not groups:
             raise ConfigurationError("at least one population group is required")
-        if sum(g.count for g in groups) == 0:
+        founders = sum(g.count for g in groups)
+        if founders == 0:
             raise ConfigurationError("initial population is empty across all groups")
+        if founders >= 2**63:
+            raise ConfigurationError(
+                f"population: {founders} founders in all do not fit int64 ids"
+            )
         object.__setattr__(self, "groups", groups)
         theta0 = self.theta0 if isinstance(self.theta0, TraitVector) else TraitVector(self.theta0)
         object.__setattr__(self, "theta0", theta0)
@@ -207,8 +212,17 @@ class SimConfig:
                     f"grid must be two dimensions >= 1 with int64 block codes, got {grid}"
                 )
             object.__setattr__(self, "grid", grid)
-        if self.matching.mode is MatchMode.LOCALITY and self.grid is None:
-            raise ConfigurationError("locality matching requires a grid")
+        if self.matching.mode is MatchMode.LOCALITY:
+            if self.grid is None:
+                raise ConfigurationError("locality matching requires a grid")
+            # The largest block distance on the grid, as grid_distances counts it.
+            w, h = self.grid
+            far = (w > 1) + (h > 1) if self.matching.distance == "hamming" else w + h - 2
+            if not math.isfinite(self.matching.gamma * far):
+                raise ConfigurationError(
+                    f"gamma {self.matching.gamma} times the largest block distance {far} "
+                    "overflows the locality penalty"
+                )
         if self.success_pop_scope not in ("global", "block"):
             raise ConfigurationError(
                 f"success_pop_scope must be 'global' or 'block', got {self.success_pop_scope!r}"

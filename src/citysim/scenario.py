@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import ConfigurationError, InteractionMatrix, TraitVector
+from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text
 from .demographics import DemographicsParams
 from .engine import MatchingConfig, PopulationGroup, SimConfig
 from .society import LearningRateSchedule
@@ -255,7 +255,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if not path.exists():
         raise ConfigurationError(f"scenario file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(_read_text(path))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from None
     if data is None:

@@ -878,6 +878,26 @@ class TestConfigValidation:
             (lambda: small_config(grid=(2, 2, 2)), "grid must be two dimensions"),
             (lambda: small_config(grid=(0, 3)), "grid must be two dimensions"),
             (lambda: small_config(grid=(2**62, 2)), "grid .* with int64 block codes"),
+            # Founder ids are int64: init_population died with "Maximum
+            # allowed dimension exceeded".
+            (
+                lambda: small_config(groups=(PopulationGroup(2**62, TraitVector([0.5] * 8)),) * 2),
+                "population: .* int64 ids",
+            ),
+            # gamma * distance overflowed to inf, and linear_sum_assignment
+            # died on an infeasible cost matrix.
+            *[
+                (
+                    lambda distance=distance: small_config(
+                        grid=(3, 3),
+                        matching=MatchingConfig(
+                            mode=MatchMode.LOCALITY, gamma=1.0e308, distance=distance
+                        ),
+                    ),
+                    "gamma .* overflows the locality penalty",
+                )
+                for distance in ("hamming", "manhattan")
+            ],
             (
                 lambda: run(small_config(max_time=2.0)).write_grid_csv("unused.csv"),
                 "no grid log",

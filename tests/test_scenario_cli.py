@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import yaml
 from scipy.stats import binomtest
 
+import citysim
 from citysim.cli import (
     _multiplier_tag,
     _paired_signs,
@@ -449,6 +453,14 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("error: grid must be two dimensions")
         assert not (tmp_path / "run").exists()
 
+    def test_founders_beyond_int64_ids_exit_2(self, tmp_path, capsys):
+        # init_population died with "Maximum allowed dimension exceeded".
+        population = [{"count": 1.0e20, "mean": [0.7] * 8}]
+        cfg = write_config(tmp_path, small_mapping(population=population))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: population: ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -731,6 +743,55 @@ def test_cli_input_check_exits_2(tmp_path, capsys, argv, text, message):
     assert main([*argv, str(file), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
     assert not out.exists()
+
+
+def _non_utf8_scenario(tmp_path: Path) -> tuple[Path, list[str]]:
+    path = tmp_path / "scn.yaml"
+    path.write_bytes(yaml.safe_dump(small_mapping()).encode() + b"# \xff\n")
+    return path, ["simulate", "--config", str(path)]
+
+
+def _non_utf8_matrix(tmp_path: Path) -> tuple[Path, list[str]]:
+    InteractionMatrix.default().to_csv(tmp_path / "matrix.csv")
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(path.read_bytes().replace(b"intellect", b"intell\xfft"))
+    cfg = write_config(tmp_path, small_mapping(interaction="matrix.csv"))
+    return path, ["simulate", "--config", str(cfg)]
+
+
+def _non_utf8_snapshot(tmp_path: Path) -> tuple[Path, list[str]]:
+    path = tmp_path / "snapshot.csv"
+    path.write_bytes(SNAPSHOT_HEADER.encode() + b"1,female,0.0,9.0,1.0,3.0,,,0.5\xff\n")
+    return path, ["analyze", "--input", str(path)]
+
+
+@pytest.mark.parametrize("build", [_non_utf8_scenario, _non_utf8_matrix, _non_utf8_snapshot])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, build):
+    # Each died with a UnicodeDecodeError traceback and exit 1.
+    path, argv = build(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+    assert not out.exists()
+
+
+def test_runs_under_encoding_warnings_as_errors(tmp_path):
+    # Every file is opened as UTF-8, so no open() falls back to the
+    # locale's encoding, which EncodingWarning reports.
+    InteractionMatrix.default().to_csv(tmp_path / "matrix.csv")
+    cfg = write_config(tmp_path, small_mapping(interaction="matrix.csv"))
+    env = dict(os.environ, PYTHONPATH=str(Path(citysim.__file__).parent.parent))
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    snapshot = tmp_path / "run" / "population_final.csv"
+    for argv in (
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        ["analyze", "--input", str(snapshot), "--out", str(tmp_path / "ana")],
+    ):
+        proc = subprocess.run(
+            [*strict, "-m", "citysim.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ana" / "analysis_clusters.json").exists()
 
 
 def test_scenario_out_is_the_default_output_directory(tmp_path, monkeypatch):
