@@ -214,10 +214,11 @@ def _signed_direction(diff: float) -> str:
     return "equal"
 
 
-def _paired_signs(optimal: list[dict], noisy: list[dict], name: str) -> dict:
+def _paired_signs(per_run: dict[str, list[dict]], name: str) -> dict:
     """How many paired seeds point each way on one metric, and the exact
     two-sided sign-test p over the untied pairs (None when none is untied)."""
-    signs = [_signed_direction(n[name] - o[name]) for o, n in zip(optimal, noisy)]
+    pairs = zip(per_run["optimal"], per_run["noisy"])
+    signs = [_signed_direction(n[name] - o[name]) for o, n in pairs]
     counts = {w: signs.count(w) for w in ("noisy_higher", "optimal_higher", "equal", "undefined")}
     h, l = counts["noisy_higher"], counts["optimal_higher"]
     tail = sum(math.comb(h + l, i) for i in range(min(h, l) + 1))
@@ -258,8 +259,8 @@ def compare_matching(
         mode: {name: float(np.mean([r[name] for r in runs])) for name in _METRICS}
         for mode, runs in per_run.items()
     }
-    # Differences and directions have listed happiness first since they
-    # were first written, so they walk the table backwards.
+    # The report has always listed differences and directions happiness
+    # first; walking the table backwards keeps its bytes.
     diffs = {name: means["noisy"][name] - means["optimal"][name] for name in reversed(_METRICS)}
     report = {
         "scenario": scenario.name,
@@ -268,7 +269,7 @@ def compare_matching(
         "paired_means": means,
         "differences_noisy_minus_optimal": diffs,
         "direction": {name: _signed_direction(diff) for name, diff in diffs.items()},
-        "paired_signs": {name: _paired_signs(*per_run.values(), name) for name in diffs},
+        "paired_signs": {name: _paired_signs(per_run, name) for name in diffs},
     }
 
     out = Path(out_dir)

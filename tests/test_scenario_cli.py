@@ -356,9 +356,8 @@ def test_signed_direction():
 def test_sign_test_p_matches_binomtest(higher, lower):
     # A tie and a nan pair ride along; each is counted apart and leaves p alone.
     diffs = [1.0] * higher + [-1.0] * lower + [0.0, math.nan]
-    optimal = [{"m": 2.0} for _ in diffs]
-    noisy = [{"m": 2.0 + d} for d in diffs]
-    signs = _paired_signs(optimal, noisy, "m")
+    per_run = {"optimal": [{"m": 2.0} for _ in diffs], "noisy": [{"m": 2.0 + d} for d in diffs]}
+    signs = _paired_signs(per_run, "m")
     p = signs.pop("sign_test_p")
     assert signs == {"noisy_higher": higher, "optimal_higher": lower, "equal": 1, "undefined": 1}
     if higher + lower:
@@ -752,8 +751,8 @@ def _non_utf8_scenario(tmp_path: Path) -> tuple[Path, list[str]]:
 
 
 def _non_utf8_matrix(tmp_path: Path) -> tuple[Path, list[str]]:
-    InteractionMatrix.default().to_csv(tmp_path / "matrix.csv")
     path = tmp_path / "matrix.csv"
+    InteractionMatrix.default().to_csv(path)
     path.write_bytes(path.read_bytes().replace(b"intellect", b"intell\xfft"))
     cfg = write_config(tmp_path, small_mapping(interaction="matrix.csv"))
     return path, ["simulate", "--config", str(cfg)]
@@ -788,7 +787,11 @@ def test_runs_under_encoding_warnings_as_errors(tmp_path):
         ["analyze", "--input", str(snapshot), "--out", str(tmp_path / "ana")],
     ):
         proc = subprocess.run(
-            [*strict, "-m", "citysim.cli", *argv], env=env, capture_output=True, text=True
+            [*strict, "-m", "citysim.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ana" / "analysis_clusters.json").exists()
