@@ -159,16 +159,13 @@ def sweep_lambda(
     """
     if not multipliers:
         raise ConfigurationError("multipliers: need at least one value")
-    for m in multipliers:
-        if not (m > 0 and math.isfinite(m)):
-            raise ConfigurationError(f"multipliers: must be positive, got {m}")
     # Each multiplier's run writes to its own directory, named by value.
     for i, m in enumerate(multipliers):
         if float(m) in map(float, multipliers[:i]):
             raise ConfigurationError(f"multipliers: {float(m)!r} repeats")
     out = Path(out_dir)
     configs = [
-        replace(scenario.config, schedule=replace(scenario.config.schedule, multiplier=float(m)))
+        replace(scenario.config, schedule=replace(scenario.config.schedule, multiplier=m))
         for m in multipliers
     ]
     t0 = time.perf_counter()

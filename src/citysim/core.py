@@ -1,6 +1,7 @@
 """Trait vectors, the interaction matrix, the package's exceptions, the
-reader every input goes through and the two writers every CSV and JSON
-output goes through. Every file is read and written as UTF-8.
+checkers every config field goes through, the reader every input goes
+through and the two writers every CSV and JSON output goes through. Every
+file is read and written as UTF-8.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -93,12 +95,46 @@ class ConsistencyError(CitySimError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-def require_int(value, what: str) -> int:
-    """value as an int, or ConfigurationError naming what when it is not an
-    integer. A bool is not an integer here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+def require_real(value, what: str, low: float, above: bool = False) -> float:
+    """value as a finite float that is >= low (> low with above=True), or
+    ConfigurationError naming what. A bool is not a number here."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ConfigurationError(f"{what}: expected a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what}: expected a number that fits in a float") from None
+    if not math.isfinite(real):
+        raise ConfigurationError(f"{what} must be finite, got {value}")
+    if not (real > low if above else real >= low):
+        raise ConfigurationError(f"{what} must be {'>' if above else '>='} {low:g}, got {value}")
+    return real
+
+
+def require_int(value, what: str, low: float = -math.inf) -> int:
+    """value as an int >= low, or ConfigurationError naming what, as
+    require_real checks it. An integer-valued float counts (2.0 is 2)."""
+    if not require_real(value, what, low).is_integer():
+        raise ConfigurationError(f"{what}: expected an integer, got {value!r}")
     return int(value)
+
+
+def require_choice(value, choices, what: str):
+    """value if it is one of choices, a sequence of strings or a str Enum
+    class (whose member is returned), else ConfigurationError naming what."""
+    names = [getattr(c, "value", c) for c in choices]
+    if not isinstance(value, str) or value not in names:
+        raise ConfigurationError(f"{what}: {value!r} is not one of {names}")
+    return choices(value) if isinstance(choices, type) else value
+
+
+def _store(obj, **values) -> None:
+    """Set the named fields of frozen dataclass obj, as its __post_init__ does
+    with the values it has checked."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _as_float_array(values, *, what: str) -> np.ndarray:
@@ -192,9 +228,7 @@ class InteractionMatrix:
             raise ConfigurationError("interaction matrix entries must lie in [-1, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "row_names", rows)
-        object.__setattr__(self, "col_names", cols)
+        _store(self, entries=arr, row_names=rows, col_names=cols)
 
     @classmethod
     def default(cls) -> "InteractionMatrix":

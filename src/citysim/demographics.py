@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _store, require_choice, require_real
 
 __all__ = [
     "DemographicsParams",
@@ -65,26 +65,19 @@ class DemographicsParams:
     success_rule: Literal["deterministic", "probabilistic"] = "deterministic"
 
     def __post_init__(self) -> None:
-        positive = (
-            ("lifespan_a", self.lifespan_a),
-            ("lifespan_b", self.lifespan_b),
-            ("gap_a", self.gap_a),
-            ("gap_epsilon", self.gap_epsilon),
-            ("success_a", self.success_a),
-            ("success_scale", self.success_scale),
-            ("maturity_age", self.maturity_age),
+        positive = ("lifespan_a", "lifespan_b", "gap_a", "gap_epsilon", "success_a",
+                    "success_scale", "maturity_age")
+        _store(
+            self,
+            **{name: require_real(getattr(self, name), name, 0.0, above=True) for name in positive},
+            mutation_prob=require_real(self.mutation_prob, "mutation_prob", 0.0),
+            success_rule=require_choice(
+                self.success_rule, ("deterministic", "probabilistic"), "success_rule"
+            ),
         )
-        for name, value in positive:
-            if not (value > 0) or not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be strictly positive, got {value}")
-        if not (0.0 <= self.mutation_prob <= 1.0):
+        if self.mutation_prob > 1.0:
             raise ConfigurationError(
                 f"mutation_prob must lie in [0, 1], got {self.mutation_prob}"
-            )
-        if self.success_rule not in ("deterministic", "probabilistic"):
-            raise ConfigurationError(
-                f"success_rule must be 'deterministic' or 'probabilistic', "
-                f"got {self.success_rule!r}"
             )
 
 

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector, require_int
+from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector, _store
+from .core import require_choice, require_int, require_real
 from .core import _write_csv, _write_json
 from .demographics import (
     DemographicsParams,
@@ -105,22 +106,17 @@ class PopulationGroup:
     std: tuple[float, ...] | float = 0.1
 
     def __post_init__(self) -> None:
-        if require_int(self.count, "group count") < 0:
-            raise ConfigurationError(f"group count must be nonnegative, got {self.count}")
+        count = require_int(self.count, "count")
+        if count < 0:
+            raise ConfigurationError(f"group count must be nonnegative, got {count}")
         mean = self.mean if isinstance(self.mean, TraitVector) else TraitVector(self.mean)
-        object.__setattr__(self, "mean", mean)
-        std = self.std
-        if np.isscalar(std):
-            std = (float(std),) * mean.dim
+        if isinstance(self.std, (list, tuple, np.ndarray)):
+            std = tuple(require_real(s, f"std[{k}]", 0.0) for k, s in enumerate(self.std))
         else:
-            std = tuple(float(s) for s in std)
+            std = (require_real(self.std, "std", 0.0),) * mean.dim
         if len(std) != mean.dim:
-            raise ConfigurationError(
-                f"std has {len(std)} entries for a {mean.dim}-trait mean"
-            )
-        if any(not (s >= 0 and math.isfinite(s)) for s in std):
-            raise ConfigurationError(f"std entries must be finite and >= 0, got {std}")
-        object.__setattr__(self, "std", std)
+            raise ConfigurationError(f"std has {len(std)} entries for a {mean.dim}-trait mean")
+        _store(self, count=count, mean=mean, std=std)
 
 
 @dataclass(frozen=True)
@@ -134,18 +130,22 @@ class MatchingConfig:
     distance: str = "hamming"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", MatchMode(self.mode))
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise ConfigurationError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if require_int(self.partition_size, "partition_size") < 1:
-            raise ConfigurationError(f"partition_size must be >= 1, got {self.partition_size}")
-        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+        _store(
+            self,
+            mode=require_choice(self.mode, MatchMode, "mode"),
+            gamma=require_real(self.gamma, "gamma", 0.0),
+            partition_size=require_int(self.partition_size, "partition_size", 1),
+            noise_sigma=require_real(self.noise_sigma, "noise_sigma", 0.0),
+            distance=require_choice(self.distance, ("hamming", "manhattan"), "distance"),
+        )
+        # A Generator's standard normal draw stays below 13.8 in magnitude:
+        # its ziggurat tail returns r + -log1p(-u) / r, with r ~ 3.654 and
+        # u <= 1 - 2^-53. So every noise draw, and every weight it is added
+        # to, stays finite when 16 * noise_sigma does.
+        if not math.isfinite(16 * self.noise_sigma):
             raise ConfigurationError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
-        if self.distance not in ("hamming", "manhattan"):
-            raise ConfigurationError(
-                f"distance must be 'hamming' or 'manhattan', got {self.distance!r}"
+                f"noise_sigma {self.noise_sigma} overflows the matching noise: "
+                "16 * noise_sigma must be finite"
             )
 
 
@@ -167,8 +167,9 @@ class SimConfig:
     success_pop_scope: str = "global"
 
     def __post_init__(self) -> None:
-        if not 0 <= require_int(self.seed, "seed") < 2**64:
-            raise ConfigurationError(f"seed must lie in [0, 2^64), got {self.seed}")
+        seed = require_int(self.seed, "seed", 0)
+        if seed >= 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
         groups = tuple(self.groups)
         if not groups:
             raise ConfigurationError("at least one population group is required")
@@ -179,9 +180,7 @@ class SimConfig:
             raise ConfigurationError(
                 f"population: {founders} founders in all do not fit int64 ids"
             )
-        object.__setattr__(self, "groups", groups)
         theta0 = self.theta0 if isinstance(self.theta0, TraitVector) else TraitVector(self.theta0)
-        object.__setattr__(self, "theta0", theta0)
         if theta0.dim != self.interaction.society_dim:
             raise ConfigurationError(
                 f"theta0 has {theta0.dim} traits, interaction matrix expects "
@@ -193,25 +192,32 @@ class SimConfig:
                     f"group mean has {g.mean.dim} traits, interaction matrix "
                     f"expects {self.interaction.individual_dim}"
                 )
-        if not (self.mating_period > 0 and math.isfinite(self.mating_period)):
-            raise ConfigurationError(f"mating_period must be > 0, got {self.mating_period}")
-        object.__setattr__(self, "mating_period", float(self.mating_period))
-        if not (self.max_time >= 0 and math.isfinite(self.max_time)):
-            raise ConfigurationError(f"max_time must be >= 0, got {self.max_time}")
+        _store(
+            self,
+            seed=seed,
+            groups=groups,
+            theta0=theta0,
+            mating_period=require_real(self.mating_period, "mating_period", 0.0, above=True),
+            max_time=require_real(self.max_time, "max_time", 0.0),
+            log_every=require_int(self.log_every, "log_every", 1),
+            success_pop_scope=require_choice(
+                self.success_pop_scope, ("global", "block"), "success_pop_scope"
+            ),
+        )
         if not math.isfinite(self.max_time / self.mating_period):
             raise ConfigurationError(
                 f"max_time / mating_period must be a finite round count, got "
                 f"{self.max_time} / {self.mating_period}"
             )
-        if require_int(self.log_every, "log_every") < 1:
-            raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
         if self.grid is not None:
+            if not isinstance(self.grid, (list, tuple, np.ndarray)):
+                raise ConfigurationError(f"grid: expected [width, height], got {self.grid!r}")
             grid = tuple(require_int(v, f"grid[{k}]") for k, v in enumerate(self.grid))
             if len(grid) != 2 or min(grid) < 1 or grid[0] * grid[1] >= 2**63:
                 raise ConfigurationError(
                     f"grid must be two dimensions >= 1 with int64 block codes, got {grid}"
                 )
-            object.__setattr__(self, "grid", grid)
+            _store(self, grid=grid)
         if self.matching.mode is MatchMode.LOCALITY:
             if self.grid is None:
                 raise ConfigurationError("locality matching requires a grid")
@@ -223,10 +229,6 @@ class SimConfig:
                     f"gamma {self.matching.gamma} times the largest block distance {far} "
                     "overflows the locality penalty"
                 )
-        if self.success_pop_scope not in ("global", "block"):
-            raise ConfigurationError(
-                f"success_pop_scope must be 'global' or 'block', got {self.success_pop_scope!r}"
-            )
         if self.success_pop_scope == "block" and self.grid is None:
             raise ConfigurationError("block-scoped mating success requires a grid")
         # Trait names and society names are unique, and only a mean_ column

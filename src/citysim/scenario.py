@@ -10,14 +10,13 @@ names the offending field.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import yaml
 
-from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text
+from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text, require_real
 from .demographics import DemographicsParams
 from .engine import MatchingConfig, PopulationGroup, SimConfig
 from .society import LearningRateSchedule
@@ -64,19 +63,6 @@ def _reject_unknown(data: dict, allowed: set[str], field: str) -> None:
         raise ConfigurationError(f"{field}: unknown key(s) {', '.join(unknown)}")
 
 
-def _number(value, where: str, kind=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
-        return int(value)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigurationError(f"{where}: expected a number that fits in a float") from None
-
-
 def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVector:
     if isinstance(value, dict):
         bad = sorted(str(key) for key in set(value) - set(names))
@@ -93,35 +79,11 @@ def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVecto
         raise ConfigurationError(
             f"{field}: expected a list of {len(names)} values or a name mapping"
         )
-    vec = [_number(v, f"{field}.{name}") for name, v in zip(names, raw)]
+    vec = [require_real(v, f"{field}.{name}", 0.0) for name, v in zip(names, raw)]
     for name, v in zip(names, vec):
-        if not (0.0 <= v <= 1.0) or not math.isfinite(v):
+        if v > 1.0:
             raise ConfigurationError(f"{field}.{name}: value {v} outside [0, 1]")
     return TraitVector(vec)
-
-
-def _field_values(cls, data: dict, field: str, names) -> dict:
-    """The named fields of config dataclass cls that data holds, checked by
-    kind; an absent field is left to cls's default. A field's default gives
-    its value's kind: numbers are checked as float or int, an enum is built
-    by value, and a string passes through for cls to validate."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in names or f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(f.default, Enum):
-            kind = type(f.default)
-            try:
-                value = kind(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{field}.{f.name}: {value!r} is not one of {[m.value for m in kind]}"
-                ) from None
-        elif isinstance(f.default, (int, float)):
-            value = _number(value, f"{field}.{f.name}", type(f.default))
-        kwargs[f.name] = value
-    return kwargs
 
 
 def _parse_section(cls, data, field: str):
@@ -131,7 +93,7 @@ def _parse_section(cls, data, field: str):
     names = {f.name for f in dataclasses.fields(cls)}
     _reject_unknown(data, names, field)
     try:
-        return cls(**_field_values(cls, data, field, names))
+        return cls(**data)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{field}: {exc}") from None
 
@@ -155,19 +117,9 @@ def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationG
         _reject_unknown(entry, {"count", "mean", "std"}, field)
         if "count" not in entry or "mean" not in entry:
             raise ConfigurationError(f"{field}: count and mean are required")
-        count = _number(entry["count"], f"{field}.count", int)
         mean = _parse_trait_vector(entry["mean"], interaction.row_names, f"{field}.mean")
-        std = {}  # absent: PopulationGroup's default
-        if "std" in entry:
-            raw = entry["std"]
-            if isinstance(raw, (list, tuple)):
-                std["std"] = tuple(_number(s, f"{field}.std[{k}]") for k, s in enumerate(raw))
-            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                std["std"] = float(raw)
-            else:
-                raise ConfigurationError(f"{field}.std: expected a number or list")
         try:
-            groups.append(PopulationGroup(count=count, mean=mean, **std))
+            groups.append(PopulationGroup(**{**entry, "mean": mean}))
         except ConfigurationError as exc:
             raise ConfigurationError(f"{field}: {exc}") from None
     return tuple(groups)
@@ -190,7 +142,6 @@ def scenario_from_mapping(
     _reject_unknown(data, _ROOT_KEYS, "scenario")
     if "seed" not in data:
         raise ConfigurationError("seed: required")
-    seed = _number(data["seed"], "scenario.seed", int)
 
     source = data.get("interaction", "default")
     if not isinstance(source, str):
@@ -215,21 +166,14 @@ def scenario_from_mapping(
     else:
         theta0 = TraitVector([_NEUTRAL_LEVEL] * interaction.society_dim)
 
-    grid = None
-    if data.get("grid") is not None:
-        raw = data["grid"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ConfigurationError("grid: expected [width, height]")
-        grid = tuple(_number(v, f"grid[{k}]", int) for k, v in enumerate(raw))
-
     config = SimConfig(
-        seed=seed,
+        seed=data["seed"],
         groups=groups,
         theta0=theta0,
         interaction=interaction,
         **{key: _parse_section(cls, data.get(key, {}), key) for key, cls in _SECTIONS.items()},
-        grid=grid,
-        **_field_values(SimConfig, data, "scenario", _ROOT_SCALARS),
+        grid=data.get("grid"),
+        **{key: data[key] for key in _ROOT_SCALARS if key in data},
     )
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:

@@ -13,7 +13,8 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ConfigurationError, InteractionMatrix, TraitVector, require_int
+from .core import ConfigurationError, InteractionMatrix, TraitVector, _store
+from .core import require_choice, require_int, require_real
 from .matching import score
 
 __all__ = [
@@ -41,17 +42,20 @@ class LearningRateSchedule:
     flexibility_trait_index: int = 3
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "dynamic"):
-            raise ConfigurationError(f"kind must be 'fixed' or 'dynamic', got {self.kind!r}")
-        if not (self.base > 0 and math.isfinite(self.base)):
-            raise ConfigurationError(f"base must be strictly positive, got {self.base}")
-        if not (self.multiplier > 0 and math.isfinite(self.multiplier)):
+        _store(
+            self,
+            kind=require_choice(self.kind, ("fixed", "dynamic"), "kind"),
+            base=require_real(self.base, "base", 0.0, above=True),
+            multiplier=require_real(self.multiplier, "multiplier", 0.0, above=True),
+            flexibility_trait_index=require_int(
+                self.flexibility_trait_index, "flexibility_trait_index", 0
+            ),
+        )
+        if not math.isfinite(self.base * self.multiplier):
             raise ConfigurationError(
-                f"multiplier must be strictly positive, got {self.multiplier}"
+                f"base * multiplier must be a finite step size, got "
+                f"{self.base} * {self.multiplier}"
             )
-        flex = self.flexibility_trait_index
-        if require_int(flex, "flexibility_trait_index") < 0:
-            raise ConfigurationError(f"flexibility_trait_index must be nonnegative, got {flex}")
 
     def rate(self, x_bar) -> float:
         """Step size for a population whose mean trait vector is x_bar."""
@@ -100,10 +104,8 @@ def society_path(
     after every step: a coordinate that reaches the box edge stays there
     both ways.
     """
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ConfigurationError(f"learning rate must be finite and >= 0, got {lam}")
-    if require_int(rounds, "rounds") < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+    lam = require_real(lam, "learning rate", 0.0)
+    rounds = require_int(rounds, "rounds", 1)
     tv = _values(theta, interaction.society_dim, what="society vector")
     step = lam * society_gradient(x_bar, interaction)
     path = np.empty((rounds, tv.shape[0]))

@@ -38,7 +38,7 @@ from citysim.matching import MatchMode
 from citysim.presets import get_preset
 from citysim.society import society_gradient, society_path
 from dataclasses import replace
-from reference import expected_child
+from reference import brute_force_pure, expected_child, oracle_equilibria
 
 
 def report(num: int, ok: bool, label: str, detail: str = "") -> None:
@@ -181,54 +181,6 @@ def test_criterion_05_determinism(tmp_path):
     assert ok
 
 
-def brute_force_pure(A, B):
-    cells = []
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            if A[i, j] >= A[:, j].max() and B[i, j] >= B[i, :].max():
-                cells.append((i, j))
-    return cells
-
-
-def oracle_3x3(A, B, tol=1e-9):
-    """Least-squares indifference solver, independent of the library path."""
-    found = []
-    for k in (1, 2, 3):
-        for R in itertools.combinations(range(3), k):
-            for C in itertools.combinations(range(3), k):
-                Ds = np.zeros((k, k))
-                Ds[0, :] = 1.0
-                for i in range(1, k):
-                    Ds[i, :] = A[R[0], list(C)] - A[R[i], list(C)]
-                rhs = np.zeros(k)
-                rhs[0] = 1.0
-                ss, _, rank_s, _ = np.linalg.lstsq(Ds, rhs, rcond=None)
-                if rank_s < k or np.max(np.abs(Ds @ ss - rhs)) > 1e-8:
-                    continue
-                Dp = np.zeros((k, k))
-                Dp[0, :] = 1.0
-                for j in range(1, k):
-                    Dp[j, :] = B[list(R), C[0]] - B[list(R), C[j]]
-                sp, _, rank_p, _ = np.linalg.lstsq(Dp, rhs, rcond=None)
-                if rank_p < k or np.max(np.abs(Dp @ sp - rhs)) > 1e-8:
-                    continue
-                if ss.min() < -tol or sp.min() < -tol:
-                    continue
-                full_s = np.zeros(3)
-                full_s[list(C)] = ss
-                full_p = np.zeros(3)
-                full_p[list(R)] = sp
-                if (
-                    np.max(A @ full_s) > float(A[R[0]] @ full_s) + tol
-                    or np.max(full_p @ B) > float(full_p @ B[:, C[0]]) + tol
-                ):
-                    continue
-                key = np.concatenate([np.clip(full_p, 0, None), np.clip(full_s, 0, None)])
-                if not any(np.max(np.abs(key - f)) < 1e-6 for f in found):
-                    found.append(key)
-    return found
-
-
 def test_criterion_06_equilibrium_audit():
     game = BimatrixGame.common_interest(InteractionMatrix.default())
     pure = pure_nash(game)
@@ -245,7 +197,7 @@ def test_criterion_06_equilibrium_audit():
             games_ok = False
             break
         keys = [np.concatenate([eq.sigma_p, eq.sigma_s]) for eq in found]
-        expected = oracle_3x3(A, B)
+        expected = oracle_equilibria(A, B)
         if len(keys) != len(expected):
             games_ok = False
             break

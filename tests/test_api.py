@@ -1,9 +1,12 @@
 """The package's public names: every name in each module's __all__, and in
 citysim.__all__, resolves and is listed once, so a name deleted from a
-module cannot stay exported."""
+module cannot stay exported. And every name a module imports is used, so
+an import cannot outlive the code that needed it."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,19 @@ def test_every_exported_name_resolves_once(name):
         n for n in exported if exported.count(n) > 1
     )
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_every_imported_name_is_used(name):
+    # A name counts as used when the module reads it or lists it in __all__,
+    # as the package's __init__ does with what it re-exports.
+    tree = ast.parse((Path(citysim.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("citysim" if name == "__init__" else f"citysim.{name}")
+    assert sorted(imported - read - set(module.__all__)) == []

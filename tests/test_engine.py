@@ -844,6 +844,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="log_every"):
             small_config(log_every=True)
 
+    def test_fields_are_stored_as_their_kind(self):
+        # An integer-valued float is an integer, an integer is a float where
+        # the field is real, and a mode's value is its MatchMode.
+        group = PopulationGroup(2.0, TraitVector([0.5] * 8), 1)
+        assert group.count == 2 and type(group.count) is int and group.std == (1.0,) * 8
+        matching = MatchingConfig(mode="noisy", gamma=2, partition_size=np.float64(3.0))
+        assert matching.mode is MatchMode.NOISY
+        assert type(matching.gamma) is float and type(matching.partition_size) is int
+        cfg = small_config(seed=7.0, grid=[2.0, 3], max_time=5, log_every=2.0)
+        assert (cfg.seed, cfg.grid, cfg.max_time, cfg.log_every) == (7, (2, 3), 5.0, 2)
+        assert [type(v) for v in (cfg.seed, *cfg.grid, cfg.max_time, cfg.log_every)] == [
+            int, int, int, float, int,
+        ]
+        assert type(DemographicsParams(maturity_age=2).maturity_age) is float
+        assert type(LearningRateSchedule(flexibility_trait_index=1.0).flexibility_trait_index) is int
+
     @pytest.mark.parametrize("trait", ["happiness", "current_happiness", "gx"])
     def test_trait_name_may_not_repeat_a_csv_column(self, trait):
         # A trait named happiness repeated log.csv's mean_happiness and the
@@ -864,12 +880,33 @@ class TestConfigValidation:
         "build,field",
         [
             (lambda: PopulationGroup(-1, TraitVector([0.5] * 8)), "group count"),
-            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), -0.1), "std entries"),
-            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), float("inf")), "std entries"),
+            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), -0.1), "std must .* -0.1"),
+            (lambda: PopulationGroup(4, TraitVector([0.5] * 8), float("inf")), "std must .* inf"),
             (lambda: MatchingConfig(gamma=-1.0), "gamma"),
             (lambda: MatchingConfig(gamma=float("nan")), "gamma"),
             (lambda: MatchingConfig(noise_sigma=-1.0), "noise_sigma"),
             (lambda: MatchingConfig(noise_sigma=float("inf")), "noise_sigma"),
+            # The k x k noise draws overflowed to inf, and linear_sum_assignment
+            # died with "matrix contains invalid numeric entries".
+            (lambda: MatchingConfig(noise_sigma=1.0e308), "noise_sigma .* overflows"),
+            # The step size overflowed to inf, and the run stopped at its first
+            # step with an error that named no field.
+            (
+                lambda: LearningRateSchedule(base=1.0e300, multiplier=1.0e300),
+                r"base \* multiplier must be a finite step size",
+            ),
+            # Each of these was accepted as 1 or died with TypeError or a bare
+            # ValueError while the scenario parser alone checked kinds.
+            (lambda: DemographicsParams(success_a=True), "success_a: expected a number, got True"),
+            (lambda: LearningRateSchedule(multiplier=True), "multiplier: expected a number"),
+            (lambda: MatchingConfig(gamma="1"), "gamma: expected a number, got '1'"),
+            (lambda: DemographicsParams(mutation_prob="0.1"), "mutation_prob: expected a number"),
+            (lambda: MatchingConfig(mode="bogus"), "mode: 'bogus' is not one of"),
+            (
+                lambda: PopulationGroup(4, TraitVector([0.5] * 8), std="a"),
+                "std: expected a number, got 'a'",
+            ),
+            (lambda: small_config(grid=5), r"grid: expected \[width, height\], got 5"),
             (lambda: small_config(groups=()), "population group"),
             (
                 lambda: small_config(groups=(PopulationGroup(4, TraitVector([0.5] * 7)),)),

@@ -1,7 +1,5 @@
 """Pure and mixed equilibrium enumeration."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from citysim.equilibrium import (
     support_enumeration_report,
     verify_equilibrium,
 )
+from reference import brute_force_pure, oracle_equilibria
 
 # Simultaneous row/column best responses of the default matrix, read off the
 # printed table by hand before the implementation existed. Row-major in the
@@ -22,59 +21,6 @@ DEFAULT_PURE_CELLS = [(0, 0), (1, 3), (2, 6), (3, 11), (5, 1), (7, 8)]
 
 def common_game():
     return BimatrixGame.common_interest(InteractionMatrix.default())
-
-
-def brute_force_pure(A, B):
-    cells = []
-    m, n = A.shape
-    for i in range(m):
-        for j in range(n):
-            if all(A[i, j] >= A[i2, j] for i2 in range(m)) and all(
-                B[i, j] >= B[i, j2] for j2 in range(n)
-            ):
-                cells.append((i, j))
-    return cells
-
-
-def oracle_equilibria(A, B, tol=1e-9):
-    """Difference-equation formulation solved by least squares; independent
-    of the production path's augmented square systems."""
-    m, n = A.shape
-    found = []
-    for k in range(1, min(m, n) + 1):
-        for R in itertools.combinations(range(m), k):
-            for C in itertools.combinations(range(n), k):
-                Ds = np.zeros((k, k))
-                Ds[0, :] = 1.0
-                for i in range(1, k):
-                    Ds[i, :] = A[R[0], list(C)] - A[R[i], list(C)]
-                rhs = np.zeros(k)
-                rhs[0] = 1.0
-                ss, _, rank_s, _ = np.linalg.lstsq(Ds, rhs, rcond=None)
-                if rank_s < k or np.max(np.abs(Ds @ ss - rhs)) > 1e-8:
-                    continue
-                Dp = np.zeros((k, k))
-                Dp[0, :] = 1.0
-                for j in range(1, k):
-                    Dp[j, :] = B[list(R), C[0]] - B[list(R), C[j]]
-                sp, _, rank_p, _ = np.linalg.lstsq(Dp, rhs, rcond=None)
-                if rank_p < k or np.max(np.abs(Dp @ sp - rhs)) > 1e-8:
-                    continue
-                if ss.min() < -tol or sp.min() < -tol:
-                    continue
-                full_s = np.zeros(n)
-                full_s[list(C)] = ss
-                full_p = np.zeros(m)
-                full_p[list(R)] = sp
-                v_p = float(A[R[0]] @ full_s)
-                v_s = float(full_p @ B[:, C[0]])
-                if np.max(A @ full_s) > v_p + tol or np.max(full_p @ B) > v_s + tol:
-                    continue
-                key = np.concatenate([np.clip(full_p, 0, None), np.clip(full_s, 0, None)])
-                key /= np.array([key[:m].sum()] * m + [key[m:].sum()] * n)
-                if not any(np.max(np.abs(key - f)) < 1e-6 for f in found):
-                    found.append(key)
-    return found
 
 
 class TestPureNash:

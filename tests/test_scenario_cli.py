@@ -62,6 +62,13 @@ def small_mapping(**overrides) -> dict:
     return data
 
 
+def noise_mapping(mode: str, noise_sigma: float) -> dict:
+    """40 founders matched by mode with noise scale noise_sigma to t=5."""
+    population = [{"count": 40, "mean": [0.7] * 8}]
+    matching = {"mode": mode, "noise_sigma": noise_sigma}
+    return small_mapping(population=population, max_time=5.0, matching=matching)
+
+
 class TestScenarioParsing:
     def test_minimal_file_gets_defaults(self, tmp_path):
         sc = load_scenario(write_config(tmp_path, MINIMAL))
@@ -157,7 +164,7 @@ class TestScenarioParsing:
             scenario_from_mapping(small_mapping(**{key: value}))
 
     def test_integer_too_large_for_a_float_rejected(self):
-        with pytest.raises(ConfigurationError, match="scenario.max_time: .* fits in a float"):
+        with pytest.raises(ConfigurationError, match="^max_time: .* that fits in a float"):
             scenario_from_mapping(small_mapping(max_time=10**400))
 
     def test_non_numeric_trait_value_names_trait(self):
@@ -171,7 +178,8 @@ class TestScenarioParsing:
 
     def test_non_numeric_std_entry_names_field(self):
         group = {"count": 4, "mean": [0.5] * 8, "std": [0.1] * 7 + ["wide"]}
-        with pytest.raises(ConfigurationError, match=r"population\[0\].std\[7\]"):
+        message = r"population\[0\]: std\[7\]: expected a number, got 'wide'"
+        with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(small_mapping(population=[group]))
 
     @pytest.mark.parametrize(
@@ -201,7 +209,7 @@ class TestScenarioParsing:
             ({"population": [{"count": 4}]}, r"population\[0\]: count and mean"),
             (
                 {"population": [{"count": 4, "mean": [0.5] * 8, "std": "wide"}]},
-                r"population\[0\].std: expected a number or list",
+                r"population\[0\]: std: expected a number, got 'wide'",
             ),
             ({"population": [{"count": -1, "mean": [0.5] * 8}]}, r"population\[0\]: group count"),
             ({"interaction": 5}, "interaction: expected 'default' or a CSV path"),
@@ -459,6 +467,21 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: population: ")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode", ["noisy", "partitioned"])
+    def test_overflowing_noise_scale_exits_2(self, tmp_path, capsys, mode):
+        # The k x k noise draws overflowed to inf, and linear_sum_assignment
+        # died with "matrix contains invalid numeric entries".
+        cfg = write_config(tmp_path, noise_mapping(mode, 1.0e308))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: matching: noise_sigma 1e+308 overflows")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode", ["noisy", "partitioned"])
+    def test_huge_noise_scale_below_the_bound_runs(self, tmp_path, mode):
+        cfg = write_config(tmp_path, noise_mapping(mode, 1.0e307))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert load_json_strict(tmp_path / "run" / "summary.json")["final_time"] == 5.0
 
     @pytest.mark.parametrize(
         "extra,message",
