@@ -320,29 +320,50 @@ class TimeSeriesLog:
         }
 
 
+# When extend reaches the end of the buffers, the window slides back to
+# their front if they hold this many times the live people; otherwise they
+# are replaced by buffers of that capacity. Either way about a third of the
+# capacity is left as slack, which keeps the copying per appended person
+# bounded.
+_GROWTH = 1.5
+
+
 class Roster:
     """Columnar population store: id, sex (0 male, 1 female), traits,
     frozen happiness, birth/death/next-available times and, on a w x h
     grid, the home block as one code gx * h + gy (None without a grid).
-    The last axis of every array is the person: traits is one C-contiguous
-    (dim, n) array with a row per trait, and the rest are (n,). Ids ascend
-    along that axis, so a stable sort breaks ties by id."""
+    The last axis of every array is the person: traits is a (dim, n) array
+    with a row per trait, and the rest are (n,). Ids ascend along that
+    axis, so a stable sort breaks ties by id.
 
-    __slots__ = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "block")
+    Each column is a view of the window [lo, hi) of a buffer whose last
+    axis, the capacity, has slack on either side. bury and extend move the
+    window and write into the buffers in place, in roster order; the
+    constructor adopts its arrays as the buffers, window and all. Built
+    from C-contiguous traits, as take and init_population build them, each
+    trait row stays contiguous, with a row stride of the capacity, so
+    mean_traits sums the same bits as over a compact copy. A pickle holds
+    only the live people."""
+
+    COLUMNS = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "block")
+    __slots__ = (*COLUMNS, "_buffers", "_lo", "_hi")
 
     def __init__(self, ids, sex, traits, happiness, birth, death, avail, block):
-        self.ids = ids
-        self.sex = sex
-        self.traits = traits
-        self.happiness = happiness
-        self.birth = birth
-        self.death = death
-        self.avail = avail
-        self.block = block
+        self._buffers = (ids, sex, traits, happiness, birth, death, avail, block)
+        self._lo, self._hi = 0, ids.shape[0]
+        self._view()
+
+    def _view(self) -> None:
+        """Point every column at the window."""
+        for name, buf in zip(self.COLUMNS, self._buffers):
+            setattr(self, name, None if buf is None else buf[..., self._lo : self._hi])
+
+    def __reduce__(self):
+        return Roster, tuple(getattr(self, name) for name in self.COLUMNS)
 
     @property
     def size(self) -> int:
-        return self.ids.shape[0]
+        return self._hi - self._lo
 
     def mean_traits(self) -> np.ndarray:
         """The mean trait vector, all nan when nobody is alive. Each trait's
@@ -355,19 +376,69 @@ class Roster:
     def take(self, keep: np.ndarray) -> "Roster":
         """The people where keep is true, as a new roster with copied arrays."""
         idx = np.flatnonzero(keep)
-        columns = (getattr(self, name) for name in self.__slots__)
+        columns = (getattr(self, name) for name in self.COLUMNS)
         return Roster(*(None if col is None else col.take(idx, axis=-1) for col in columns))
 
-    def extend(self, other: "Roster") -> None:
-        """Append other's people, whose ids must all exceed this roster's."""
-        if self.size and other.size and other.ids[0] <= self.ids[-1]:
+    def bury(self, keep: np.ndarray) -> None:
+        """Drop the people where keep is false, in place and in order.
+
+        Of the survivors older than the youngest dead person and those
+        younger than the oldest dead person, only the smaller group moves:
+        the older ones shift toward the end and the window's start advances,
+        or the younger ones shift toward the front and its end retreats."""
+        dead = np.flatnonzero(~keep)
+        if not dead.size:
+            return
+        first, last = int(dead[0]), int(dead[-1])
+        n_older = last + 1 - dead.size
+        n_younger = self.size - first - dead.size
+        lo = self._lo
+        if n_older <= n_younger:
+            src = lo + np.flatnonzero(keep[:last])
+            self._lo = lo + last + 1 - n_older
+            dst = slice(self._lo, self._lo + n_older)
+        else:
+            src = lo + first + 1 + np.flatnonzero(keep[first + 1 :])
+            self._hi = lo + first + n_younger
+            dst = slice(lo + first, self._hi)
+        for buf in self._buffers:
+            if buf is not None:
+                buf[..., dst] = buf.take(src, axis=-1)
+        self._view()
+
+    def extend(self, other: "Roster", keep: np.ndarray | None = None) -> None:
+        """Append other's people, or only those where keep is true, in one
+        copy into the slack after the window. Their ids must all exceed
+        this roster's."""
+        idx = np.arange(other.size) if keep is None else np.flatnonzero(keep)
+        if self.size and idx.size and other.ids[idx[0]] <= self.ids[-1]:
             raise ConsistencyError(
-                f"roster ids must ascend: appending id {other.ids[0]} after {self.ids[-1]}"
+                f"roster ids must ascend: appending id {other.ids[idx[0]]} after {self.ids[-1]}"
             )
-        for name in self.__slots__:
-            col = getattr(self, name)
-            if col is not None:
-                setattr(self, name, np.concatenate([col, getattr(other, name)], axis=-1))
+        n, capacity = self.size, self._buffers[0].shape[0]
+        if self._hi + idx.size > capacity:
+            need = n + idx.size
+            if need * _GROWTH > capacity:
+                capacity = int(need * _GROWTH)
+            self._buffers = tuple(
+                None if buf is None else self._to_front(buf, capacity) for buf in self._buffers
+            )
+            self._lo, self._hi = 0, n
+        end = self._hi + idx.size
+        for buf, name in zip(self._buffers, self.COLUMNS):
+            if buf is not None:
+                getattr(other, name).take(idx, axis=-1, out=buf[..., self._hi : end])
+        self._hi = end
+        self._view()
+
+    def _to_front(self, buf: np.ndarray, capacity: int) -> np.ndarray:
+        """buf with the window moved to its front: slid within buf when
+        capacity is buf's own, else copied into a new buffer of capacity."""
+        window = buf[..., self._lo : self._hi]
+        if capacity != buf.shape[-1]:
+            buf = np.empty(buf.shape[:-1] + (capacity,), dtype=buf.dtype)
+        buf[..., : window.shape[-1]] = window
+        return buf
 
 
 def _newborns(
@@ -554,9 +625,8 @@ def _reproduce(
     roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
     roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
     alive = children.death > t
-    n_dead = children.size - int(alive.sum())
-    roster.extend(children.take(alive) if n_dead else children)
-    return n_dead
+    roster.extend(children, alive)
+    return children.size - int(alive.sum())
 
 
 def _status(roster: Roster) -> str:
@@ -592,7 +662,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
     streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
     initial = init_population(config, streams)
     # Bury anyone dead at birth before the first row. take() copies every
-    # column, so in-place updates to the roster never reach the snapshot.
+    # column, so in-place updates, burials and births never reach the
+    # snapshot.
     roster = initial.take(initial.death > 0.0)
     theta = config.theta0.values
     # The trait payoff under the current theta: it scores the round's
@@ -650,7 +721,7 @@ def run(config: SimConfig) -> TimeSeriesLog:
         keep = roster.death > t
         n_dead = roster.size - int(keep.sum())
         if n_dead:
-            roster = roster.take(keep)
+            roster.bury(keep)
             # Only burial can end the run: a roster without both sexes
             # bears nobody, and births only add people.
             status = _status(roster)
@@ -714,7 +785,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
         society_names=config.interaction.col_names,
         status=status,
         initial_population=initial,
-        final_population=roster,
+        # A compact copy, so a caller that keeps the log keeps no slack.
+        final_population=roster.take(np.ones(roster.size, dtype=bool)),
     )
 
 

@@ -7,6 +7,7 @@ ordering slips in the columnar engine.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestInitPopulation:
         cfg = get_preset(preset).config
         founders = init_population(cfg)
         logged = run(dataclasses.replace(cfg, max_time=0.0)).initial_population
-        for name in Roster.__slots__:
+        for name in Roster.COLUMNS:
             a, b = getattr(founders, name), getattr(logged, name)
             if a is None or b is None:
                 assert a is b is None, name
@@ -164,7 +165,8 @@ class TestRosterLayout:
         roster = tiny_roster([0, 2, 5])
         roster.extend(tiny_roster([6, 7]))
         assert roster.ids.tolist() == [0, 2, 5, 6, 7]
-        assert roster.traits.shape == (8, 5) and roster.traits.flags.c_contiguous
+        assert roster.traits.shape == (8, 5)
+        assert roster.traits.strides[1] == roster.traits.itemsize
         with pytest.raises(ConsistencyError, match="ascend"):
             roster.extend(tiny_roster([7, 8]))
 
@@ -175,6 +177,162 @@ class TestRosterLayout:
         assert kept.ids.tolist() == [0, 5]
         assert kept.traits[3].tolist() == [0.1, 0.3]
         assert kept.traits.flags.c_contiguous and kept.block is None
+
+
+def random_roster(rng, first_id, n, with_block):
+    """n people with ids from first_id on and random values in every column."""
+    return Roster(
+        ids=np.arange(first_id, first_id + n, dtype=np.int64),
+        sex=rng.integers(0, 2, size=n).astype(np.int8),
+        traits=rng.random((8, n)),
+        happiness=rng.normal(size=n),
+        birth=rng.random(n),
+        death=rng.random(n),
+        avail=rng.random(n),
+        block=rng.integers(0, 100, size=n) if with_block else None,
+    )
+
+
+BURIALS = ("none dead", "all dead", "dead prefix", "dead suffix", "scattered")
+roster_ops = st.one_of(
+    st.tuples(st.just("bury"), st.sampled_from(BURIALS), st.integers(0, 2**32 - 1)),
+    # Batch size, and whether some of the batch die at birth.
+    st.tuples(st.just("extend"), st.integers(0, 200), st.booleans()),
+)
+
+
+def burial_mask(kind, n, rng):
+    """A keep mask of n people whose dead form the named pattern."""
+    keep = np.ones(n, dtype=bool)
+    cut = int(rng.integers(1, n)) if n > 1 else n
+    if kind == "all dead":
+        keep[:] = False
+    elif kind == "dead prefix":
+        keep[:cut] = False
+    elif kind == "dead suffix":
+        keep[cut:] = False
+    elif kind == "scattered":
+        keep = rng.random(n) < rng.random()
+    return keep
+
+
+def drive_window(n0, ops, with_block, seed=0):
+    """Run one Roster through ops in place, and a reference through take
+    and np.concatenate, checking after every op that each column has the
+    reference's bytes and that mean_traits has the bits of the compact
+    copy's mean. Returns the events seen: the burial patterns, and
+    "slide", "grow" or "extend onto empty" for an extend."""
+    rng = np.random.default_rng(seed)
+    roster = random_roster(rng, 0, n0, with_block)
+    ref = [getattr(roster, name) for name in Roster.COLUMNS]
+    ref = [None if col is None else col.copy() for col in ref]
+    next_id, events = n0, set()
+    for op, arg, flag in ops:
+        n = roster.size
+        if op == "bury":
+            keep = burial_mask(arg, n, np.random.default_rng(flag))
+            dead = np.flatnonzero(~keep)
+            if dead.size == 0:
+                events.add("none dead")
+            elif dead.size == n:
+                events.add("all dead")
+            elif dead[-1] == dead.size - 1:
+                events.add("dead prefix")
+            elif dead[0] == n - dead.size:
+                events.add("dead suffix")
+            else:
+                events.add("scattered")
+            roster.bury(keep)
+            idx = np.flatnonzero(keep)
+            ref = [None if col is None else col.take(idx, axis=-1) for col in ref]
+            if roster.size:
+                # A batch that does not ascend past the survivors is refused
+                # and leaves the roster as it was.
+                with pytest.raises(ConsistencyError, match="ascend"):
+                    roster.extend(random_roster(rng, int(roster.ids[-1]), 1, with_block))
+        else:
+            batch = random_roster(rng, next_id, arg, with_block)
+            keep = rng.random(arg) < 0.7 if flag else None
+            buffer, tail = roster._buffers[0], roster._buffers[0].shape[0] - roster._hi
+            k = arg if keep is None else int(keep.sum())
+            roster.extend(batch, keep)
+            if k and not n:
+                events.add("extend onto empty")
+            if k > tail:
+                events.add("slide" if roster._buffers[0] is buffer else "grow")
+            idx = np.arange(arg) if keep is None else np.flatnonzero(keep)
+            born = (getattr(batch, name) for name in Roster.COLUMNS)
+            ref = [
+                None if col is None else np.concatenate([col, new.take(idx, axis=-1)], axis=-1)
+                for col, new in zip(ref, born)
+            ]
+            next_id += arg
+        for name, want in zip(Roster.COLUMNS, ref):
+            got = getattr(roster, name)
+            if want is None:
+                assert got is None, name
+                continue
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert roster.size < 2 or roster.traits.strides[1] == roster.traits.itemsize
+        want_mean = ref[2].mean(axis=1) if ref[0].size else np.full(8, np.nan)
+        assert roster.mean_traits().tobytes() == want_mean.tobytes()
+    return events
+
+
+# Founders, then: grow past them; bury a dead prefix, so the window can
+# slide back to the front for a batch that does not fit behind it; bury a
+# dead suffix and scattered deaths; bury everyone and refill the empty
+# roster.
+WINDOW_TOUR = (
+    150,
+    [
+        ("extend", 100, False),
+        ("bury", "none dead", 0),
+        ("bury", "dead prefix", 1),
+        ("bury", "dead prefix", 2),
+        ("extend", 150, True),
+        ("bury", "dead suffix", 3),
+        ("bury", "scattered", 4),
+        ("bury", "all dead", 5),
+        ("extend", 120, False),
+    ],
+)
+
+
+class TestRosterWindow:
+    """Roster.bury and Roster.extend move a window over buffers with slack;
+    a roster built by compact copies is their oracle."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.integers(0, 300), st.lists(roster_ops, max_size=12), st.booleans(), st.integers(0, 99)
+    )
+    def test_window_matches_compact_copies(self, n0, ops, with_block, seed):
+        drive_window(n0, ops, with_block, seed)
+
+    def test_tour_covers_every_case(self):
+        events = drive_window(*WINDOW_TOUR, with_block=True)
+        assert events == {*BURIALS, "slide", "grow", "extend onto empty"}
+
+    def test_pickle_holds_only_the_live_people(self):
+        roster = random_roster(np.random.default_rng(3), 0, 400, True)
+        roster.extend(random_roster(np.random.default_rng(4), 400, 50, True))
+        roster.bury(np.arange(roster.size) >= 120)
+        copy = pickle.loads(pickle.dumps(roster))
+        for name in Roster.COLUMNS:
+            a, b = getattr(roster, name), getattr(copy, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        compact = roster.take(np.ones(roster.size, dtype=bool))
+        assert len(pickle.dumps(roster)) <= len(pickle.dumps(compact))
+
+    def test_run_keeps_no_slack_in_the_final_roster(self):
+        # The final roster grew by extend, but a log holds a compact copy.
+        log = run(small_config())
+        assert log.births.sum() > 0
+        final = log.final_population
+        assert final._buffers[0].shape[0] == final.size
 
 
 class TestAvailableAndUpdate:
@@ -561,7 +719,7 @@ class TestRunBehavior:
             elif isinstance(want, np.ndarray):
                 want = want[rows]
             if isinstance(want, Roster):
-                for name in Roster.__slots__:
+                for name in Roster.COLUMNS:
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             else:
                 np.testing.assert_array_equal(got, want, err_msg=f.name)

@@ -30,6 +30,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citysim.engine as engine
@@ -113,6 +114,28 @@ def test_plateau_case_ranks_only_the_gate_prefix(tmp_path, monkeypatch):
     assert len(ranks) == len(sides)
     cut = [r < s for ranked, side in zip(ranks, sides) for r, s in zip(ranked, side)]
     assert sum(cut) > len(cut) / 2
+
+
+def test_plateau_case_buries_in_place(tmp_path, monkeypatch):
+    # Each burial moves only the survivors on one side of the dead, so on
+    # the plateau most burial steps move fewer than half the people the
+    # roster holds, and the digests still hold.
+    steps = []
+    bury = engine.Roster.bury
+
+    def spy_bury(roster, keep):
+        lo, size = roster._lo, roster.size
+        bury(roster, keep)
+        # A survivor moved when its place in the buffer changed.
+        before = lo + np.flatnonzero(keep)
+        after = roster._lo + np.arange(before.size)
+        steps.append((int((before != after).sum()), size))
+
+    monkeypatch.setattr(engine.Roster, "bury", spy_bury)
+    case = "baseline-mixed@300"
+    assert digests(CASES[case], tmp_path) == json.loads(GOLDEN.read_text())[case]
+    assert steps
+    assert sum(2 * moved < size for moved, size in steps) > len(steps) / 2
 
 
 def test_every_case_is_pinned():
