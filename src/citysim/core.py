@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -302,10 +302,25 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV rows under header, streaming row by
-    row. A cell is str of the column's Python value: the repr of a float,
-    the decimal of an integer, a string as it is. Lines end with "\n"."""
-    cells = [map(str, col.tolist()) for col in columns]
+    """Write equal-length columns as CSV rows under header. A cell is str
+    of the column's Python value: the repr of a float, the decimal of an
+    integer, a string as it is. Lines end with "\n". A float64 column is
+    formatted whole before the first row is written, once per distinct bit
+    pattern, not per value (see _column_cells); other columns stream cell
+    by cell."""
+    cells = [_column_cells(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _column_cells(col: np.ndarray) -> Iterable[str]:
+    """The CSV cells of one column, in order. A float64 column formats each
+    distinct bit pattern once and gives every cell holding it that one
+    string. The key is the bits, not the value: -0.0 stays apart from 0.0,
+    and a nan, equal to nothing, is still formatted once per payload."""
+    if col.dtype != np.float64:
+        return map(str, col.tolist())
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()

@@ -538,11 +538,14 @@ def _match_pairs(
     mcfg = config.matching
     scores = score(roster.traits, gain)
     if mcfg.mode is MatchMode.OPTIMAL:
+        sy, sz = scores[yi], scores[zi]
         if reach is not None:
             # Each side keeps, in roster order, whoever scores at least its
             # lowest reacher's score; nobody when no one on it reaches.
-            yi, zi = (i[scores[i] >= scores[i[reach[i]]].min(initial=math.inf)] for i in (yi, zi))
-        iy, iz = rank_pair_indices(scores[yi], scores[zi])
+            ky = sy >= sy[reach[yi]].min(initial=math.inf)
+            kz = sz >= sz[reach[zi]].min(initial=math.inf)
+            yi, sy, zi, sz = yi[ky], sy[ky], zi[kz], sz[kz]
+        iy, iz = rank_pair_indices(sy, sz)
         return yi[iy], zi[iz]
 
     def solve(by: np.ndarray, bz: np.ndarray, noise: np.random.Generator | None):
@@ -551,9 +554,13 @@ def _match_pairs(
         # assignment.
         W = expected_pair_weights(scores[by], scores[bz], gain, config.demographics.mutation_prob)
         if noise is None:
-            W -= penalty[np.ix_(roster.block[by], roster.block[bz])]
+            W -= np.take(penalty[roster.block[by]], roster.block[bz], axis=1)
         else:
-            W = W + noise.normal(0.0, mcfg.noise_sigma, size=W.shape)
+            # W + normal(0, sigma, W.shape) with one draw buffer, to the
+            # same bits: numpy draws each normal as 0 + sigma * z.
+            z = noise.standard_normal(W.shape)
+            z *= mcfg.noise_sigma
+            W += z
         # scipy returns the row indices sorted, so pairs come in male order.
         rows, cols = linear_sum_assignment(W, maximize=True)
         return by[rows], bz[cols]

@@ -74,7 +74,10 @@ def expected_pair_weights(
     a, b = (score(np.transpose(x), gain) if np.ndim(x) == 2 else x for x in (a, b))
     alpha = (1.0 - mutation_prob) / 2.0
     const = mutation_prob / 2.0 * float(np.sum(gain))
-    return alpha * (a[:, None] + b[None, :]) + const
+    W = np.add.outer(a, b)
+    W *= alpha
+    W += const
+    return W
 
 
 def grid_distances(

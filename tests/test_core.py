@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citysim.core import (
@@ -16,6 +16,8 @@ from citysim.core import (
     ConfigurationError,
     InteractionMatrix,
     TraitVector,
+    _column_cells,
+    _write_csv,
     _write_json,
 )
 from citysim.matching import score
@@ -322,3 +324,71 @@ def test_write_json_nulls_every_non_finite_float(tmp_path):
     assert load_json_strict(tmp_path / "x.json") == {
         "a": None, "b": [1.5, None, {"c": None}], "d": [2, "x"]
     }
+
+
+def _bits(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+# Float cells whose repr is easy to get wrong: both zeros, nan with the
+# default, another and a negative payload, both infinities, the smallest
+# subnormal and a larger one, and the reprs that switch to exponent form.
+AWKWARD_FLOATS = np.concatenate([
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16, 1e-5, 0.1],
+    _bits(0x7FF8000000000001, 0xFFF8000000000000),
+])
+
+
+def _per_cell_csv(header, columns) -> bytes:
+    """The CSV the per-cell rule writes: str of every Python value."""
+    rows = zip(*(map(str, col.tolist()) for col in columns))
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text.encode("utf-8")
+
+
+@st.composite
+def csv_columns(draw) -> list[np.ndarray]:
+    """Equal-length columns of every kind the writer meets. A float column
+    repeats bit patterns drawn from AWKWARD_FLOATS and a few of all 2**64."""
+    n = draw(st.integers(0, 40))
+    awkward = AWKWARD_FLOATS.view(np.uint64).tolist()
+    words = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
+    kinds = {
+        "float": st.lists(st.integers(0, 2**64 - 1), max_size=4).flatmap(
+            lambda extra: st.lists(st.sampled_from(awkward + extra), min_size=n, max_size=n)
+        ).map(lambda cells: _bits(*cells)),
+        "int": st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(
+            lambda cells: np.array(cells, dtype=np.int64)
+        ),
+        "str": st.lists(words, min_size=n, max_size=n).map(lambda cells: np.array(cells, dtype=str)),
+        "object": st.lists(st.one_of(words, st.integers(), st.floats()), min_size=n, max_size=n).map(
+            lambda cells: np.array(cells, dtype=object)
+        ),
+    }
+    return draw(st.lists(st.sampled_from(sorted(kinds)).flatmap(kinds.get), min_size=1, max_size=5))
+
+
+class TestWriteCsv:
+    @settings(derandomize=True)
+    @given(csv_columns())
+    @example([np.concatenate([AWKWARD_FLOATS, AWKWARD_FLOATS[::-1], [-0.0, 0.0, -0.0]])])
+    @example([np.array([]), np.array([], dtype=np.int64), np.array([], dtype=str)])
+    @example([
+        np.array([3, -1, 3], dtype=np.int64),
+        np.array(["male", "", "female"]),
+        np.array(["a", 7, 1.5], dtype=object),
+        np.array([1e16, -0.0, 1e16]),
+    ])
+    def test_bytes_are_the_per_cell_rule(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _per_cell_csv(header, columns)
+
+    def test_cells_with_equal_bits_share_one_string(self):
+        col = np.concatenate([AWKWARD_FLOATS, [0.1, -0.0, 1e16], AWKWARD_FLOATS[::-1]])
+        cells = _column_cells(col)
+        bits = col.view(np.int64)
+        for i in range(len(col)):
+            for j in range(len(col)):
+                assert (cells[i] is cells[j]) == (bits[i] == bits[j]), (col[i], col[j])
