@@ -113,6 +113,15 @@ def require_real(value, what: str, low: float, above: bool = False) -> float:
     return real
 
 
+def require_unit(value, what: str) -> float:
+    """value as a float in [0, 1], as require_real checks it, or
+    ConfigurationError naming what: the rule for every trait coordinate."""
+    real = require_real(value, what, 0.0)
+    if real > 1.0:
+        raise ConfigurationError(f"{what} must be <= 1, got {value}")
+    return real
+
+
 def require_int(value, what: str, low: float = -math.inf) -> int:
     """value as an int >= low, or ConfigurationError naming what, as
     require_real checks it. An integer-valued float counts (2.0 is 2)."""
@@ -138,7 +147,8 @@ def _store(obj, **values) -> None:
 
 
 def _as_float_array(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    # A copy, so that freezing it leaves the caller's array writable.
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ConfigurationError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -150,7 +160,8 @@ def _as_float_array(values, *, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TraitVector:
-    """Fixed-length real vector with every coordinate clipped into [0, 1].
+    """Fixed-length real vector with every coordinate in [0, 1]; a
+    coordinate outside it is rejected, by position.
 
     The same type carries individual characteristics (dimension 8 by
     default) and society characteristics (dimension 13 by default); nothing
@@ -161,7 +172,9 @@ class TraitVector:
 
     def __post_init__(self) -> None:
         arr = _as_float_array(self.values, what="trait vector")
-        arr = np.clip(arr, 0.0, 1.0)
+        bad = np.flatnonzero((arr < 0.0) | (arr > 1.0))
+        if bad.size:
+            require_unit(arr[bad[0]], f"trait vector[{bad[0]}]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

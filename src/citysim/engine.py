@@ -513,6 +513,75 @@ def _block_penalty(config: SimConfig) -> np.ndarray:
     return config.matching.gamma * grid_distances(blocks, blocks, config.matching.distance)
 
 
+class _CostBuffers:
+    """The float64 cells that the assignment rounds of one run() reuse: one
+    buffer for each solve's cost matrix, one for its noise or penalty
+    cells. So a round neither allocates nor faults in fresh k x k arrays.
+    A buffer grows only when a round needs more cells than it holds, to at
+    least twice its size, since k grows with the population; cells that
+    are never written are never made resident."""
+
+    def __init__(self) -> None:
+        self._cost = self._aux = np.empty(0)
+
+    @staticmethod
+    def _fit(buf: np.ndarray, cells: int) -> np.ndarray:
+        return buf if buf.size >= cells else np.empty(max(cells, 2 * buf.size))
+
+    def cost(self, rows: int, cols: int) -> np.ndarray:
+        """A C-ordered (rows, cols) view of the cost cells, contents stale."""
+        self._cost = self._fit(self._cost, rows * cols)
+        return self._cost[: rows * cols].reshape(rows, cols)
+
+    def aux(self, cells: int) -> np.ndarray:
+        """The first cells of the companion buffer, contents stale."""
+        self._aux = self._fit(self._aux, cells)
+        return self._aux[:cells]
+
+
+def _assign(
+    buffers: _CostBuffers,
+    scores: np.ndarray,
+    by: np.ndarray,
+    bz: np.ndarray,
+    gain: np.ndarray,
+    mutation_prob: float,
+    noise: np.ndarray | None = None,
+    penalty: np.ndarray | None = None,
+    block: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The males by[i] and females bz[j] of a maximum-weight assignment of
+    the (k_y, k_z) weights W = expected_pair_weights(scores[by],
+    scores[bz], gain, mutation_prob) plus noise, or (noise None) minus
+    penalty[block[by]][:, block[bz]], in male order: the pairs of scipy's
+    linear_sum_assignment(W, maximize=True), to the index.
+
+    scipy's maximize=True solves a negated copy of W, transposed when W has
+    more rows than columns, and sorts a transposed solve's pairs by W's
+    row. Here the cost is built in buffers with the shorter side as its
+    rows: W, or W.T (the same cells, since addition commutes and the
+    penalty table is symmetric). It is negated in place, which is exact,
+    so scipy solves the same cells without a copy, and a transposed solve's
+    pairs are sorted by man."""
+    flipped = len(by) > len(bz)
+    r, c = (bz, by) if flipped else (by, bz)
+    cost = buffers.cost(len(r), len(c))
+    expected_pair_weights(scores[r], scores[c], gain, mutation_prob, out=cost)
+    if noise is None:
+        # mode="clip" gathers straight into the buffer (the default "raise"
+        # gathers into a copy); every block code is in range.
+        cells = buffers.aux(cost.size).reshape(cost.shape)
+        cost -= np.take(penalty[block[r]], block[c], axis=1, out=cells, mode="clip")
+    else:
+        cost += noise.T if flipped else noise
+    np.negative(cost, out=cost)
+    rows, cols = linear_sum_assignment(cost)
+    if flipped:
+        order = np.argsort(cols)
+        rows, cols = cols[order], rows[order]
+    return by[rows], bz[cols]
+
+
 def _match_pairs(
     roster: Roster,
     yi: np.ndarray,
@@ -522,10 +591,12 @@ def _match_pairs(
     k: int,
     penalty: np.ndarray | None,
     reach: np.ndarray | None = None,
+    buffers: _CostBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roster indices of the matched male/female pairs of round k. Everyone
     is scored once against gain; locality matching subtracts penalty, the
-    _block_penalty table (None in the other modes).
+    _block_penalty table (None in the other modes). The assignment modes
+    build their cost matrices in buffers, fresh ones when None.
 
     reach, given only where the deterministic gate counts the global
     population, marks who reaches the crowding bar. Optimal matching then
@@ -548,39 +619,38 @@ def _match_pairs(
         iy, iz = rank_pair_indices(sy, sz)
         return yi[iy], zi[iz]
 
-    def solve(by: np.ndarray, bz: np.ndarray, noise: np.random.Generator | None):
-        # Expected-payoff weights plus a noise draw, or (noise None) minus
-        # the locality penalty of each pair's blocks, then one exact
-        # assignment.
-        W = expected_pair_weights(scores[by], scores[bz], gain, config.demographics.mutation_prob)
-        if noise is None:
-            W -= np.take(penalty[roster.block[by]], roster.block[bz], axis=1)
-        else:
-            # W + normal(0, sigma, W.shape) with one draw buffer, to the
-            # same bits: numpy draws each normal as 0 + sigma * z.
-            z = noise.standard_normal(W.shape)
-            z *= mcfg.noise_sigma
-            W += z
-        # scipy returns the row indices sorted, so pairs come in male order.
-        rows, cols = linear_sum_assignment(W, maximize=True)
-        return by[rows], bz[cols]
-
+    buffers = buffers or _CostBuffers()
+    p = config.demographics.mutation_prob
     if mcfg.mode is MatchMode.LOCALITY:
-        return solve(yi, zi, None)
+        return _assign(buffers, scores, yi, zi, gain, p, penalty=penalty, block=roster.block)
     if mcfg.mode is MatchMode.NOISY:
-        return solve(yi, zi, _round_stream(config.seed, "noise", k))
-    # Partitioned: random blocks of partition_size per side; male block i
-    # meets female block i, and surplus blocks sit out. Draw order, from
-    # round k's generator: male and female permutations, then one noise
-    # matrix per block.
-    rng = _round_stream(config.seed, "partition", k)
-    perm_y = yi[rng.permutation(len(yi))]
-    perm_z = zi[rng.permutation(len(zi))]
-    size = mcfg.partition_size
-    blocks = [
-        solve(perm_y[start : start + size], perm_z[start : start + size], rng)
-        for start in range(0, min(len(yi), len(zi)), size)
-    ]
+        noise = _round_stream(config.seed, "noise", k)
+        sides = [(yi, zi)]
+    else:
+        # Partitioned: random blocks of partition_size per side; male block
+        # i meets female block i, and surplus blocks sit out. Draw order,
+        # from round k's generator: male and female permutations, then one
+        # noise matrix per block.
+        noise = _round_stream(config.seed, "partition", k)
+        perm_y = yi[noise.permutation(len(yi))]
+        perm_z = zi[noise.permutation(len(zi))]
+        size = mcfg.partition_size
+        sides = [
+            (perm_y[start : start + size], perm_z[start : start + size])
+            for start in range(0, min(len(yi), len(zi)), size)
+        ]
+    # Every block's noise comes from one draw, split in block order: the
+    # same bits as one draw per block. W + normal(0, sigma) by way of a
+    # standard draw gives the same bits too, as numpy draws each normal as
+    # 0 + sigma * z.
+    ends = np.cumsum([by.size * bz.size for by, bz in sides]).tolist()
+    z = buffers.aux(ends[-1])
+    noise.standard_normal(out=z)
+    z *= mcfg.noise_sigma
+    blocks = []
+    for (by, bz), end in zip(sides, ends):
+        z_b = z[end - by.size * bz.size : end].reshape(by.size, bz.size)
+        blocks.append(_assign(buffers, scores, by, bz, gain, p, z_b))
     return tuple(np.concatenate(side) for side in zip(*blocks))
 
 
@@ -687,6 +757,8 @@ def run(config: SimConfig) -> TimeSeriesLog:
     # is sure to refuse.
     skip_closed = d.success_rule == "deterministic" and config.success_pop_scope == "global"
     penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
+    # The assignment rounds' cost cells, reused until run() returns.
+    buffers = _CostBuffers()
 
     # One tuple per round from t=0 on, so row k is round k, holding the
     # TimeSeriesLog columns in field order (times through mean_traits, and
@@ -752,7 +824,9 @@ def run(config: SimConfig) -> TimeSeriesLog:
             yi = np.flatnonzero(avail & (roster.sex == 0))
             zi = np.flatnonzero(avail & (roster.sex == 1))
             if len(yi) and len(zi):
-                sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, first, penalty, reach)
+                sel_y, sel_z = _match_pairs(
+                    roster, yi, zi, gain, config, first, penalty, reach, buffers
+                )
                 if sel_y.shape[0]:
                     ok = _success_mask(roster, sel_y, sel_z, config, streams)
                     sel_y, sel_z = sel_y[ok], sel_z[ok]

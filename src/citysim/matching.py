@@ -63,18 +63,23 @@ def expected_pair_weights(
     b: np.ndarray,
     gain: np.ndarray,
     mutation_prob: float,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free weight matrix from the two sides' scores.
 
     gain is the society-projected trait payoff (interaction entries @
     theta), and a and b are the males' and females' score(cols, gain).
     Separability gives w_ij = (1-p)/2 * (a_i + b_j) + p/2 * sum(gain). A
-    side passed as trait rows, shape (k, dim), is scored first.
+    side passed as trait rows, shape (k, dim), is scored first. The matrix
+    is written into out, of shape (len(a), len(b)), when one is given.
+    Addition commutes, so swapping a and b gives the transpose, to the bit.
     """
     a, b = (score(np.transpose(x), gain) if np.ndim(x) == 2 else x for x in (a, b))
     alpha = (1.0 - mutation_prob) / 2.0
-    const = mutation_prob / 2.0 * float(np.sum(gain))
-    W = np.add.outer(a, b)
+    # np.sum's own reduction, without its dispatch cost on small blocks.
+    const = mutation_prob / 2.0 * float(np.add.reduce(gain, axis=None))
+    W = np.add.outer(a, b, out=out)
     W *= alpha
     W += const
     return W

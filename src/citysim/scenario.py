@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text, require_real
+from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text, require_unit
 from .demographics import DemographicsParams
 from .engine import MatchingConfig, PopulationGroup, SimConfig
 from .society import LearningRateSchedule
@@ -79,11 +79,7 @@ def _parse_trait_vector(value, names: tuple[str, ...], field: str) -> TraitVecto
         raise ConfigurationError(
             f"{field}: expected a list of {len(names)} values or a name mapping"
         )
-    vec = [require_real(v, f"{field}.{name}", 0.0) for name, v in zip(names, raw)]
-    for name, v in zip(names, vec):
-        if v > 1.0:
-            raise ConfigurationError(f"{field}.{name}: value {v} outside [0, 1]")
-    return TraitVector(vec)
+    return TraitVector([require_unit(v, f"{field}.{name}") for name, v in zip(names, raw)])
 
 
 def _parse_section(cls, data, field: str):

@@ -54,9 +54,19 @@ def matrix():
 
 
 class TestTraitVector:
-    def test_clips_into_unit_interval(self):
-        v = TraitVector([-2.0, 0.25, 1.0, 7.5])
-        assert list(v) == [0.0, 0.25, 1.0, 1.0]
+    def test_rejects_coordinate_outside_unit_interval(self):
+        # The first coordinate out of range is named by position.
+        with pytest.raises(ConfigurationError, match=r"^trait vector\[0\] must be >= 0, got -2.0$"):
+            TraitVector([-2.0, 0.25, 1.0, 7.5])
+        with pytest.raises(ConfigurationError, match=r"^trait vector\[3\] must be <= 1, got 7.5$"):
+            TraitVector([0.0, 0.25, 1.0, 7.5])
+        assert list(TraitVector([0.0, 0.25, 1.0])) == [0.0, 0.25, 1.0]
+
+    def test_leaves_the_callers_array_writable(self):
+        raw = np.full(3, 0.5)
+        v = TraitVector(raw)
+        raw[0] = 0.9
+        assert v[0] == 0.5
 
     def test_dimension_is_fixed(self):
         v = TraitVector(np.zeros(8))
@@ -88,16 +98,21 @@ class TestTraitVector:
 
     @given(
         st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
+            st.floats(min_value=0, max_value=1) | st.floats(min_value=-50, max_value=50),
             min_size=1,
             max_size=13,
         )
     )
     def test_every_coordinate_lands_in_unit_interval(self, raw):
-        v = TraitVector(raw)
-        assert np.all(v.values >= 0.0)
-        assert np.all(v.values <= 1.0)
-        assert v.dim == len(raw)
+        # A vector is built unchanged when every coordinate is in [0, 1],
+        # and rejected otherwise.
+        if all(0.0 <= x <= 1.0 for x in raw):
+            v = TraitVector(raw)
+            assert list(v) == raw
+            assert v.dim == len(raw)
+        else:
+            with pytest.raises(ConfigurationError, match=r"^trait vector\[\d+\] must be"):
+                TraitVector(raw)
 
 
 class TestInteractionMatrix:

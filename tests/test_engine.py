@@ -648,9 +648,9 @@ class TestReferenceTrace:
         solve = engine.linear_sum_assignment
         solved = set()
 
-        def spy_solve(W, maximize):
+        def spy_solve(cost):
             solved.add(1 + sum(len(p) for p in steps))
-            return solve(W, maximize=maximize)
+            return solve(cost)
 
         monkeypatch.setattr(engine, "linear_sum_assignment", spy_solve)
         for case in ("crowded-noisy", "crowded-partitioned"):

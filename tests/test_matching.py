@@ -26,10 +26,13 @@ from citysim.engine import (
     PopulationGroup,
     Roster,
     SimConfig,
+    _assign,
     _block_penalty,
+    _CostBuffers,
     _match_pairs,
     run,
 )
+from citysim import engine
 from citysim.matching import (
     MatchMode,
     expected_pair_weights,
@@ -37,6 +40,7 @@ from citysim.matching import (
     rank_pair_indices,
     score,
 )
+from citysim.presets import get_preset
 from citysim.society import trait_gain
 from reference import Person, Sex, expected_child, partitioned_match
 
@@ -75,7 +79,7 @@ def clean_weights(Y, Z, theta, params=None):
 
 
 def solve(W):
-    """(pairs, total) of the exact solve, called as the engine calls it."""
+    """(pairs, total) of scipy's exact maximum-weight solve."""
     rows, cols = linear_sum_assignment(W, maximize=True)
     return list(zip(rows.tolist(), cols.tolist())), float(W[rows, cols].sum())
 
@@ -423,6 +427,99 @@ def gate_round(hy, hz, y_scores, z_scores):
 
 
 ONES = np.ones(8)
+
+
+@st.composite
+def assign_rounds(draw, relation):
+    """A tie-heavy round for _assign: small integer scores, gain and noise
+    or penalty cells, k_y less than, equal to or more than k_z (relation),
+    and the two sides' roster rows in a random order. Returns _assign's
+    positional arguments after buffers, and its keyword term."""
+
+    def ints(shape, low, high):
+        return draw(arrays(np.float64, shape, elements=st.integers(low, high)))
+
+    short, extra = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ky, kz = {
+        "<": (short, short + extra),
+        "=": (short, short),
+        ">": (short + extra, short),
+    }[relation]
+    n = ky + kz + draw(st.integers(0, 2))
+    rows = np.array(draw(st.permutations(range(n))))
+    mutation_prob = draw(st.sampled_from([0.0, 0.5]))
+    args = (ints(n, 0, 3), rows[:ky], rows[ky : ky + kz], ints(8, 0, 2), mutation_prob)
+    if draw(st.booleans()):
+        return args, {"noise": ints((ky, kz), -2, 2)}
+    half = ints((4, 4), 0, 2)
+    block = draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+    return args, {"penalty": half + half.T, "block": block}
+
+
+class TestReusedCostBuffers:
+    """The assignment modes build each cost matrix, negated and with the
+    shorter side as rows, in buffers that one run() reuses."""
+
+    @pytest.mark.parametrize("relation", ["<", "=", ">"])
+    @settings(derandomize=True)
+    @given(data=st.data())
+    def test_pairs_equal_scipy_maximize(self, relation, data):
+        (scores, by, bz, gain, p), term = data.draw(assign_rounds(relation))
+        W = expected_pair_weights(scores[by], scores[bz], gain, p)
+        if "noise" in term:
+            W += term["noise"]
+        else:
+            W -= term["penalty"][term["block"][by]][:, term["block"][bz]]
+        rows, cols = linear_sum_assignment(W, maximize=True)
+        # Buffers left over from a larger round, their stale cells nan: a
+        # stale cell that leaked into the solve would raise or move a pair.
+        buffers = _CostBuffers()
+        k = len(by) + len(bz)
+        buffers.cost(k, k + 1).fill(np.nan)
+        buffers.aux(k * (k + 1)).fill(np.nan)
+        sel_y, sel_z = _assign(buffers, scores, by, bz, gain, p, **term)
+        assert np.array_equal(sel_y, by[rows]) and np.array_equal(sel_z, bz[cols])
+
+    def test_weights_written_into_out(self):
+        rng = np.random.default_rng(11)
+        y, z = rng.uniform(size=(6, 8)), rng.uniform(size=(4, 8))
+        gain = trait_gain(rng.uniform(size=13), MATRIX)
+        for a, b in ((score(y.T, gain), score(z.T, gain)), (y, z)):
+            buf = np.full((6, 4), np.nan)
+            assert expected_pair_weights(a, b, gain, 0.1, out=buf) is buf
+            assert bits(buf) == bits(expected_pair_weights(a, b, gain, 0.1))
+
+    @pytest.mark.parametrize(
+        "preset, mode, horizon",
+        [("locality-grid-10x10", None, 200.0), ("matching-comparison", MatchMode.NOISY, 100.0)],
+    )
+    def test_rounds_reuse_the_cost_buffer(self, monkeypatch, preset, mode, horizon):
+        config = replace(get_preset(preset).config, max_time=horizon)
+        if mode is not None:
+            config = replace(config, matching=replace(config.matching, mode=mode))
+        solve = engine.linear_sum_assignment
+        calls = []
+
+        def spy_solve(cost):
+            # scipy copies a cost that is not C-ordered float64, and
+            # transposes a copy of one with more rows than columns.
+            assert cost.dtype == np.float64 and cost.flags.c_contiguous
+            assert cost.shape[0] <= cost.shape[1]
+            calls.append((cost.base, cost.size))
+            return solve(cost)
+
+        monkeypatch.setattr(engine, "linear_sum_assignment", spy_solve)
+        run(config)
+        # A new buffer appears only when a round needs more cells than any
+        # round before it.
+        seen, most = [], 0
+        for base, cells in calls:
+            if not any(base is b for b in seen):
+                assert cells > most
+                seen.append(base)
+            most = max(most, cells)
+        assert len(calls) >= 40
+        assert len(seen) <= len(calls) / 10
 
 
 class TestGatePrefix:

@@ -732,6 +732,16 @@ class TestCliAnalyze:
         assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "ana")]) == 2
         assert f"{bad}:3:" in capsys.readouterr().err
 
+    def test_out_of_range_trait_exits_2(self, tmp_path, capsys):
+        # A cluster mean is a TraitVector, which rejects a trait above 1.
+        header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,a,b"
+        rows = [f"{i},male,0.0,9.0,1.0,3.0,,,0.{i},1.5" for i in range(4)]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        argv = ["analyze", "--input", str(bad), "--out", str(tmp_path / "ana"), "--clusters", "1"]
+        assert main(argv) == 2
+        assert "trait vector[1] must be <= 1, got 1.5" in capsys.readouterr().err
+
     def test_analyze_grid_snapshot(self, tmp_path):
         cfg = write_config(
             tmp_path,
