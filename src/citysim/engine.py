@@ -221,9 +221,9 @@ class SimConfig:
         if self.matching.mode is MatchMode.LOCALITY:
             if self.grid is None:
                 raise ConfigurationError("locality matching requires a grid")
-            # The largest block distance on the grid, as grid_distances counts it.
+            # The largest block distance: two opposite corners are the farthest pair.
             w, h = self.grid
-            far = (w > 1) + (h > 1) if self.matching.distance == "hamming" else w + h - 2
+            far = int(grid_distances([[0, 0]], [[w - 1, h - 1]], self.matching.distance)[0, 0])
             if not math.isfinite(self.matching.gamma * far):
                 raise ConfigurationError(
                     f"gamma {self.matching.gamma} times the largest block distance {far} "
@@ -590,15 +590,15 @@ def _match_pairs(
     config: SimConfig,
     k: int,
     penalty: np.ndarray | None,
-    reach: np.ndarray | None = None,
-    buffers: _CostBuffers | None = None,
+    reach: np.ndarray | None,
+    buffers: _CostBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roster indices of the matched male/female pairs of round k. Everyone
     is scored once against gain; locality matching subtracts penalty, the
     _block_penalty table (None in the other modes). The assignment modes
-    build their cost matrices in buffers, fresh ones when None.
+    build their cost matrices in buffers.
 
-    reach, given only where the deterministic gate counts the global
+    reach, None but where the deterministic gate counts the global
     population, marks who reaches the crowding bar. Optimal matching then
     ranks, on each side, only the people who score at least as high as
     that side's lowest-scoring reacher, ties included: a prefix of the
@@ -619,7 +619,6 @@ def _match_pairs(
         iy, iz = rank_pair_indices(sy, sz)
         return yi[iy], zi[iz]
 
-    buffers = buffers or _CostBuffers()
     p = config.demographics.mutation_prob
     if mcfg.mode is MatchMode.LOCALITY:
         return _assign(buffers, scores, yi, zi, gain, p, penalty=penalty, block=roster.block)
@@ -654,58 +653,6 @@ def _match_pairs(
     return tuple(np.concatenate(side) for side in zip(*blocks))
 
 
-def _success_mask(
-    roster: Roster,
-    sel_y: np.ndarray,
-    sel_z: np.ndarray,
-    config: SimConfig,
-    streams: dict[str, np.random.Generator],
-) -> np.ndarray:
-    """Which matched pairs bear a child. The crowding term counts the
-    roster, which holds only the living, or with block scope the mean head
-    count of the partners' home blocks."""
-    if config.success_pop_scope == "global":
-        pop = roster.size
-    else:
-        counts = np.bincount(roster.block, minlength=config.grid[0] * config.grid[1])
-        pop = (counts[roster.block[sel_y]] + counts[roster.block[sel_z]]) / 2.0
-    return mating_succeeds(
-        pop,
-        roster.happiness[sel_y],
-        roster.happiness[sel_z],
-        config.demographics,
-        streams["success"],
-    )
-
-
-def _reproduce(
-    roster: Roster,
-    sel_y: np.ndarray,
-    sel_z: np.ndarray,
-    first_id: int,
-    t: float,
-    gain: np.ndarray,
-    config: SimConfig,
-    streams: dict[str, np.random.Generator],
-) -> int:
-    """Each matched pair (sel_y[i], sel_z[i]) bears one child at t, with ids
-    from first_id on and the home block of one parent, picked uniformly.
-    Parents recover until t + gap(h). The children who outlive t are
-    appended to roster; returns how many died at birth."""
-    d = config.demographics
-    traits = born_batch(roster.traits[:, sel_y].T, roster.traits[:, sel_z].T, streams["born"], d)
-    block = None
-    if config.grid is not None:
-        pick = streams["location"].integers(0, 2, size=sel_y.shape[0])
-        block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
-    children = _newborns(first_id, traits.T, t, gain, block, config, streams)
-    roster.avail[sel_y] = t + mating_gap(roster.happiness[sel_y], d)
-    roster.avail[sel_z] = t + mating_gap(roster.happiness[sel_z], d)
-    alive = children.death > t
-    roster.extend(children, alive)
-    return children.size - int(alive.sum())
-
-
 def _status(roster: Roster) -> str:
     """"extinct" with nobody left, "sterile" with one sex left, else "completed"."""
     if roster.size == 0:
@@ -713,6 +660,188 @@ def _status(roster: Roster) -> str:
     if (roster.sex == 0).all() or (roster.sex == 1).all():
         return "sterile"
     return "completed"
+
+
+class _RunState:
+    """What one round of run() hands the next: the sequence streams, the
+    initial snapshot and the roster, theta and its gain, the next id, the
+    status, a log row per round so far and k, the last round done; and the
+    run's constants. step() advances one active round or one idle stretch.
+    Nothing else outlives a step, so a pickled state finishes the same run."""
+
+    def __init__(self, config: SimConfig) -> None:
+        self.config = config
+        self.streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
+        self.initial = init_population(config, self.streams)
+        # Bury anyone dead at birth before the first row. take() copies every
+        # column, so in-place updates, burials and births never reach the
+        # snapshot.
+        self.roster = self.initial.take(self.initial.death > 0.0)
+        self.theta = config.theta0.values
+        # The trait payoff under the current theta: it scores the round's
+        # pairing and newborns.
+        self.gain = trait_gain(self.theta, config.interaction)
+        self.next_id = self.initial.size
+        self.status = _status(self.roster)
+        # One tuple per round from t=0 on, so row k is round k, holding the
+        # TimeSeriesLog columns in field order (times through mean_traits, and
+        # on a grid the two per-block columns).
+        self.rows: list[tuple] = []
+        self.k = 0
+        self.n_rounds = int(math.floor(config.max_time / config.mating_period + 1e-9))
+        # Under the deterministic rule with a global crowding term, no round
+        # before mating_opening_time can bear a child, whatever the pairing,
+        # and the gate draws nothing. Matching draws only from its round's own
+        # key, so skipping a round's pairing and gate moves no later draw. For
+        # the same reason, optimal matching may leave out the pairs the gate
+        # is sure to refuse.
+        rule = config.demographics.success_rule
+        self.skip_closed = rule == "deterministic" and config.success_pop_scope == "global"
+        locality = config.matching.mode is MatchMode.LOCALITY
+        self.penalty = _block_penalty(config) if locality else None
+        # The assignment rounds' cost cells, reused until the run ends.
+        self.buffers = _CostBuffers()
+        self._record(0, self.theta[None], self.gain[:, None], self.roster.mean_traits(), 0, 0)
+
+    @property
+    def done(self) -> bool:
+        return self.status != "completed" or self.k >= self.n_rounds
+
+    def step(self) -> None:
+        """Advance round k + 1 and, when that round is idle, every following
+        round up to the next death or the gate's opening."""
+        config, roster, period = self.config, self.roster, self.config.mating_period
+        first = self.k + 1
+        t = first * period
+        keep = roster.death > t
+        died = roster.size - int(keep.sum())
+        if died:
+            roster.bury(keep)
+            # Only burial can end the run: a roster without both sexes
+            # bears nobody, and births only add people.
+            self.status = _status(roster)
+        last, born = first, 0
+        opens, reach = -math.inf, None
+        if self.skip_closed and self.status == "completed":
+            # Who reaches the crowding bar: it times the gate's opening and
+            # cuts the ranking of an active round.
+            reach = reaches_crowding_bar(roster.size, roster.happiness, config.demographics)
+            opens = mating_opening_time(reach, roster.avail, roster.sex)
+        if opens > t:
+            # Nobody is born or dies before the earlier of the two times,
+            # so N, the gate and the roster stay as they are until then.
+            # Each round's t is computed as above, k * period.
+            end = min(opens, roster.death.min(initial=math.inf))
+            while last < self.n_rounds and (last + 1) * period < end:
+                last += 1
+        else:
+            born, died_at_birth = self._bear(first, t, reach)
+            died += died_at_birth
+        # The society steps once per round at the roster's x_bar, which
+        # holds over the step; an empty roster (always a one-round step,
+        # since it ends the run) leaves theta where it is.
+        x_bar = roster.mean_traits()
+        thetas = self.theta[None]
+        if roster.size:
+            lam = config.schedule.rate(x_bar)
+            thetas = society_path(self.theta, x_bar, config.interaction, lam, last - first + 1)
+        # The last round's gain pairs and scores the next active round.
+        gains = trait_gain(thetas.T, config.interaction)
+        self.theta, self.gain = thetas[-1], gains[:, -1]
+        self._record(first, thetas, gains, x_bar, born, died)
+        self.k = last
+
+    def _bear(self, k: int, t: float, reach: np.ndarray | None) -> tuple[int, int]:
+        """Round k's births at t: the available people are paired, and each
+        pair that passes the gate bears one child, with the next id and the
+        home block of one parent, picked uniformly. Parents recover until
+        t + gap(h). The children who outlive t join the roster. Returns how
+        many were born and how many of them died at birth."""
+        config, roster, streams = self.config, self.roster, self.streams
+        d = config.demographics
+        avail = roster.avail <= t
+        yi = np.flatnonzero(avail & (roster.sex == 0))
+        zi = np.flatnonzero(avail & (roster.sex == 1))
+        if not (yi.size and zi.size):
+            return 0, 0
+        sel_y, sel_z = _match_pairs(
+            roster, yi, zi, self.gain, config, k, self.penalty, reach, self.buffers
+        )
+        if not sel_y.size:
+            return 0, 0
+        # The crowding term counts the roster, which holds only the living,
+        # or with block scope the mean head count of the partners' home blocks.
+        pop = roster.size
+        if config.success_pop_scope == "block":
+            counts = np.bincount(roster.block, minlength=config.grid[0] * config.grid[1])
+            pop = (counts[roster.block[sel_y]] + counts[roster.block[sel_z]]) / 2.0
+        h_y, h_z = roster.happiness[sel_y], roster.happiness[sel_z]
+        ok = mating_succeeds(pop, h_y, h_z, d, streams["success"])
+        sel_y, sel_z = sel_y[ok], sel_z[ok]
+        if not sel_y.size:
+            return 0, 0
+        parents = roster.traits[:, sel_y].T, roster.traits[:, sel_z].T
+        traits = born_batch(*parents, streams["born"], d)
+        block = None
+        if config.grid is not None:
+            pick = streams["location"].integers(0, 2, size=sel_y.size)
+            block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
+        children = _newborns(self.next_id, traits.T, t, self.gain, block, config, streams)
+        self.next_id += children.size
+        roster.avail[sel_y] = t + mating_gap(h_y[ok], d)
+        roster.avail[sel_z] = t + mating_gap(h_z[ok], d)
+        alive = children.death > t
+        roster.extend(children, alive)
+        return children.size, children.size - int(alive.sum())
+
+    def _record(
+        self, first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray,
+        born: int, died: int,
+    ) -> None:
+        """One row per row of thetas (column of gains, its I theta), for
+        rounds first on, all of the current roster: born and died go to the
+        first row, the later rows record none. Mean current happiness is
+        x_bar . (I theta), x_bar being the roster's mean trait vector."""
+        config, roster, period = self.config, self.roster, self.config.mating_period
+        n = roster.size
+        tot = float(roster.happiness.sum())
+        mean = tot / n if n else math.nan
+        mean_cur = score(gains, x_bar).tolist()
+        tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
+        blocks = ()
+        if config.grid is not None:
+            # Head count and mean happiness (nan when empty) of each block.
+            size = config.grid[0] * config.grid[1]
+            counts = np.bincount(roster.block, minlength=size)
+            sums = np.bincount(roster.block, weights=roster.happiness, minlength=size)
+            means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
+            blocks = (counts.reshape(config.grid), means.reshape(config.grid))
+        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
+            self.rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar, *blocks))
+
+    def log(self) -> TimeSeriesLog:
+        """The log so far: the rows of t=0, every log_every-th round and the last round."""
+        config, roster, rows = self.config, self.roster, self.rows
+        # np.asarray stacks each column: Python ints give int64, and array
+        # rows give (rows, *shape) arrays. Births and deaths become running
+        # totals, so a kept row's difference counts every round since the
+        # previous kept row.
+        kept = sorted({*range(0, len(rows), config.log_every), len(rows) - 1})
+        columns = [np.asarray(column) for column in zip(*rows)]
+        columns[2:4] = (np.cumsum(c) for c in columns[2:4])
+        columns = [c[kept] for c in columns]
+        columns[2:4] = (np.diff(c, prepend=0) for c in columns[2:4])
+        if config.grid is None:
+            columns += [None, None]
+        return TimeSeriesLog(
+            *columns,
+            trait_names=config.interaction.row_names,
+            society_names=config.interaction.col_names,
+            status=self.status,
+            initial_population=self.initial,
+            # A compact copy, so a caller that keeps the log keeps no slack.
+            final_population=roster.take(np.ones(roster.size, dtype=bool)),
+        )
 
 
 def run(config: SimConfig) -> TimeSeriesLog:
@@ -735,140 +864,10 @@ def run(config: SimConfig) -> TimeSeriesLog:
     each side that can pass the gate (see _match_pairs); the pairs it
     leaves out would have borne nobody.
     """
-    d = config.demographics
-    streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
-    initial = init_population(config, streams)
-    # Bury anyone dead at birth before the first row. take() copies every
-    # column, so in-place updates, burials and births never reach the
-    # snapshot.
-    roster = initial.take(initial.death > 0.0)
-    theta = config.theta0.values
-    # The trait payoff under the current theta: it scores the round's
-    # pairing and newborns.
-    gain = trait_gain(theta, config.interaction)
-    period = config.mating_period
-    n_rounds = int(math.floor(config.max_time / period + 1e-9))
-    next_id = initial.size
-    # Under the deterministic rule with a global crowding term, no round
-    # before mating_opening_time can bear a child, whatever the pairing,
-    # and the gate draws nothing. Matching draws only from its round's own
-    # key, so skipping a round's pairing and gate moves no later draw. For
-    # the same reason, optimal matching may leave out the pairs the gate
-    # is sure to refuse.
-    skip_closed = d.success_rule == "deterministic" and config.success_pop_scope == "global"
-    penalty = _block_penalty(config) if config.matching.mode is MatchMode.LOCALITY else None
-    # The assignment rounds' cost cells, reused until run() returns.
-    buffers = _CostBuffers()
-
-    # One tuple per round from t=0 on, so row k is round k, holding the
-    # TimeSeriesLog columns in field order (times through mean_traits, and
-    # on a grid the two per-block columns).
-    rows: list[tuple] = []
-
-    def log_rounds(
-        first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray, born: int, died: int
-    ) -> None:
-        # One row per row of thetas (column of gains, its I theta), for
-        # rounds first on, all of the current roster: born and died go to
-        # the first row, the later rows record none. Mean current happiness
-        # is x_bar . (I theta), x_bar being the roster's mean trait vector.
-        n = roster.size
-        tot = float(roster.happiness.sum())
-        mean = tot / n if n else math.nan
-        mean_cur = score(gains, x_bar).tolist()
-        tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
-        blocks = ()
-        if config.grid is not None:
-            # Head count and mean happiness (nan when empty) of each block.
-            size = config.grid[0] * config.grid[1]
-            counts = np.bincount(roster.block, minlength=size)
-            sums = np.bincount(roster.block, weights=roster.happiness, minlength=size)
-            means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
-            blocks = (counts.reshape(config.grid), means.reshape(config.grid))
-        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
-            rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar, *blocks))
-
-    status = _status(roster)
-    log_rounds(0, theta[None], gain[:, None], roster.mean_traits(), 0, 0)
-
-    k_round = 0
-    while status == "completed" and k_round < n_rounds:
-        # One step runs round first, and when that round is idle every
-        # following round up to the next death or the gate's opening.
-        first = k_round + 1
-        t = first * period
-        keep = roster.death > t
-        n_dead = roster.size - int(keep.sum())
-        if n_dead:
-            roster.bury(keep)
-            # Only burial can end the run: a roster without both sexes
-            # bears nobody, and births only add people.
-            status = _status(roster)
-        last = first
-        n_children = 0
-        opens, reach = -math.inf, None
-        if skip_closed and status == "completed":
-            # Who reaches the crowding bar: it times the gate's opening and
-            # cuts the ranking of an active round.
-            reach = reaches_crowding_bar(roster.size, roster.happiness, d)
-            opens = mating_opening_time(reach, roster.avail, roster.sex)
-        if opens > t:
-            # Nobody is born or dies before the earlier of the two times,
-            # so N, the gate and the roster stay as they are until then.
-            # Each round's t is computed as above, k * period.
-            end = min(opens, roster.death.min(initial=math.inf))
-            while last < n_rounds and (last + 1) * period < end:
-                last += 1
-        else:
-            avail = roster.avail <= t
-            yi = np.flatnonzero(avail & (roster.sex == 0))
-            zi = np.flatnonzero(avail & (roster.sex == 1))
-            if len(yi) and len(zi):
-                sel_y, sel_z = _match_pairs(
-                    roster, yi, zi, gain, config, first, penalty, reach, buffers
-                )
-                if sel_y.shape[0]:
-                    ok = _success_mask(roster, sel_y, sel_z, config, streams)
-                    sel_y, sel_z = sel_y[ok], sel_z[ok]
-                n_children = sel_y.shape[0]
-                if n_children:
-                    n_dead += _reproduce(roster, sel_y, sel_z, next_id, t, gain, config, streams)
-                    next_id += n_children
-
-        # The society steps once per round at the roster's x_bar, which
-        # holds over the step; an empty roster (always a one-round step,
-        # since it ends the run) leaves theta where it is.
-        x_bar = roster.mean_traits()
-        thetas = theta[None]
-        if roster.size:
-            lam = config.schedule.rate(x_bar)
-            thetas = society_path(theta, x_bar, config.interaction, lam, last - first + 1)
-        # The last round's gain pairs and scores the next active round.
-        gains = trait_gain(thetas.T, config.interaction)
-        theta, gain = thetas[-1], gains[:, -1]
-        log_rounds(first, thetas, gains, x_bar, n_children, n_dead)
-        k_round = last
-
-    # Keep t=0, every log_every-th round and the final round. np.asarray
-    # stacks each column: Python ints give int64, and array rows give
-    # (rows, *shape) arrays. Births and deaths become running totals, so a
-    # kept row's difference counts every round since the previous kept row.
-    kept = sorted({*range(0, len(rows), config.log_every), len(rows) - 1})
-    columns = [np.asarray(column) for column in zip(*rows)]
-    columns[2:4] = (np.cumsum(c) for c in columns[2:4])
-    columns = [c[kept] for c in columns]
-    columns[2:4] = (np.diff(c, prepend=0) for c in columns[2:4])
-    if config.grid is None:
-        columns += [None, None]
-    return TimeSeriesLog(
-        *columns,
-        trait_names=config.interaction.row_names,
-        society_names=config.interaction.col_names,
-        status=status,
-        initial_population=initial,
-        # A compact copy, so a caller that keeps the log keeps no slack.
-        final_population=roster.take(np.ones(roster.size, dtype=bool)),
-    )
+    state = _RunState(config)
+    while not state.done:
+        state.step()
+    return state.log()
 
 
 def write_population_csv(

@@ -33,6 +33,7 @@ from citysim.presets import get_preset
 from citysim.society import LearningRateSchedule, trait_gain
 from conftest import load_json_strict
 from reference import Person, Sex, available, reference_run, update_pop
+from strategies import small_configs
 
 
 def small_config(**overrides):
@@ -489,61 +490,6 @@ TRACE_CASES["crowded-partitioned"] = {
 }
 
 
-@st.composite
-def small_configs(draw):
-    """Small configs over every mode, grid, scope, rule and schedule. Short
-    lives (lifespan_a <= 12), a crowding term of at least 0.1 per head and
-    horizons of at most 25 keep the roster small: a noisy solve on an
-    unbounded roster can run for minutes. A zero spread, shared by the
-    groups, and zero mutation give clones, whose scores tie."""
-    mode = draw(st.sampled_from(list(MatchMode)))
-    sides = st.tuples(st.integers(1, 3), st.integers(1, 3))
-    grid = draw(sides if mode is MatchMode.LOCALITY else st.none() | sides)
-    scope = "global" if grid is None else draw(st.sampled_from(["global", "block"]))
-    levels = st.floats(0.3, 0.9)
-    spread = draw(st.sampled_from([0.0, 0.1, 0.3]))
-    group = st.builds(
-        PopulationGroup,
-        st.integers(3, 12),
-        st.builds(TraitVector, st.lists(levels, min_size=8, max_size=8)),
-        st.just(spread),
-    )
-    demographics = DemographicsParams(
-        lifespan_a=draw(st.floats(3.0, 12.0)),
-        lifespan_b=draw(st.floats(0.1, 2.0)),
-        success_a=draw(st.floats(0.1, 0.5)),
-        success_scale=draw(st.floats(0.5, 20.0)),
-        mutation_prob=draw(st.sampled_from([0.0, 0.1, 0.5])),
-        maturity_age=draw(st.floats(0.5, 2.0)),
-        success_rule=draw(st.sampled_from(["deterministic", "probabilistic"])),
-    )
-    schedule = LearningRateSchedule(
-        kind=draw(st.sampled_from(["fixed", "dynamic"])),
-        base=draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
-        multiplier=draw(st.sampled_from([1.0, 10.0, 50.0])),
-    )
-    matching = MatchingConfig(
-        mode=mode,
-        gamma=draw(st.floats(0.0, 2.0)),
-        partition_size=draw(st.integers(1, 5)),
-        noise_sigma=draw(st.floats(0.0, 1.0)),
-        distance=draw(st.sampled_from(["hamming", "manhattan"])),
-    )
-    return SimConfig(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        groups=tuple(draw(st.lists(group, min_size=1, max_size=2))),
-        theta0=TraitVector(draw(st.lists(levels, min_size=13, max_size=13))),
-        demographics=demographics,
-        matching=matching,
-        schedule=schedule,
-        mating_period=draw(st.floats(0.5, 2.0)),
-        max_time=draw(st.floats(4.0, 25.0)),
-        grid=grid,
-        log_every=draw(st.integers(1, 3)),
-        success_pop_scope=scope,
-    )
-
-
 class TestReferenceTrace:
     @settings(max_examples=150, derandomize=True)
     @given(small_configs())
@@ -661,6 +607,59 @@ class TestReferenceTrace:
             assert 0 < len(solved) < rounds, case
             skipped = sorted(set(range(1, rounds + 1)) - solved)
             assert log.births[skipped[0] + 1 :].sum() > 0, case
+
+
+def _preset_at(name, horizon, **matching):
+    config = get_preset(name).config
+    matching = dataclasses.replace(config.matching, **matching)
+    return dataclasses.replace(config, max_time=horizon, matching=matching)
+
+
+# One run per matching mode, each with births and deaths; the noisy and
+# partitioned runs also advance idle stretches before their midpoints.
+RUN_STATE_CASES = {
+    "optimal": lambda: _preset_at("baseline-mixed", 300.0),
+    "locality": lambda: _preset_at("locality-grid-10x10", 200.0),
+    "noisy": lambda: _preset_at("matching-comparison", 100.0, mode=MatchMode.NOISY),
+    "partitioned": lambda: SimConfig(**TRACE_CASES["crowded-partitioned"]),
+}
+
+
+def log_fields(log) -> dict:
+    """Every field of log, a roster as its columns and an array as its
+    dtype, shape and bytes, so that nan equals nan."""
+    fields = {}
+    for f in dataclasses.fields(log):
+        value = getattr(log, f.name)
+        if isinstance(value, Roster):
+            fields.update({f"{f.name}.{c}": getattr(value, c) for c in Roster.COLUMNS})
+        else:
+            fields[f.name] = value
+    return {
+        k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+        for k, v in fields.items()
+    }
+
+
+class TestRunState:
+    @pytest.mark.parametrize("case", sorted(RUN_STATE_CASES))
+    def test_pickled_state_finishes_the_same_run(self, case):
+        # run()'s state holds all that one round hands the next: a state
+        # pickled mid-run, loaded after another run of the same config and
+        # stepped to the end gives that run's log and final roster.
+        config = RUN_STATE_CASES[case]()
+        state = engine._RunState(config)
+        while state.k < state.n_rounds // 2:
+            state.step()
+        assert not state.done
+        saved = pickle.dumps(state)
+        straight = run(config)
+        state = pickle.loads(saved)
+        while not state.done:
+            state.step()
+        assert state.status == "completed" and state.k == state.n_rounds
+        assert straight.births[1:].sum() and straight.deaths[1:].sum()
+        assert log_fields(state.log()) == log_fields(straight)
 
 
 class TestRunBehavior:
@@ -1033,6 +1032,21 @@ class TestConfigValidation:
         # converting the round count to an integer.
         with pytest.raises(ConfigurationError, match="max_time / mating_period"):
             small_config(max_time=1.0e300, mating_period=1.0e-300)
+
+    @pytest.mark.parametrize("distance,far", [("hamming", 2), ("manhattan", 4)])
+    def test_just_finite_locality_penalty_is_accepted(self, distance, far):
+        # On a 3 x 3 grid the largest block distance, that of two opposite
+        # corners, is far: gamma * far at the largest float is accepted, and
+        # one step of gamma past it overflows.
+        def build(gamma):
+            matching = MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma, distance=distance)
+            return small_config(grid=(3, 3), matching=matching)
+
+        gamma = np.finfo(np.float64).max / far
+        assert build(gamma).matching.gamma == gamma
+        message = f"gamma .* largest block distance {far} overflows"
+        with pytest.raises(ConfigurationError, match=message):
+            build(np.nextafter(gamma, np.inf))
 
     @pytest.mark.parametrize(
         "build,field",

@@ -189,7 +189,8 @@ class TestBuildWeights:
         for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
             c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
             sel_y, sel_z = _match_pairs(
-                roster, np.array([0]), np.array([1, 2]), gain, c, 0, _block_penalty(c)
+                roster, np.array([0]), np.array([1, 2]), gain, c, 0, _block_penalty(c), None,
+                _CostBuffers(),
             )
             assert (sel_y.tolist(), sel_z.tolist()) == ([0], [partner])
 
@@ -557,8 +558,8 @@ class TestGatePrefix:
             theta0=TraitVector([0.5] * 13),
         )
         reach = reaches_crowding_bar(n, roster.happiness, params)
-        full = _match_pairs(roster, yi, zi, gain, cfg, 0, None)
-        cut = _match_pairs(roster, yi, zi, gain, cfg, 0, None, reach)
+        full = _match_pairs(roster, yi, zi, gain, cfg, 0, None, None, _CostBuffers())
+        cut = _match_pairs(roster, yi, zi, gain, cfg, 0, None, reach, _CostBuffers())
 
         def passing(sel_y, sel_z):
             h = roster.happiness

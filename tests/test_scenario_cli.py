@@ -1,5 +1,6 @@
 """Scenario files, presets, and the command-line surface."""
 
+import copy
 import csv
 import dataclasses
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import citysim
@@ -28,7 +31,7 @@ from citysim.cli import (
 )
 from citysim.core import ConfigurationError, InteractionMatrix
 from citysim.demographics import DemographicsParams
-from citysim.engine import MatchingConfig
+from citysim.engine import MatchingConfig, SimConfig
 from citysim.matching import MatchMode
 from citysim.presets import PRESETS, get_preset
 from citysim.scenario import (
@@ -39,6 +42,7 @@ from citysim.scenario import (
 )
 from citysim.society import LearningRateSchedule
 from conftest import load_json_strict
+from strategies import small_configs
 
 MINIMAL = {
     "seed": 11,
@@ -284,6 +288,65 @@ class TestScenarioRoundTrip:
             assert again.config.demographics == sc.config.demographics
             assert list(again.config.theta0.values) == list(sc.config.theta0.values)
             assert again.preset == name
+
+
+# Values outside every numeric field's range: each field is at least 0.
+OUT_OF_RANGE = st.sampled_from([-1, -0.5, math.inf, -math.inf, math.nan])
+
+
+class TestScenarioRoundTripProperty:
+    @settings(max_examples=200, derandomize=True)
+    @given(small_configs())
+    def test_dump_loads_back_to_the_same_config(self, cfg):
+        text = dump_scenario(Scenario("drawn", cfg))
+        back = scenario_from_mapping(yaml.safe_load(text))
+        assert dump_scenario(back) == text
+        for f in dataclasses.fields(SimConfig):
+            a, b = getattr(back.config, f.name), getattr(cfg, f.name)
+            if f.name == "interaction":
+                # InteractionMatrix compares by identity (eq=False).
+                assert np.array_equal(a.entries, b.entries)
+                assert (a.row_names, a.col_names) == (b.row_names, b.col_names)
+            else:
+                assert a == b, f.name
+
+    @settings(derandomize=True)
+    @given(small_configs(), st.data())
+    def test_out_of_range_number_gives_one_message(self, cfg, data):
+        # Each numeric field is checked once, in the dataclass that owns it,
+        # so Python and a scenario file get the same message, but for the
+        # field path the parser puts before it.
+        def python(owner, name):
+            return lambda v: dataclasses.replace(owner, **{name: v})
+
+        cases = [(("seed",), "", python(cfg, "seed"))]
+        cases += [((k,), "", python(cfg, k)) for k in ("mating_period", "max_time", "log_every")]
+        if cfg.grid is not None:
+            width = python(cfg, "grid")
+            cases.append((("grid", 0), "", lambda v: width((v, cfg.grid[1]))))
+        for name in ("count", "std"):
+            cases.append((("population", 0, name), "population[0]: ", python(cfg.groups[0], name)))
+        for section in ("demographics", "matching", "schedule"):
+            owner = getattr(cfg, section)
+            for f in dataclasses.fields(owner):
+                if type(getattr(owner, f.name)) in (int, float):
+                    cases.append(((section, f.name), f"{section}: ", python(owner, f.name)))
+        doc = yaml.safe_load(dump_scenario(Scenario("drawn", cfg)))
+        for path, prefix, build in cases:
+            bad = data.draw(OUT_OF_RANGE, label=".".join(map(str, path)))
+            with pytest.raises(ConfigurationError) as from_python:
+                build(bad)
+            mapping = copy.deepcopy(doc)
+            *parents, leaf = path
+            node = mapping
+            for key in parents:
+                node = node[key]
+            # The mapping is the loaded dump, and the value is written as
+            # YAML and read back.
+            node[leaf] = yaml.safe_load(yaml.safe_dump(bad))
+            with pytest.raises(ConfigurationError) as from_file:
+                scenario_from_mapping(mapping)
+            assert str(from_file.value) == prefix + str(from_python.value), path
 
 
 class TestPresets:
