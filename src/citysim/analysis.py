@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import ConfigurationError, TraitVector
 
@@ -88,11 +87,21 @@ class KMeansResult(NamedTuple):
     inertia: float
 
 
+def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared euclidean distance of every row of X to every row of Y.
+    scipy.spatial is imported here, not with the module: it pulls in
+    scipy.linalg and sparse, and of all commands only `citysim analyze`
+    needs it."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(X, Y, metric="sqeuclidean")
+
+
 def _seed_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
     for _ in range(1, k):
-        d2 = cdist(X, X[chosen], metric="sqeuclidean").min(axis=1)
+        d2 = _sq_distances(X, X[chosen]).min(axis=1)
         total = d2.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(n)))
@@ -103,7 +112,7 @@ def _seed_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 def _reseed_empty(X: np.ndarray, centroids: np.ndarray, empty: np.ndarray) -> None:
     for j in empty:
-        d2 = cdist(X, centroids, metric="sqeuclidean").min(axis=1)
+        d2 = _sq_distances(X, centroids).min(axis=1)
         centroids[j] = X[int(d2.argmax())]
 
 
@@ -116,7 +125,7 @@ def _lloyd(
     prev_inertia = np.inf
     inertia = np.inf
     for _ in range(max_iter):
-        D2 = cdist(X, centroids, metric="sqeuclidean")
+        D2 = _sq_distances(X, centroids)
         new_labels = D2.argmin(axis=1)
         inertia = float(D2[np.arange(n), new_labels].sum())
         assert inertia <= prev_inertia * (1 + 1e-12) + 1e-12, "inertia increased"

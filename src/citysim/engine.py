@@ -12,14 +12,16 @@ sequence.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector, _store
 from .core import require_choice, require_int, require_real
@@ -35,6 +37,38 @@ from .demographics import (
 )
 from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
 from .society import LearningRateSchedule, society_path, trait_gain
+
+
+def _assignment_solver():
+    """scipy's linear_sum_assignment, loaded from its own extension module.
+
+    `from scipy.optimize import linear_sum_assignment` runs scipy.optimize's
+    __init__, which pulls in scipy.linalg, sparse, spatial, special and more,
+    none of which a run uses; that import was most of the start-up time and
+    memory of every command. The solver lives alone in the extension module
+    scipy.optimize._lsap, so that module is loaded by itself, through
+    importlib's standard machinery, and registered in sys.modules under its
+    own name, or reused when it is there already. A later `import
+    scipy.optimize` then imports that same module object, so both names are
+    one function. _lsap is private to scipy: where no such extension exposes
+    the solver, the public import is the fallback."""
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    package = importlib.util.find_spec("scipy")
+    if module is None and package is not None:
+        folder = Path(package.submodule_search_locations[0], "optimize")
+        spec = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    solve = getattr(module, "linear_sum_assignment", None)
+    if solve is None:
+        from scipy.optimize import linear_sum_assignment as solve
+    return solve
+
+
+linear_sum_assignment = _assignment_solver()
 
 __all__ = [
     "PERSON_COLUMNS",
@@ -519,10 +553,14 @@ class _CostBuffers:
     cells. So a round neither allocates nor faults in fresh k x k arrays.
     A buffer grows only when a round needs more cells than it holds, to at
     least twice its size, since k grows with the population; cells that
-    are never written are never made resident."""
+    are never written are never made resident. A pickle holds no cells:
+    every round writes the cells it reads."""
 
     def __init__(self) -> None:
         self._cost = self._aux = np.empty(0)
+
+    def __reduce__(self):
+        return _CostBuffers, ()
 
     @staticmethod
     def _fit(buf: np.ndarray, cells: int) -> np.ndarray:

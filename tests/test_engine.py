@@ -653,6 +653,11 @@ class TestRunState:
             state.step()
         assert not state.done
         saved = pickle.dumps(state)
+        # Every round writes the cost cells it reads, so a pickle leaves them
+        # out. With them, the locality state pickled to 1 478 889 bytes.
+        assert len(pickle.dumps(state.buffers)) < 100
+        if case == "locality":
+            assert len(saved) < 1_478_889 // 4
         straight = run(config)
         state = pickle.loads(saved)
         while not state.done:
