@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -317,23 +317,30 @@ def _write_json(path: str | Path, obj) -> None:
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns as CSV rows under header. A cell is str
     of the column's Python value: the repr of a float, the decimal of an
-    integer, a string as it is. Lines end with "\n". A float64 column is
-    formatted whole before the first row is written, once per distinct bit
-    pattern, not per value (see _column_cells); other columns stream cell
-    by cell."""
-    cells = [_column_cells(col) for col in columns]
+    integer, a string as it is. Lines end with "\n". Every column is
+    turned into its cells before the first row is written, each distinct
+    number once (see _column_cells); the last column's cells carry the
+    line end, so each row is one C-level join of its cells, and the rows
+    stream to the file without the whole text ever being built."""
+    last = len(columns) - 1
+    cells = [_column_cells(col, "\n" if i == last else "") for i, col in enumerate(columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.writelines(map(",".join, zip(*cells)))
 
 
-def _column_cells(col: np.ndarray) -> Iterable[str]:
-    """The CSV cells of one column, in order. A float64 column formats each
-    distinct bit pattern once and gives every cell holding it that one
-    string. The key is the bits, not the value: -0.0 stays apart from 0.0,
-    and a nan, equal to nothing, is still formatted once per payload."""
-    if col.dtype != np.float64:
-        return map(str, col.tolist())
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+def _column_cells(col: np.ndarray, end: str = "") -> list[str]:
+    """The CSV cells of one column, in order, each followed by end. A
+    number column (bool, integer or float) formats each distinct value
+    once, end included, and gives every cell holding it that one string. A
+    float is keyed by its bits, not its value: -0.0 stays apart from 0.0,
+    and a nan, equal to nothing, is still formatted once per payload. A
+    string or object column is formatted cell by cell."""
+    kind = col.dtype.kind
+    if kind in "biuf" and col.itemsize <= 8:
+        key = col.view(f"i{col.itemsize}") if kind == "f" else col
+        distinct, inverse = np.unique(key, return_inverse=True)
+        values = distinct.view(col.dtype).tolist()
+        return np.array([str(v) + end for v in values], dtype=object)[inverse].tolist()
+    cells = col.tolist() if kind == "U" else list(map(str, col.tolist()))
+    return [cell + end for cell in cells] if end else cells

@@ -17,9 +17,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,15 @@ from .demographics import (
     mating_succeeds,
     reaches_crowding_bar,
 )
-from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
+from .matching import (
+    MatchMode,
+    _pair_terms,
+    _pair_weights,
+    expected_pair_weights,
+    grid_distances,
+    rank_pair_indices,
+    score,
+)
 from .society import LearningRateSchedule, society_path, trait_gain
 
 
@@ -582,17 +591,18 @@ def _assign(
     scores: np.ndarray,
     by: np.ndarray,
     bz: np.ndarray,
-    gain: np.ndarray,
-    mutation_prob: float,
+    weights: Callable[..., np.ndarray],
     noise: np.ndarray | None = None,
     penalty: np.ndarray | None = None,
     block: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The males by[i] and females bz[j] of a maximum-weight assignment of
-    the (k_y, k_z) weights W = expected_pair_weights(scores[by],
-    scores[bz], gain, mutation_prob) plus noise, or (noise None) minus
-    penalty[block[by]][:, block[bz]], in male order: the pairs of scipy's
-    linear_sum_assignment(W, maximize=True), to the index.
+    the (k_y, k_z) weights W = weights(scores[by], scores[bz]) plus noise,
+    or (noise None) minus penalty[block[by]][:, block[bz]], in male order:
+    the pairs of scipy's linear_sum_assignment(W, maximize=True), to the
+    index. weights(a, b, out=...) is expected_pair_weights with the round's
+    gain and mutation probability bound, or its arithmetic with the two
+    terms already worked out; either writes W into out.
 
     scipy's maximize=True solves a negated copy of W, transposed when W has
     more rows than columns, and sorts a transposed solve's pairs by W's
@@ -604,7 +614,7 @@ def _assign(
     flipped = len(by) > len(bz)
     r, c = (bz, by) if flipped else (by, bz)
     cost = buffers.cost(len(r), len(c))
-    expected_pair_weights(scores[r], scores[c], gain, mutation_prob, out=cost)
+    weights(scores[r], scores[c], out=cost)
     if noise is None:
         # mode="clip" gathers straight into the buffer (the default "raise"
         # gathers into a copy); every block code is in range.
@@ -658,8 +668,12 @@ def _match_pairs(
         return yi[iy], zi[iz]
 
     p = config.demographics.mutation_prob
+    # A round with one solve builds its weights with expected_pair_weights,
+    # the boundary perfbench's tracer times; a partitioned round works out
+    # their two terms once, not once per block.
+    weights = partial(expected_pair_weights, gain=gain, mutation_prob=p)
     if mcfg.mode is MatchMode.LOCALITY:
-        return _assign(buffers, scores, yi, zi, gain, p, penalty=penalty, block=roster.block)
+        return _assign(buffers, scores, yi, zi, weights, penalty=penalty, block=roster.block)
     if mcfg.mode is MatchMode.NOISY:
         noise = _round_stream(config.seed, "noise", k)
         sides = [(yi, zi)]
@@ -672,6 +686,7 @@ def _match_pairs(
         perm_y = yi[noise.permutation(len(yi))]
         perm_z = zi[noise.permutation(len(zi))]
         size = mcfg.partition_size
+        weights = partial(_pair_weights, *_pair_terms(gain, p))
         sides = [
             (perm_y[start : start + size], perm_z[start : start + size])
             for start in range(0, min(len(yi), len(zi)), size)
@@ -687,7 +702,7 @@ def _match_pairs(
     blocks = []
     for (by, bz), end in zip(sides, ends):
         z_b = z[end - by.size * bz.size : end].reshape(by.size, bz.size)
-        blocks.append(_assign(buffers, scores, by, bz, gain, p, z_b))
+        blocks.append(_assign(buffers, scores, by, bz, weights, z_b))
     return tuple(np.concatenate(side) for side in zip(*blocks))
 
 

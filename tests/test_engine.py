@@ -6,6 +6,7 @@ order, and the two must agree row for row. That catches bookkeeping and
 ordering slips in the columnar engine.
 """
 
+import csv
 import dataclasses
 import pickle
 
@@ -877,6 +878,36 @@ class TestGridOutputs:
         assert counts.min() == 0 and counts.max() > 1
         np.testing.assert_array_equal(log.block_population[-1], counts)
         np.testing.assert_array_equal(log.block_mean_happiness[-1], means)
+
+    def test_non_square_grid_files_read_back(self, tmp_path):
+        # Every golden grid is 10 x 10, where swapping w and h goes unseen.
+        w, h = 5, 3
+        cfg = small_config(
+            max_time=20.0,
+            grid=(w, h),
+            matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=0.5),
+            demographics=DemographicsParams(success_a=0.05),
+        )
+        log = run(cfg)
+        write_run_outputs(log, cfg, tmp_path, wall_time_s=0.0)
+        with open(tmp_path / "grid_log.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(log.times) * w * h
+        for i, row in enumerate(rows):
+            r, code = divmod(i, w * h)
+            gx, gy = int(row["gx"]), int(row["gy"])
+            assert 0 <= gx < w and 0 <= gy < h and gx * h + gy == code
+            assert float(row["time"]) == log.times[r]
+            assert int(row["population"]) == log.block_population[r, gx, gy]
+            assert row["mean_happiness"] == str(float(log.block_mean_happiness[r, gx, gy]))
+        with open(tmp_path / "population_final.csv", encoding="utf-8", newline="") as fh:
+            xy = [(int(p["gx"]), int(p["gy"])) for p in csv.DictReader(fh)]
+        assert max(gx for gx, _ in xy) >= h
+        assert [gx * h + gy for gx, gy in xy] == log.final_population.block.tolist()
+        counts = np.zeros((w, h), dtype=np.int64)
+        for gx, gy in xy:
+            counts[gx, gy] += 1
+        np.testing.assert_array_equal(counts, log.block_population[-1])
 
     def test_children_inherit_a_parent_block(self):
         cfg = small_config(

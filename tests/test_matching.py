@@ -4,6 +4,7 @@ partitioned matching of the Person-level oracle."""
 import ast
 import itertools
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -478,7 +479,8 @@ class TestReusedCostBuffers:
         k = len(by) + len(bz)
         buffers.cost(k, k + 1).fill(np.nan)
         buffers.aux(k * (k + 1)).fill(np.nan)
-        sel_y, sel_z = _assign(buffers, scores, by, bz, gain, p, **term)
+        weights = partial(expected_pair_weights, gain=gain, mutation_prob=p)
+        sel_y, sel_z = _assign(buffers, scores, by, bz, weights, **term)
         assert np.array_equal(sel_y, by[rows]) and np.array_equal(sel_z, bz[cols])
 
     def test_weights_written_into_out(self):
