@@ -314,19 +314,28 @@ def _write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
+# _write_csv turns at most this many rows into cells at a time, which
+# bounds its memory by the chunk, not by the file.
+_CSV_CHUNK_ROWS = 65_536
+
+
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns as CSV rows under header. A cell is str
     of the column's Python value: the repr of a float, the decimal of an
-    integer, a string as it is. Lines end with "\n". Every column is
-    turned into its cells before the first row is written, each distinct
-    number once (see _column_cells); the last column's cells carry the
-    line end, so each row is one C-level join of its cells, and the rows
-    stream to the file without the whole text ever being built."""
+    integer, a string as it is. Lines end with "\n". The rows go out in
+    chunks of _CSV_CHUNK_ROWS: each column of a chunk is turned into its
+    cells, each distinct number once (see _column_cells), and the last
+    column's cells carry the line end, so each row is one C-level join of
+    its cells. Neither the whole text nor every cell of the file is ever
+    held at once."""
     last = len(columns) - 1
-    cells = [_column_cells(col, "\n" if i == last else "") for i, col in enumerate(columns)]
+    rows = min((len(col) for col in columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(",".join, zip(*cells)))
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            chunk = (col[start : start + _CSV_CHUNK_ROWS] for col in columns)
+            cells = [_column_cells(col, "\n" if i == last else "") for i, col in enumerate(chunk)]
+            fh.writelines(map(",".join, zip(*cells)))
 
 
 def _column_cells(col: np.ndarray, end: str = "") -> list[str]:

@@ -87,7 +87,8 @@ _DEFAULTS = DemographicsParams()
 def _logistic(t: float | np.ndarray) -> float | np.ndarray:
     # exp(-|t|) never overflows; both branches agree at t = 0.
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def lifespan(
@@ -128,19 +129,24 @@ def reaches_crowding_bar(
     return happiness >= crowding_term(pop_size, params)
 
 
-def mating_opening_time(reach: np.ndarray, avail: np.ndarray, sex: np.ndarray) -> float:
+def mating_opening_time(reach: np.ndarray, avail: np.ndarray, male: np.ndarray) -> float:
     """The earliest time at which some pair of these people can pass the
     deterministic success gate; inf if never.
 
     reach (reaches_crowding_bar at the population size), avail (next
-    available time) and sex (0 male, 1 female) hold one entry per person.
-    The gate opens at the later, over the two sexes, of the earliest avail
-    among those who reach the bar. While happiness, population size and
-    avail stay as they are, every round before that time bears no child.
+    available time) and male (true for a man, false for a woman) hold one
+    entry per person. The gate opens at the later, over the two sexes, of
+    the earliest avail among those who reach the bar. While happiness,
+    population size and avail stay as they are, every round before that
+    time bears no child.
     """
-    male = sex == 0
+    # The men who reach the bar, and the rest of those who do: the women.
+    reach_male = reach & male
     return float(
-        max(avail[reach & male].min(initial=math.inf), avail[reach & ~male].min(initial=math.inf))
+        max(
+            avail[reach_male].min(initial=math.inf),
+            avail[reach ^ reach_male].min(initial=math.inf),
+        )
     )
 
 
@@ -154,15 +160,20 @@ def mating_success_threshold(
 
     Grows linearly with population size (crowding) and steeply as either
     partner's happiness drops below zero.
+
+    Both partners' veto terms, 1 - sigma(success_scale * h), come from one
+    _logistic call on their happiness stacked as two rows, which are then
+    split: the function is elementwise, so the bits are those of one call
+    per partner, for half the numpy calls.
     """
     p = params or _DEFAULTS
-    if np.any(np.asarray(pop_size) < 0):
+    if (np.asarray(pop_size) < 0).any():
         raise ConfigurationError(f"pop_size must be nonnegative, got {pop_size}")
-    worst = np.maximum(
-        1.0 - _logistic(p.success_scale * h_male),
-        1.0 - _logistic(p.success_scale * h_female),
-    )
-    return crowding_term(pop_size, p) + worst
+    both = (h_male, h_female)
+    if np.shape(h_male) != np.shape(h_female):
+        both = np.broadcast_arrays(h_male, h_female)
+    veto = 1.0 - _logistic(p.success_scale * np.array(both))
+    return crowding_term(pop_size, p) + np.maximum(veto[0], veto[1])
 
 
 def mating_succeeds(

@@ -363,7 +363,7 @@ class TimeSeriesLog:
         }
 
 
-# When extend reaches the end of the buffers, the window slides back to
+# When add_born reaches the end of the buffers, the window slides back to
 # their front if they hold this many times the live people; otherwise they
 # are replaced by buffers of that capacity. Either way about a third of the
 # capacity is left as slack, which keeps the copying per appended person
@@ -380,13 +380,15 @@ class Roster:
     axis, so a stable sort breaks ties by id.
 
     Each column is a view of the window [lo, hi) of a buffer whose last
-    axis, the capacity, has slack on either side. bury and extend move the
-    window and write into the buffers in place, in roster order; the
-    constructor adopts its arrays as the buffers, window and all. Built
-    from C-contiguous traits, as take and init_population build them, each
-    trait row stays contiguous, with a row stride of the capacity, so
-    mean_traits sums the same bits as over a compact copy. A pickle holds
-    only the live people."""
+    axis, the capacity, has slack on either side. bury and add_born move
+    the window and write into the buffers in place, in roster order:
+    add_born copies each newborn column straight into the slack after the
+    window, so births build no roster of their own. The constructor adopts
+    its arrays as the buffers, window and all, and empty() makes buffers
+    with nobody in them. Built from C-contiguous traits, as take and empty
+    build them, each trait row stays contiguous, with a row stride of the
+    capacity, so mean_traits sums the same bits as over a compact copy. A
+    pickle holds only the live people."""
 
     COLUMNS = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "block")
     __slots__ = (*COLUMNS, "_buffers", "_lo", "_hi")
@@ -410,10 +412,12 @@ class Roster:
 
     def mean_traits(self) -> np.ndarray:
         """The mean trait vector, all nan when nobody is alive. Each trait's
-        mean is a pairwise sum along its contiguous row, the same bits as
-        that row's own mean."""
-        if self.size:
-            return self.traits.mean(axis=1)
+        mean is a pairwise sum along its contiguous row, divided by the
+        head count: the ufuncs ndarray.mean runs, so the same bits as that
+        row's own mean, without the cost of its Python wrapper."""
+        n = self.size
+        if n:
+            return np.add.reduce(self.traits, axis=1) / n
         return np.full(self.traits.shape[0], np.nan)
 
     def take(self, keep: np.ndarray) -> "Roster":
@@ -449,30 +453,76 @@ class Roster:
                 buf[..., dst] = buf.take(src, axis=-1)
         self._view()
 
-    def extend(self, other: "Roster", keep: np.ndarray | None = None) -> None:
-        """Append other's people, or only those where keep is true, in one
-        copy into the slack after the window. Their ids must all exceed
-        this roster's."""
-        idx = np.arange(other.size) if keep is None else np.flatnonzero(keep)
-        if self.size and idx.size and other.ids[idx[0]] <= self.ids[-1]:
+    @classmethod
+    def empty(cls, capacity: int, dim: int, with_block: bool) -> "Roster":
+        """Nobody yet, in buffers that hold capacity people with dim traits
+        each, and a home block each when with_block is true."""
+        floats = (np.empty(capacity) for _ in range(4))
+        block = np.empty(capacity, dtype=np.int64) if with_block else None
+        ids, sex = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int8)
+        roster = cls(ids, sex, np.empty((dim, capacity)), *floats, block)
+        roster._hi = 0
+        roster._view()
+        return roster
+
+    def add_born(
+        self, first_id: int, t: float, avail: float, sex: np.ndarray, traits: np.ndarray,
+        happiness: np.ndarray, death: np.ndarray, block: np.ndarray | None,
+        keep_dead: bool = False,
+    ) -> int:
+        """Write the people born at t into the slack after the window, one
+        copy per column: ids first_id on, one per entry of death, with their
+        sex (0 or 1), (dim, n) traits, happiness, death time and home block
+        (None without a grid), birth t and first availability avail. Only
+        those whose death is after t join, or with keep_dead all of them, as
+        in a founding snapshot. Returns how many joined. first_id must
+        exceed this roster's ids."""
+        n = death.shape[0]
+        idx = None
+        if not keep_dead:
+            alive = death > t
+            if np.count_nonzero(alive) < n:
+                idx = np.flatnonzero(alive)
+        m = n if idx is None else idx.size
+        if self.size and m and first_id <= self.ids[-1]:
             raise ConsistencyError(
-                f"roster ids must ascend: appending id {other.ids[idx[0]]} after {self.ids[-1]}"
+                f"roster ids must ascend: adding id {first_id} after {self.ids[-1]}"
             )
+        self._reserve(m)
+        lo, hi = self._hi, self._hi + m
+        ids, sex_buf, traits_buf, happiness_buf, birth_buf, death_buf, avail_buf, block_buf = (
+            self._buffers
+        )
+        columns = [(sex_buf, sex), (traits_buf, traits), (happiness_buf, happiness)]
+        columns += [(death_buf, death)] + ([] if block_buf is None else [(block_buf, block)])
+        if idx is None:
+            ids[lo:hi] = np.arange(first_id, first_id + n)
+            for buf, col in columns:
+                buf[..., lo:hi] = col
+        else:
+            # mode="clip" gathers straight into the slack; every index is in range.
+            np.add(idx, first_id, out=ids[lo:hi])
+            for buf, col in columns:
+                col.take(idx, axis=-1, out=buf[..., lo:hi], mode="clip")
+        birth_buf[lo:hi] = t
+        avail_buf[lo:hi] = avail
+        self._hi = hi
+        self._view()
+        return m
+
+    def _reserve(self, m: int) -> None:
+        """Room for m more people after the window: when the buffers end
+        too soon, the window moves to their front, into new buffers if
+        they hold fewer than _GROWTH times the people then live."""
         n, capacity = self.size, self._buffers[0].shape[0]
-        if self._hi + idx.size > capacity:
-            need = n + idx.size
+        if self._hi + m > capacity:
+            need = n + m
             if need * _GROWTH > capacity:
                 capacity = int(need * _GROWTH)
             self._buffers = tuple(
                 None if buf is None else self._to_front(buf, capacity) for buf in self._buffers
             )
             self._lo, self._hi = 0, n
-        end = self._hi + idx.size
-        for buf, name in zip(self._buffers, self.COLUMNS):
-            if buf is not None:
-                getattr(other, name).take(idx, axis=-1, out=buf[..., self._hi : end])
-        self._hi = end
-        self._view()
 
     def _to_front(self, buf: np.ndarray, capacity: int) -> np.ndarray:
         """buf with the window moved to its front: slid within buf when
@@ -485,6 +535,7 @@ class Roster:
 
 
 def _newborns(
+    roster: Roster,
     first_id: int,
     traits: np.ndarray,
     t: float,
@@ -492,24 +543,22 @@ def _newborns(
     block: np.ndarray | None,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
-) -> Roster:
-    """The people born at t with the given (dim, n) traits and home blocks:
-    ids from first_id on, sexes drawn uniformly from the "sex" stream,
+    keep_dead: bool = False,
+) -> int:
+    """Add to roster the people born at t with the given (dim, n) traits
+    and home blocks: ids from first_id on, sexes drawn uniformly from the
+    "sex" stream (one draw per person, the dead at birth included),
     happiness frozen against gain, death at t + L(h), and first
-    availability once they have matured. Founders are newborns at t=0."""
+    availability once they have matured. Those dead at birth are left out
+    unless keep_dead; returns how many died at birth. Founders are
+    newborns at t=0."""
     d = config.demographics
-    n = traits.shape[1]
     happiness = score(traits, gain)
-    return Roster(
-        ids=np.arange(first_id, first_id + n, dtype=np.int64),
-        sex=streams["sex"].integers(0, 2, size=n).astype(np.int8),
-        traits=traits,
-        happiness=happiness,
-        birth=np.full(n, t),
-        death=t + lifespan(happiness, d),
-        avail=np.full(n, t + d.maturity_age * config.mating_period),
-        block=block,
-    )
+    sex = streams["sex"].integers(0, 2, size=traits.shape[1])
+    avail = t + d.maturity_age * config.mating_period
+    death = t + lifespan(happiness, d)
+    joined = roster.add_born(first_id, t, avail, sex, traits, happiness, death, block, keep_dead)
+    return traits.shape[1] - joined
 
 
 def init_population(
@@ -539,7 +588,9 @@ def init_population(
         gx, gy = streams["location"].integers(0, high, size=(traits.shape[1], 2)).T
         block = gx * high[1] + gy
     gain = trait_gain(config.theta0, config.interaction)
-    return _newborns(0, traits, 0.0, gain, block, config, streams)
+    roster = Roster.empty(traits.shape[1], traits.shape[0], block is not None)
+    _newborns(roster, 0, traits, 0.0, gain, block, config, streams, keep_dead=True)
+    return roster
 
 
 def _block_xy(grid: tuple[int, int]) -> np.ndarray:
@@ -660,9 +711,10 @@ def _match_pairs(
         sy, sz = scores[yi], scores[zi]
         if reach is not None:
             # Each side keeps, in roster order, whoever scores at least its
-            # lowest reacher's score; nobody when no one on it reaches.
-            ky = sy >= sy[reach[yi]].min(initial=math.inf)
-            kz = sz >= sz[reach[zi]].min(initial=math.inf)
+            # lowest reacher's score; nobody when no one on it reaches. The
+            # prefix is a small share of a side, so it is gathered by index.
+            ky = np.flatnonzero(sy >= sy[reach[yi]].min(initial=math.inf))
+            kz = np.flatnonzero(sz >= sz[reach[zi]].min(initial=math.inf))
             yi, sy, zi, sz = yi[ky], sy[ky], zi[kz], sz[kz]
         iy, iz = rank_pair_indices(sy, sz)
         return yi[iy], zi[iz]
@@ -706,11 +758,12 @@ def _match_pairs(
     return tuple(np.concatenate(side) for side in zip(*blocks))
 
 
-def _status(roster: Roster) -> str:
-    """"extinct" with nobody left, "sterile" with one sex left, else "completed"."""
-    if roster.size == 0:
+def _status(male: np.ndarray) -> str:
+    """"extinct" with nobody left, "sterile" with one sex left, else
+    "completed"; male marks the roster's men (sex 0), the rest are women."""
+    if not male.size:
         return "extinct"
-    if (roster.sex == 0).all() or (roster.sex == 1).all():
+    if np.count_nonzero(male) in (0, male.size):
         return "sterile"
     return "completed"
 
@@ -735,7 +788,7 @@ class _RunState:
         # pairing and newborns.
         self.gain = trait_gain(self.theta, config.interaction)
         self.next_id = self.initial.size
-        self.status = _status(self.roster)
+        self.status = _status(self.roster.sex == 0)
         # One tuple per round from t=0 on, so row k is round k, holding the
         # TimeSeriesLog columns in field order (times through mean_traits, and
         # on a grid the two per-block columns).
@@ -762,24 +815,33 @@ class _RunState:
 
     def step(self) -> None:
         """Advance round k + 1 and, when that round is idle, every following
-        round up to the next death or the gate's opening."""
+        round up to the next death or the gate's opening.
+
+        At the population sizes of a run, much of a round's cost is the
+        fixed cost of its many small numpy calls, so none is made twice:
+        the sex mask is computed once, after burial, for the status check,
+        the gate's opening and the birth phase; an idle stretch takes one
+        society_path call; and a one-round step, the usual case, skips the
+        running sum of the steps (see society_path)."""
         config, roster, period = self.config, self.roster, self.config.mating_period
         first = self.k + 1
         t = first * period
         keep = roster.death > t
-        died = roster.size - int(keep.sum())
+        died = roster.size - np.count_nonzero(keep)
         if died:
             roster.bury(keep)
+        male = roster.sex == 0
+        if died:
             # Only burial can end the run: a roster without both sexes
             # bears nobody, and births only add people.
-            self.status = _status(roster)
+            self.status = _status(male)
         last, born = first, 0
         opens, reach = -math.inf, None
         if self.skip_closed and self.status == "completed":
             # Who reaches the crowding bar: it times the gate's opening and
             # cuts the ranking of an active round.
             reach = reaches_crowding_bar(roster.size, roster.happiness, config.demographics)
-            opens = mating_opening_time(reach, roster.avail, roster.sex)
+            opens = mating_opening_time(reach, roster.avail, male)
         if opens > t:
             # Nobody is born or dies before the earlier of the two times,
             # so N, the gate and the roster stay as they are until then.
@@ -788,7 +850,7 @@ class _RunState:
             while last < self.n_rounds and (last + 1) * period < end:
                 last += 1
         else:
-            born, died_at_birth = self._bear(first, t, reach)
+            born, died_at_birth = self._bear(first, t, reach, male)
             died += died_at_birth
         # The society steps once per round at the roster's x_bar, which
         # holds over the step; an empty roster (always a one-round step,
@@ -804,17 +866,22 @@ class _RunState:
         self._record(first, thetas, gains, x_bar, born, died)
         self.k = last
 
-    def _bear(self, k: int, t: float, reach: np.ndarray | None) -> tuple[int, int]:
+    def _bear(
+        self, k: int, t: float, reach: np.ndarray | None, male: np.ndarray
+    ) -> tuple[int, int]:
         """Round k's births at t: the available people are paired, and each
         pair that passes the gate bears one child, with the next id and the
         home block of one parent, picked uniformly. Parents recover until
-        t + gap(h). The children who outlive t join the roster. Returns how
-        many were born and how many of them died at birth."""
+        t + gap(h). male marks the roster's men. The children who outlive t
+        are written straight into the roster's slack (Roster.add_born).
+        Returns how many were born and how many of them died at birth."""
         config, roster, streams = self.config, self.roster, self.streams
         d = config.demographics
         avail = roster.avail <= t
-        yi = np.flatnonzero(avail & (roster.sex == 0))
-        zi = np.flatnonzero(avail & (roster.sex == 1))
+        # The available men, and the rest of the available: the women.
+        avail_male = avail & male
+        yi = np.flatnonzero(avail_male)
+        zi = np.flatnonzero(avail ^ avail_male)
         if not (yi.size and zi.size):
             return 0, 0
         sel_y, sel_z = _match_pairs(
@@ -831,21 +898,20 @@ class _RunState:
         h_y, h_z = roster.happiness[sel_y], roster.happiness[sel_z]
         ok = mating_succeeds(pop, h_y, h_z, d, streams["success"])
         sel_y, sel_z = sel_y[ok], sel_z[ok]
-        if not sel_y.size:
+        n = sel_y.size
+        if not n:
             return 0, 0
         parents = roster.traits[:, sel_y].T, roster.traits[:, sel_z].T
         traits = born_batch(*parents, streams["born"], d)
         block = None
         if config.grid is not None:
-            pick = streams["location"].integers(0, 2, size=sel_y.size)
+            pick = streams["location"].integers(0, 2, size=n)
             block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
-        children = _newborns(self.next_id, traits.T, t, self.gain, block, config, streams)
-        self.next_id += children.size
         roster.avail[sel_y] = t + mating_gap(h_y[ok], d)
         roster.avail[sel_z] = t + mating_gap(h_z[ok], d)
-        alive = children.death > t
-        roster.extend(children, alive)
-        return children.size, children.size - int(alive.sum())
+        died = _newborns(roster, self.next_id, traits.T, t, self.gain, block, config, streams)
+        self.next_id += n
+        return n, died
 
     def _record(
         self, first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray,
@@ -857,7 +923,8 @@ class _RunState:
         x_bar . (I theta), x_bar being the roster's mean trait vector."""
         config, roster, period = self.config, self.roster, self.config.mating_period
         n = roster.size
-        tot = float(roster.happiness.sum())
+        # np.add.reduce is ndarray.sum's own reduction, without its wrapper.
+        tot = float(np.add.reduce(roster.happiness))
         mean = tot / n if n else math.nan
         mean_cur = score(gains, x_bar).tolist()
         tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)

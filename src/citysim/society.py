@@ -102,14 +102,19 @@ def society_path(
     the first step theta lies in the box and every coordinate moves one
     way, so clipping the running sum once gives the same bits as clipping
     after every step: a coordinate that reaches the box edge stays there
-    both ways.
+    both ways. One step, the engine's usual call, returns the first row
+    alone: the running sum of one row is that row, and clipping it again
+    changes no bit (clip is idempotent, signed zeros included).
     """
     lam = require_real(lam, "learning rate", 0.0)
     rounds = require_int(rounds, "rounds", 1)
     tv = _values(theta, interaction.society_dim, what="society vector")
     step = lam * society_gradient(x_bar, interaction)
+    first = (tv + step).clip(0.0, 1.0)
+    if rounds == 1:
+        return first[None]
     path = np.empty((rounds, tv.shape[0]))
-    path[0] = np.clip(tv + step, 0.0, 1.0)
+    path[0] = first
     path[1:] = step
     return np.clip(np.add.accumulate(path, axis=0), 0.0, 1.0)
 

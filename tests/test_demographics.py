@@ -234,7 +234,7 @@ class TestMatingOpeningTime:
     @given(crowded_rosters(), st.integers(0, 2**32 - 1))
     def test_no_pair_passes_before_opening(self, drawn, seed):
         params, n, h, avail, sex, shut = drawn
-        opens = mating_opening_time(reaches_crowding_bar(n, h, params), avail, sex)
+        opens = mating_opening_time(reaches_crowding_bar(n, h, params), avail, sex == 0)
         if shut != "neither":
             assert opens == np.inf
         rng = np.random.default_rng(seed)
@@ -265,10 +265,10 @@ class TestMatingOpeningTime:
         bar = crowding_term(1000, params)
         h = np.array([bar, bar])
         avail, sex = np.array([2.0, 3.0]), np.array([0, 1])
-        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex) == 3.0
+        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex == 0) == 3.0
         assert mating_succeeds(1000, h[:1], h[1:], params).all()
         h[0] = np.nextafter(bar, -np.inf)
-        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex) == np.inf
+        assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex == 0) == np.inf
         assert not mating_succeeds(1000, h[:1], h[1:], params).any()
 
 

@@ -163,14 +163,16 @@ class TestRosterLayout:
         for j in range(8):
             assert x_bar[j].tobytes() == traits[j].mean().tobytes()
 
-    def test_extend_keeps_ids_ascending(self):
+    def test_add_born_keeps_ids_ascending(self):
         roster = tiny_roster([0, 2, 5])
-        roster.extend(tiny_roster([6, 7]))
+        assert add_batch(roster, tiny_roster([6, 7]), 1.0, 2.0) == 2
         assert roster.ids.tolist() == [0, 2, 5, 6, 7]
+        assert roster.birth.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+        assert roster.avail.tolist() == [0.0, 0.0, 0.0, 2.0, 2.0]
         assert roster.traits.shape == (8, 5)
         assert roster.traits.strides[1] == roster.traits.itemsize
         with pytest.raises(ConsistencyError, match="ascend"):
-            roster.extend(tiny_roster([7, 8]))
+            add_batch(roster, tiny_roster([7, 8]), 1.0, 2.0)
 
     def test_take_compacts_every_column(self):
         roster = tiny_roster([0, 2, 5, 6])
@@ -179,6 +181,14 @@ class TestRosterLayout:
         assert kept.ids.tolist() == [0, 5]
         assert kept.traits[3].tolist() == [0.1, 0.3]
         assert kept.traits.flags.c_contiguous and kept.block is None
+
+
+def add_batch(roster, batch, t, avail):
+    """roster.add_born of batch's people, ids and all, as born at t and
+    first available at avail; returns how many joined."""
+    first_id = int(batch.ids[0]) if batch.size else 0
+    columns = (batch.sex, batch.traits, batch.happiness, batch.death, batch.block)
+    return roster.add_born(first_id, t, avail, *columns)
 
 
 def random_roster(rng, first_id, n, with_block):
@@ -198,8 +208,8 @@ def random_roster(rng, first_id, n, with_block):
 BURIALS = ("none dead", "all dead", "dead prefix", "dead suffix", "scattered")
 roster_ops = st.one_of(
     st.tuples(st.just("bury"), st.sampled_from(BURIALS), st.integers(0, 2**32 - 1)),
-    # Batch size, and whether some of the batch die at birth.
-    st.tuples(st.just("extend"), st.integers(0, 200), st.booleans()),
+    # Batch size, and whether some of the batch may die at birth.
+    st.tuples(st.just("add"), st.integers(0, 200), st.booleans()),
 )
 
 
@@ -223,7 +233,7 @@ def drive_window(n0, ops, with_block, seed=0):
     and np.concatenate, checking after every op that each column has the
     reference's bytes and that mean_traits has the bits of the compact
     copy's mean. Returns the events seen: the burial patterns, and
-    "slide", "grow" or "extend onto empty" for an extend."""
+    "slide", "grow" or "add onto empty" for an add_born."""
     rng = np.random.default_rng(seed)
     roster = random_roster(rng, 0, n0, with_block)
     ref = [getattr(roster, name) for name in Roster.COLUMNS]
@@ -250,20 +260,25 @@ def drive_window(n0, ops, with_block, seed=0):
             if roster.size:
                 # A batch that does not ascend past the survivors is refused
                 # and leaves the roster as it was.
+                batch = random_roster(rng, int(roster.ids[-1]), 1, with_block)
                 with pytest.raises(ConsistencyError, match="ascend"):
-                    roster.extend(random_roster(rng, int(roster.ids[-1]), 1, with_block))
+                    add_batch(roster, batch, -1.0, 0.0)
         else:
+            # Deaths lie in [0, 1): born at t = 0.3 about 30% die at birth,
+            # and born at t = -1 nobody does.
             batch = random_roster(rng, next_id, arg, with_block)
-            keep = rng.random(arg) < 0.7 if flag else None
+            t, avail = (0.3 if flag else -1.0), float(rng.random())
+            keep = batch.death > t
             buffer, tail = roster._buffers[0], roster._buffers[0].shape[0] - roster._hi
-            k = arg if keep is None else int(keep.sum())
-            roster.extend(batch, keep)
+            k = int(keep.sum())
+            assert add_batch(roster, batch, t, avail) == k
             if k and not n:
-                events.add("extend onto empty")
+                events.add("add onto empty")
             if k > tail:
                 events.add("slide" if roster._buffers[0] is buffer else "grow")
-            idx = np.arange(arg) if keep is None else np.flatnonzero(keep)
-            born = (getattr(batch, name) for name in Roster.COLUMNS)
+            idx = np.flatnonzero(keep)
+            born = [getattr(batch, name) for name in Roster.COLUMNS]
+            born[4], born[6] = np.full(arg, t), np.full(arg, avail)
             ref = [
                 None if col is None else np.concatenate([col, new.take(idx, axis=-1)], axis=-1)
                 for col, new in zip(ref, born)
@@ -289,22 +304,22 @@ def drive_window(n0, ops, with_block, seed=0):
 WINDOW_TOUR = (
     150,
     [
-        ("extend", 100, False),
+        ("add", 100, False),
         ("bury", "none dead", 0),
         ("bury", "dead prefix", 1),
         ("bury", "dead prefix", 2),
-        ("extend", 150, True),
+        ("add", 150, True),
         ("bury", "dead suffix", 3),
         ("bury", "scattered", 4),
         ("bury", "all dead", 5),
-        ("extend", 120, False),
+        ("add", 120, False),
     ],
 )
 
 
 class TestRosterWindow:
-    """Roster.bury and Roster.extend move a window over buffers with slack;
-    a roster built by compact copies is their oracle."""
+    """Roster.bury and Roster.add_born move a window over buffers with
+    slack; a roster built by compact copies is their oracle."""
 
     @settings(max_examples=200, derandomize=True)
     @given(
@@ -315,11 +330,11 @@ class TestRosterWindow:
 
     def test_tour_covers_every_case(self):
         events = drive_window(*WINDOW_TOUR, with_block=True)
-        assert events == {*BURIALS, "slide", "grow", "extend onto empty"}
+        assert events == {*BURIALS, "slide", "grow", "add onto empty"}
 
     def test_pickle_holds_only_the_live_people(self):
         roster = random_roster(np.random.default_rng(3), 0, 400, True)
-        roster.extend(random_roster(np.random.default_rng(4), 400, 50, True))
+        add_batch(roster, random_roster(np.random.default_rng(4), 400, 50, True), -1.0, 0.0)
         roster.bury(np.arange(roster.size) >= 120)
         copy = pickle.loads(pickle.dumps(roster))
         for name in Roster.COLUMNS:
@@ -330,7 +345,7 @@ class TestRosterWindow:
         assert len(pickle.dumps(roster)) <= len(pickle.dumps(compact))
 
     def test_run_keeps_no_slack_in_the_final_roster(self):
-        # The final roster grew by extend, but a log holds a compact copy.
+        # The final roster grew by add_born, but a log holds a compact copy.
         log = run(small_config())
         assert log.births.sum() > 0
         final = log.final_population
@@ -459,6 +474,16 @@ TRACE_CASES = {
         schedule=LearningRateSchedule(kind="dynamic", base=1e-2, multiplier=50.0),
         max_time=14.0,
     ),
+    # Newborns die at birth when h <= ln(lifespan_b), about ln 40 = 3.7,
+    # which splits many rounds' children, the dead among the living.
+    "dead-at-birth": dict(
+        seed=911,
+        groups=(PopulationGroup(14, TraitVector([0.65] * 8), 0.2),),
+        theta0=TraitVector([0.55] * 13),
+        demographics=DemographicsParams(mutation_prob=0.3, lifespan_b=40.0),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=6.0,
+    ),
     # Happiness below the crowding bar: the deterministic gate would shut
     # these rounds, but the probabilistic rule still draws and sometimes
     # succeeds, so the engine must not skip them.
@@ -549,10 +574,27 @@ class TestReferenceTrace:
     def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,
         # otherwise the comparison above proves less than it claims.
+        # Roster.add_born copies a round's children straight into the slack
+        # when all of them outlive t, and gathers the survivors otherwise:
+        # the traces must hold rounds of both kinds, so the oracle checks
+        # both branches.
+        dead, add_born = [], Roster.add_born
+
+        def spy_add(roster, first_id, t, avail, sex, traits, h, death, block, keep_dead=False):
+            if not keep_dead:  # not the founders
+                dead.append(death <= t)
+            return add_born(roster, first_id, t, avail, sex, traits, h, death, block, keep_dead)
+
+        monkeypatch.setattr(Roster, "add_born", spy_add)
         for case, kwargs in TRACE_CASES.items():
             log = run(SimConfig(**kwargs))
             assert log.births.sum() > 0, case
             assert len(log.times) > 1, case
+        assert any(d.size and not d.any() for d in dead)
+        # A child dead at birth before one who joins: the survivors are not
+        # the round's first children, so the gather must pick them.
+        assert any((d[:-1] & ~d[1:]).any() for d in dead)
+        monkeypatch.setattr(Roster, "add_born", add_born)
         # The crowded traces must skip ranking in some rounds, advance idle
         # rounds several at a time, and bear children again after a stretch.
         # Some round must rank fewer people than a side has available: the

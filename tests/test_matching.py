@@ -365,6 +365,26 @@ class TestScoreAndTieRule:
         ky, kz = shuffled_top(ys, ids_y)[:k], shuffled_top(zs, ids_z)[:k]
         assert engine_pairs == list(zip(ky.tolist(), kz.tolist()))
 
+    @pytest.mark.parametrize(
+        "cols_shape, g_shape",
+        [((8, 1), (8,)), ((8, 2), (8,)), ((8, 64), (8,)), ((8, 65), (8,)), ((8, 300), (8,)),
+         ((13, 1, 1), (13, 8))],
+    )
+    def test_rows_add_left_to_right(self, cols_shape, g_shape):
+        # score's blocks of up to 64 cells a row take a running sum, longer
+        # ones a loop; both must add the rows in order, which a reduction
+        # over the rows (pairwise at one column) would not. Magnitudes
+        # spread over 16 decades, so another order shows in the bits.
+        rng = np.random.default_rng(cols_shape[-1] + len(cols_shape))
+        for _ in range(200):
+            cols = rng.normal(size=cols_shape) * 10.0 ** rng.integers(-8, 9, size=cols_shape)
+            g = rng.normal(size=g_shape)
+            products = cols * g.reshape(g.shape + (1,) * (cols.ndim - g.ndim))
+            total = products[0]
+            for row in products[1:]:
+                total = total + row
+            assert bits(score(cols, g)) == bits(total)
+
     def test_weights_from_scores_equal_weights_from_rows(self):
         rng = np.random.default_rng(5)
         y, z = rng.uniform(size=(6, 8)), rng.uniform(size=(4, 8))

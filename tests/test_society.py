@@ -140,6 +140,24 @@ class TestSocietyPath:
             theta = society_path(theta, x_bar, MATRIX, lam)[0]
             assert row.tobytes() == theta.tobytes()
 
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0, 1), min_size=13, max_size=13),
+        st.lists(st.floats(0, 1), min_size=8, max_size=8),
+        st.sampled_from([0.0, 1e-4, 0.05, 0.5, 3.0]) | st.floats(0, 5),
+    )
+    # Steps of up to about 3 per coordinate from both edges of the box.
+    @example([0.0, 1.0, -0.0] * 4 + [1.0], [1.0] * 8, 3.0)
+    @example([0.0, 1.0, -0.0] * 4 + [0.0], [0.3] * 8, 1e-4)
+    def test_one_round_is_the_first_row_of_three(self, ts, xs, lam):
+        # A one-round call, run()'s usual one, skips the running sum and
+        # the second clip; its row must be the general path's first row.
+        theta, x_bar = np.asarray(ts), np.asarray(xs)
+        one = society_path(theta, x_bar, MATRIX, lam, 1)
+        three = society_path(theta, x_bar, MATRIX, lam, 3)
+        assert one.shape == (1, 13)
+        assert one[0].tobytes() == three[0].tobytes()
+
     def test_gain_of_a_block_is_each_vectors_gain(self):
         # run() logs a stretch's mean current happiness from one block call.
         thetas = np.random.default_rng(3).uniform(size=(13, 50))
