@@ -887,8 +887,6 @@ class _RunState:
         sel_y, sel_z = _match_pairs(
             roster, yi, zi, self.gain, config, k, self.penalty, reach, self.buffers
         )
-        if not sel_y.size:
-            return 0, 0
         # The crowding term counts the roster, which holds only the living,
         # or with block scope the mean head count of the partners' home blocks.
         pop = roster.size

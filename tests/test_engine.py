@@ -501,6 +501,38 @@ TRACE_CASES = {
         schedule=LearningRateSchedule(kind="fixed", base=1e-3),
         max_time=8.0,
     ),
+    # Short lives and a two-unit mating period: the last people die before
+    # the horizon, and the run stops with status "extinct".
+    "extinct": dict(
+        seed=934,
+        groups=(PopulationGroup(8, TraitVector([0.8] * 8), 0.05),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2, success_a=0.3, lifespan_a=3.0),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        mating_period=2.0,
+        max_time=40.0,
+    ),
+    # Four founders: one sex dies out first, and the run stops "sterile".
+    "sterile": dict(
+        seed=978,
+        groups=(PopulationGroup(4, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2, success_a=0.3, lifespan_a=6.0),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=30.0,
+    ),
+    # Long mating gaps: in round 2 one side has nobody available, so the
+    # round pairs nobody and draws nothing.
+    "one-sided": dict(
+        seed=966,
+        groups=(PopulationGroup(6, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(
+            success_a=0.03, gap_a=8.0, success_rule="probabilistic"
+        ),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        max_time=8.0,
+    ),
 }
 
 # The crowded trace under noisy and partitioned matching: the engine skips

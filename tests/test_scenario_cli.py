@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -578,6 +579,20 @@ class TestCliSimulate:
         assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
         assert capsys.readouterr().err.startswith("error: jobs")
         assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # Every `citysim` line in README's code blocks parses as written, so the
+    # documented commands cannot drift from the CLI. None of them runs.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("citysim ")]
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestCliSweep:
