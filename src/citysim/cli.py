@@ -465,8 +465,6 @@ def main(argv=None) -> int:
             ref = report["reference"]
             print(f"pure {report['pure_count']} (reference {ref['pure']}), "
                   f"total {report['total_count']} (reference {ref['total']})")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigurationError(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,10 +17,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,15 +35,7 @@ from .demographics import (
     mating_succeeds,
     reaches_crowding_bar,
 )
-from .matching import (
-    MatchMode,
-    _pair_terms,
-    _pair_weights,
-    expected_pair_weights,
-    grid_distances,
-    rank_pair_indices,
-    score,
-)
+from .matching import MatchMode, expected_pair_weights, grid_distances, rank_pair_indices, score
 from .society import LearningRateSchedule, society_path, trait_gain
 
 
@@ -609,12 +600,14 @@ def _block_penalty(config: SimConfig) -> np.ndarray:
 
 class _CostBuffers:
     """The float64 cells that the assignment rounds of one run() reuse: one
-    buffer for each solve's cost matrix, one for its noise or penalty
-    cells. So a round neither allocates nor faults in fresh k x k arrays.
-    A buffer grows only when a round needs more cells than it holds, to at
-    least twice its size, since k grows with the population; cells that
-    are never written are never made resident. A pickle holds no cells:
-    every round writes the cells it reads."""
+    buffer for each solve's cost matrix, written by one
+    expected_pair_weights call, and one for the term added to it, the
+    round's noise or its negated locality penalty. So a round neither
+    allocates nor faults in fresh k x k arrays. A buffer grows only when a
+    round needs more cells than it holds, to at least twice its size,
+    since k grows with the population; cells that are never written are
+    never made resident. A pickle holds no cells: every round writes the
+    cells it reads."""
 
     def __init__(self) -> None:
         self._cost = self._aux = np.empty(0)
@@ -642,37 +635,26 @@ def _assign(
     scores: np.ndarray,
     by: np.ndarray,
     bz: np.ndarray,
-    weights: Callable[..., np.ndarray],
-    noise: np.ndarray | None = None,
-    penalty: np.ndarray | None = None,
-    block: np.ndarray | None = None,
+    gain: np.ndarray,
+    mutation_prob: float,
+    extra: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The males by[i] and females bz[j] of a maximum-weight assignment of
-    the (k_y, k_z) weights W = weights(scores[by], scores[bz]) plus noise,
-    or (noise None) minus penalty[block[by]][:, block[bz]], in male order:
-    the pairs of scipy's linear_sum_assignment(W, maximize=True), to the
-    index. weights(a, b, out=...) is expected_pair_weights with the round's
-    gain and mutation probability bound, or its arithmetic with the two
-    terms already worked out; either writes W into out.
+    the (k_y, k_z) weights W = expected_pair_weights(scores[by],
+    scores[bz], gain, mutation_prob) + extra, in male order: the pairs of
+    scipy's linear_sum_assignment(W, maximize=True), to the index.
 
     scipy's maximize=True solves a negated copy of W, transposed when W has
     more rows than columns, and sorts a transposed solve's pairs by W's
     row. Here the cost is built in buffers with the shorter side as its
-    rows: W, or W.T (the same cells, since addition commutes and the
-    penalty table is symmetric). It is negated in place, which is exact,
-    so scipy solves the same cells without a copy, and a transposed solve's
-    pairs are sorted by man."""
+    rows: W, or W.T (the same cells, since addition commutes). It is
+    negated in place, which is exact, so scipy solves the same cells
+    without a copy, and a transposed solve's pairs are sorted by man."""
     flipped = len(by) > len(bz)
     r, c = (bz, by) if flipped else (by, bz)
     cost = buffers.cost(len(r), len(c))
-    weights(scores[r], scores[c], out=cost)
-    if noise is None:
-        # mode="clip" gathers straight into the buffer (the default "raise"
-        # gathers into a copy); every block code is in range.
-        cells = buffers.aux(cost.size).reshape(cost.shape)
-        cost -= np.take(penalty[block[r]], block[c], axis=1, out=cells, mode="clip")
-    else:
-        cost += noise.T if flipped else noise
+    expected_pair_weights(scores[r], scores[c], gain, mutation_prob, out=cost)
+    cost += extra.T if flipped else extra
     np.negative(cost, out=cost)
     rows, cols = linear_sum_assignment(cost)
     if flipped:
@@ -693,9 +675,10 @@ def _match_pairs(
     buffers: _CostBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roster indices of the matched male/female pairs of round k. Everyone
-    is scored once against gain; locality matching subtracts penalty, the
-    _block_penalty table (None in the other modes). The assignment modes
-    build their cost matrices in buffers.
+    is scored once against gain. Each assignment solve (_assign) adds one
+    term, written into buffers, to the pair weights: the round's noise, or
+    in locality matching the cells of penalty, the negated _block_penalty
+    table (None in the other modes), looked up by the two home blocks.
 
     reach, None but where the deterministic gate counts the global
     population, marks who reaches the crowding bar. Optimal matching then
@@ -720,12 +703,13 @@ def _match_pairs(
         return yi[iy], zi[iz]
 
     p = config.demographics.mutation_prob
-    # A round with one solve builds its weights with expected_pair_weights,
-    # the boundary perfbench's tracer times; a partitioned round works out
-    # their two terms once, not once per block.
-    weights = partial(expected_pair_weights, gain=gain, mutation_prob=p)
     if mcfg.mode is MatchMode.LOCALITY:
-        return _assign(buffers, scores, yi, zi, weights, penalty=penalty, block=roster.block)
+        # mode="clip" gathers straight into the buffer (the default "raise"
+        # gathers into a copy); every block code is in range.
+        block = roster.block
+        cells = buffers.aux(yi.size * zi.size).reshape(yi.size, zi.size)
+        np.take(penalty[block[yi]], block[zi], axis=1, out=cells, mode="clip")
+        return _assign(buffers, scores, yi, zi, gain, p, cells)
     if mcfg.mode is MatchMode.NOISY:
         noise = _round_stream(config.seed, "noise", k)
         sides = [(yi, zi)]
@@ -738,7 +722,6 @@ def _match_pairs(
         perm_y = yi[noise.permutation(len(yi))]
         perm_z = zi[noise.permutation(len(zi))]
         size = mcfg.partition_size
-        weights = partial(_pair_weights, *_pair_terms(gain, p))
         sides = [
             (perm_y[start : start + size], perm_z[start : start + size])
             for start in range(0, min(len(yi), len(zi)), size)
@@ -754,7 +737,7 @@ def _match_pairs(
     blocks = []
     for (by, bz), end in zip(sides, ends):
         z_b = z[end - by.size * bz.size : end].reshape(by.size, bz.size)
-        blocks.append(_assign(buffers, scores, by, bz, weights, z_b))
+        blocks.append(_assign(buffers, scores, by, bz, gain, p, z_b))
     return tuple(np.concatenate(side) for side in zip(*blocks))
 
 
@@ -804,7 +787,8 @@ class _RunState:
         rule = config.demographics.success_rule
         self.skip_closed = rule == "deterministic" and config.success_pop_scope == "global"
         locality = config.matching.mode is MatchMode.LOCALITY
-        self.penalty = _block_penalty(config) if locality else None
+        # Negated once: W + (-penalty) is W - penalty to the bit.
+        self.penalty = np.negative(_block_penalty(config)) if locality else None
         # The assignment rounds' cost cells, reused until the run ends.
         self.buffers = _CostBuffers()
         self._record(0, self.theta[None], self.gain[:, None], self.roster.mean_traits(), 0, 0)

@@ -91,25 +91,10 @@ def expected_pair_weights(
     Addition commutes, so swapping a and b gives the transpose, to the bit.
     """
     a, b = (score(np.transpose(x), gain) if np.ndim(x) == 2 else x for x in (a, b))
-    return _pair_weights(*_pair_terms(gain, mutation_prob), a, b, out=out)
-
-
-def _pair_terms(gain: np.ndarray, mutation_prob: float) -> tuple[float, float]:
-    """alpha and const of w_ij = alpha * (a_i + b_j) + const: (1-p)/2 and
-    p/2 * sum(gain)."""
-    # np.sum's own reduction, without its dispatch cost on small blocks.
-    return (1.0 - mutation_prob) / 2.0, mutation_prob / 2.0 * float(np.add.reduce(gain, axis=None))
-
-
-def _pair_weights(
-    alpha: float, const: float, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """alpha * (a_i + b_j) + const for every i and j, written into out when
-    one is given: the arithmetic of expected_pair_weights, for a caller
-    that works out the two terms once for many blocks."""
     W = np.add.outer(a, b, out=out)
-    W *= alpha
-    W += const
+    W *= (1.0 - mutation_prob) / 2.0
+    # np.sum's own reduction, without its dispatch cost on small blocks.
+    W += mutation_prob / 2.0 * float(np.add.reduce(gain, axis=None))
     return W
 
 

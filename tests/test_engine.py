@@ -6,9 +6,12 @@ order, and the two must agree row for row. That catches bookkeeping and
 ordering slips in the columnar engine.
 """
 
+import ast
 import csv
 import dataclasses
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import citysim.demographics as demographics
 import citysim.engine as engine
+import citysim.matching as matching
+import citysim.society as society
 from citysim.core import ConfigurationError, ConsistencyError, InteractionMatrix, TraitVector
 from citysim.demographics import DemographicsParams, lifespan
 from citysim.engine import (
@@ -442,6 +448,18 @@ TRACE_CASES = {
         schedule=LearningRateSchedule(kind="dynamic", base=1e-3, multiplier=20.0),
         max_time=6.0,
     ),
+    # Manhattan distances on a non-square grid: the penalty table is
+    # looked up per block pair, and a distance can exceed 2.
+    "locality-manhattan": dict(
+        seed=912,
+        groups=(PopulationGroup(14, TraitVector([0.7] * 8), 0.15),),
+        theta0=TraitVector([0.6] * 13),
+        demographics=DemographicsParams(mutation_prob=0.2),
+        matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=0.3, distance="manhattan"),
+        schedule=LearningRateSchedule(kind="fixed", base=1e-3),
+        grid=(4, 3),
+        max_time=6.0,
+    ),
     "block": dict(
         seed=907,
         groups=(PopulationGroup(24, TraitVector([0.7] * 8), 0.15),),
@@ -548,6 +566,76 @@ TRACE_CASES["crowded-partitioned"] = {
 }
 
 
+# The statements of the run path that no trace case runs, keyed by module,
+# function and the statement's first line, each with the reason it stays
+# unrun. Each is a check that run() never trips, a branch for other
+# callers, or a return that run() never asks for.
+UNRUN = {
+    ("engine", "named_stream", "raise ConfigurationError("):
+        "an unknown stream name; run() asks only for the fixed names",
+    ("engine", "Roster.bury", "return"):
+        "nobody died; step() calls bury only after a death",
+    ("engine", "Roster.add_born", "raise ConsistencyError("):
+        "ids out of order; run() hands out ascending ids",
+    ("engine", "init_population",
+     "streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}"):
+        "a caller without streams; run() passes the ones its rounds go on drawing from",
+    ("demographics", "mating_success_threshold",
+     'raise ConfigurationError(f"pop_size must be nonnegative, got {pop_size}")'):
+        "a negative head count, which no roster or block has",
+    ("demographics", "mating_success_threshold", "both = np.broadcast_arrays(h_male, h_female)"):
+        "partners' happiness of two shapes; run() passes one value per pair on each side",
+    ("demographics", "mating_succeeds",
+     'raise ConfigurationError("probabilistic success_rule needs a random generator")'):
+        "run() always passes its success stream",
+    ("demographics", "born_batch", "raise ConfigurationError("):
+        "parent batches of two shapes; run() passes one row per pair on each side",
+    ("matching", "grid_distances", 'raise ConfigurationError(f"unknown distance metric {metric!r}")'):
+        "MatchingConfig admits only hamming and manhattan",
+    ("society", "_values", 'expected = f"({dim},) or ({dim}, m)" if block else f"({dim},)"'):
+        "the message of the raise below it",
+    ("society", "_values",
+     'raise ConfigurationError(f"{what} has shape {arr.shape}, expected {expected}")'):
+        "a vector of the wrong shape; SimConfig checks theta0 and the group means",
+}
+
+
+def function_statements(tree: ast.Module):
+    """(qualified name, simple statements) of every function in tree. A
+    function's statements are the simple ones in its body, at any depth
+    of if, for, while, with and try, but not in a nested function or
+    class, and not its docstring."""
+    found = []
+
+    def simple(body):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            blocks = [getattr(stmt, name, []) for name in ("body", "orelse", "finalbody")]
+            blocks += [handler.body for handler in getattr(stmt, "handlers", [])]
+            if any(blocks):
+                for block in blocks:
+                    yield from simple(block)
+            else:
+                yield stmt
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                body = child.body
+                if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                    body = body[1:]  # the docstring, which compiles to no line
+                found.append((prefix + child.name, list(simple(body))))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
 class TestReferenceTrace:
     @settings(max_examples=150, derandomize=True)
     @given(small_configs())
@@ -602,6 +690,50 @@ class TestReferenceTrace:
         if cfg.grid is not None:
             h = cfg.grid[1]
             assert [divmod(c, h) for c in final.block.tolist()] == [p.location for p in people]
+
+    def test_trace_cases_run_every_statement(self):
+        # The oracle checks only what the trace cases run. Every simple
+        # statement of every engine, demographics, matching and society
+        # function that run() enters must run in some case, but for the
+        # UNRUN entries; and each of those must stay unrun, so that the
+        # list holds nothing stale.
+        modules = {mod.__file__: mod.__name__.rpartition(".")[2]
+                   for mod in (engine, demographics, matching, society)}
+        ran = set()
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                ran.add((frame.f_code.co_filename, frame.f_lineno))
+            return on_line
+
+        def on_call(frame, event, arg):
+            return on_line if frame.f_code.co_filename in modules else None
+
+        configs = [SimConfig(**kwargs) for kwargs in TRACE_CASES.values()]
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            for cfg in configs:
+                run(cfg)
+        finally:
+            sys.settrace(previous)
+        unrun, entered = set(), set()
+        for path, module in modules.items():
+            source = Path(path).read_text(encoding="utf-8")
+            for name, statements in function_statements(ast.parse(source)):
+                hit = [
+                    any((path, line) in ran for line in range(s.lineno, s.end_lineno + 1))
+                    for s in statements
+                ]
+                if any(hit):
+                    entered.add((module, name))
+                    unrun |= {
+                        (module, name, ast.get_source_segment(source, s).splitlines()[0])
+                        for s, h in zip(statements, hit)
+                        if not h
+                    }
+        assert {("engine", "_assign"), ("engine", "_RunState.step")} <= entered
+        assert unrun == set(UNRUN)
 
     def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,

@@ -4,7 +4,6 @@ partitioned matching of the Person-level oracle."""
 import ast
 import itertools
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -189,8 +188,9 @@ class TestBuildWeights:
         roster = locality_roster(y, z, [0], [0, 3])
         for gamma, partner in ((0.9 * gap / 2, 2), (1.1 * gap / 2, 1)):
             c = replace(cfg, matching=MatchingConfig(mode=MatchMode.LOCALITY, gamma=gamma))
+            # run() hands _match_pairs the table negated, so it adds the penalty cells.
             sel_y, sel_z = _match_pairs(
-                roster, np.array([0]), np.array([1, 2]), gain, c, 0, _block_penalty(c), None,
+                roster, np.array([0]), np.array([1, 2]), gain, c, 0, -_block_penalty(c), None,
                 _CostBuffers(),
             )
             assert (sel_y.tolist(), sel_z.tolist()) == ([0], [partner])
@@ -456,7 +456,9 @@ def assign_rounds(draw, relation):
     """A tie-heavy round for _assign: small integer scores, gain and noise
     or penalty cells, k_y less than, equal to or more than k_z (relation),
     and the two sides' roster rows in a random order. Returns _assign's
-    positional arguments after buffers, and its keyword term."""
+    arguments after buffers but for the last, and the round's term: a
+    ("noise", cells) pair, or ("penalty", cells) with the cells gathered
+    from a symmetric block table by each side's block codes."""
 
     def ints(shape, low, high):
         return draw(arrays(np.float64, shape, elements=st.integers(low, high)))
@@ -472,10 +474,10 @@ def assign_rounds(draw, relation):
     mutation_prob = draw(st.sampled_from([0.0, 0.5]))
     args = (ints(n, 0, 3), rows[:ky], rows[ky : ky + kz], ints(8, 0, 2), mutation_prob)
     if draw(st.booleans()):
-        return args, {"noise": ints((ky, kz), -2, 2)}
+        return args, ("noise", ints((ky, kz), -2, 2))
     half = ints((4, 4), 0, 2)
     block = draw(arrays(np.int64, n, elements=st.integers(0, 3)))
-    return args, {"penalty": half + half.T, "block": block}
+    return args, ("penalty", (half + half.T)[block[args[1]]][:, block[args[2]]])
 
 
 class TestReusedCostBuffers:
@@ -486,12 +488,14 @@ class TestReusedCostBuffers:
     @settings(derandomize=True)
     @given(data=st.data())
     def test_pairs_equal_scipy_maximize(self, relation, data):
-        (scores, by, bz, gain, p), term = data.draw(assign_rounds(relation))
+        (scores, by, bz, gain, p), (kind, cells) = data.draw(assign_rounds(relation))
         W = expected_pair_weights(scores[by], scores[bz], gain, p)
-        if "noise" in term:
-            W += term["noise"]
+        if kind == "noise":
+            W += cells
         else:
-            W -= term["penalty"][term["block"][by]][:, term["block"][bz]]
+            # Locality rounds add the negated penalty: W + (-P) is W - P.
+            W -= cells
+            cells = -cells
         rows, cols = linear_sum_assignment(W, maximize=True)
         # Buffers left over from a larger round, their stale cells nan: a
         # stale cell that leaked into the solve would raise or move a pair.
@@ -499,8 +503,10 @@ class TestReusedCostBuffers:
         k = len(by) + len(bz)
         buffers.cost(k, k + 1).fill(np.nan)
         buffers.aux(k * (k + 1)).fill(np.nan)
-        weights = partial(expected_pair_weights, gain=gain, mutation_prob=p)
-        sel_y, sel_z = _assign(buffers, scores, by, bz, weights, **term)
+        # The term sits at the front of the companion buffer, as a round puts it.
+        extra = buffers.aux(cells.size).reshape(cells.shape)
+        extra[...] = cells
+        sel_y, sel_z = _assign(buffers, scores, by, bz, gain, p, extra)
         assert np.array_equal(sel_y, by[rows]) and np.array_equal(sel_z, bz[cols])
 
     def test_weights_written_into_out(self):
@@ -543,6 +549,37 @@ class TestReusedCostBuffers:
             most = max(most, cells)
         assert len(calls) >= 40
         assert len(seen) <= len(calls) / 10
+
+    @pytest.mark.parametrize(
+        "preset, mode",
+        [
+            ("matching-comparison", MatchMode.NOISY),
+            ("matching-comparison", MatchMode.PARTITIONED),
+            ("locality-grid-10x10", MatchMode.LOCALITY),
+        ],
+    )
+    def test_one_weights_call_per_solve(self, monkeypatch, preset, mode):
+        # Every assignment round, each partitioned block included, builds
+        # its cost through one expected_pair_weights call: the boundary
+        # perfbench's matching.weights span times.
+        config = replace(get_preset(preset).config, max_time=200.0)
+        config = replace(config, matching=replace(config.matching, mode=mode))
+        weights, solve = engine.expected_pair_weights, engine.linear_sum_assignment
+        calls = []
+
+        def spy_weights(*args, **kwargs):
+            calls.append("weights")
+            return weights(*args, **kwargs)
+
+        def spy_solve(cost):
+            calls.append("solve")
+            return solve(cost)
+
+        monkeypatch.setattr(engine, "expected_pair_weights", spy_weights)
+        monkeypatch.setattr(engine, "linear_sum_assignment", spy_solve)
+        run(config)
+        assert calls.count("solve") >= 40
+        assert calls == ["weights", "solve"] * calls.count("solve")
 
 
 class TestGatePrefix:

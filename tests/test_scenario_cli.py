@@ -488,6 +488,14 @@ class TestCliSimulate:
     def test_bad_preset_exits_2(self):
         assert main(["simulate", "--preset", "atlantis"]) == 2
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"]])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        # argparse refuses a missing or unknown subcommand before main() dispatches.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "gone.yaml")]) == 2
 
