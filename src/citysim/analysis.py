@@ -42,13 +42,10 @@ class PointSet:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
-
-def classical_mds(points: PointSet, out_dim: int = 2) -> PointSet:
-    """Torgerson embedding of the pairwise Euclidean geometry.
+def classical_mds(points: PointSet, out_dim: int) -> PointSet:
+    """Torgerson embedding of the pairwise Euclidean geometry in out_dim
+    dimensions.
 
     Double-centring the squared distances of Euclidean rows gives the Gram
     matrix of the centred rows, so its leading eigenpairs are their

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PointSet, classical_mds, cluster_summary, kmeans
-from .core import ConfigurationError, InteractionMatrix, _read_text, _write_csv, _write_json
+from .core import ConfigurationError, InteractionMatrix, require_unit
+from .core import _read_text, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
 from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
@@ -149,13 +150,14 @@ def sweep_lambda(
     scenario: Scenario,
     multipliers: list[float],
     out_dir: str | Path,
-    jobs: int = 1,
+    jobs: int,
 ) -> list[dict]:
     """One run per multiplier at a fixed seed, plus a comparison table.
 
     Each run writes the standard files under multiplier-<m>/; the combined
     sweep_summary.csv holds one row per multiplier with its plateau time
-    and plateau happiness.
+    and plateau happiness. The runs go to up to jobs worker processes; with
+    jobs=1 they run in this process.
     """
     if not multipliers:
         raise ConfigurationError("multipliers: need at least one value")
@@ -226,14 +228,15 @@ def compare_matching(
     scenario: Scenario,
     n_seeds: int,
     out_dir: str | Path,
-    jobs: int = 1,
+    jobs: int,
 ) -> dict:
     """Optimal vs noisy matching on paired seeds; reports both directions.
 
     Per run the report records the population minimum (depth of the initial
     drop) and the convergent happiness (mean over the last 10% of logged
     rounds). Directions are reported as observed, whichever way they point;
-    paired_signs counts the seeds behind each and gives a sign-test p.
+    paired_signs counts the seeds behind each and gives a sign-test p. The
+    runs go to up to jobs worker processes, as in sweep_lambda.
     """
     if n_seeds < 2:
         raise ConfigurationError(f"seeds: need at least 2 paired seeds, got {n_seeds}")
@@ -279,8 +282,9 @@ def compare_matching(
     return report
 
 
-def equilibrium_audit(out_dir: str | Path | None = None) -> dict:
-    """Pure and support-enumerated equilibria of the default matrix game."""
+def equilibrium_audit(out_dir: str | Path) -> dict:
+    """Pure and support-enumerated equilibria of the default matrix game,
+    written to out_dir/equilibria.json."""
     game = BimatrixGame.common_interest(InteractionMatrix.default())
     pure = pure_nash(game)
     found, degeneracy = support_enumeration_report(game)
@@ -299,10 +303,9 @@ def equilibrium_audit(out_dir: str | Path | None = None) -> dict:
             "pure_agrees": len(pure) == _REFERENCE_COUNTS["pure"],
         },
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "equilibria.json", report)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "equilibria.json", report)
     return report
 
 
@@ -316,32 +319,41 @@ def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
     if "id" not in header or not trait_cols:
         raise ConfigurationError(f"{path}: not a population snapshot CSV")
     id_col = header.index("id")
-    ids, rows = [], []
+    ids, rows, lines = [], [], []
     for record in reader:
         try:
             ids.append(int(record[id_col]))
             rows.append([float(record[i]) for i in trait_cols])
         except (ValueError, IndexError):
             raise ConfigurationError(f"{path}:{reader.line_num}: bad row {record!r}") from None
+        lines.append(reader.line_num)
     if not rows:
         raise ConfigurationError(f"{path}: no rows to analyze")
-    return ids, np.asarray(rows, dtype=np.float64), [header[i] for i in trait_cols]
+    traits = np.asarray(rows, dtype=np.float64)
+    # Every trait is a coordinate in [0, 1], as in a TraitVector; the first
+    # one outside it, NaN included, is named by its line and column.
+    bad = np.argwhere(~((traits >= 0.0) & (traits <= 1.0)))
+    if bad.size:
+        row, col = bad[0]
+        require_unit(traits[row, col], f"{path}:{lines[row]}: trait {header[trait_cols[col]]}")
+    return ids, traits, [header[i] for i in trait_cols]
 
 
 def analyze_population(
     input_path: str | Path,
     out_dir: str | Path,
-    clusters: int = 2,
-    embed_dim: int = 2,
-    seed: int = 0,
+    clusters: int,
+    embed_dim: int,
+    seed: int,
 ) -> dict:
-    """Cluster raw traits, embed for display, write both artifacts."""
+    """Cluster raw traits into clusters groups (k-means seeded by seed),
+    embed them in embed_dim dimensions for display, write both artifacts."""
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     ids, traits, trait_names = _read_population_csv(Path(input_path))
     points = PointSet(traits)
     result = kmeans(points, clusters, np.random.default_rng(seed))
-    embedded = classical_mds(points, out_dim=embed_dim)
+    embedded = classical_mds(points, embed_dim)
     summaries = cluster_summary(traits, result.labels)
 
     out = Path(out_dir)
@@ -395,17 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(sim)
 
     sweep = subs.add_parser("sweep-lambda", help="rerun per learning-rate multiplier")
-    _add_scenario_flags(sweep)
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel member runs")
+    cmp_ = subs.add_parser("compare-matching", help="optimal vs noisy matching")
+    for sub in (sweep, cmp_):
+        _add_scenario_flags(sub)
+        sub.add_argument("--jobs", type=int, default=1, help="parallel member runs")
     sweep.add_argument(
         "--multipliers",
         default="1,3,10,30",
         help="comma-separated multipliers (default 1,3,10,30)",
     )
-
-    cmp_ = subs.add_parser("compare-matching", help="optimal vs noisy matching")
-    _add_scenario_flags(cmp_)
-    cmp_.add_argument("--jobs", type=int, default=1, help="parallel member runs")
     cmp_.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
 
     ana = subs.add_parser("analyze", help="embed and cluster a population snapshot")

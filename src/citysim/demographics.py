@@ -3,7 +3,9 @@
 Lifespan, mating gap, and the mating success threshold are deterministic
 functions of happiness (and population pressure); each takes happiness as a
 scalar or an array. Reproduction and the probabilistic success rule are the
-stochastic pieces and take an explicit random generator.
+stochastic pieces and take an explicit random generator. Every formula
+takes its constants as a DemographicsParams, whose fields hold the one
+statement of their defaults; no function falls back to defaults of its own.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ class DemographicsParams:
             )
 
 
-_DEFAULTS = DemographicsParams()
-
-
 def _logistic(t: float | np.ndarray) -> float | np.ndarray:
     # exp(-|t|) never overflows; both branches agree at t = 0.
     e = np.exp(-np.abs(t))
@@ -91,32 +90,25 @@ def _logistic(t: float | np.ndarray) -> float | np.ndarray:
     return np.where(t >= 0, 1.0 / d, e / d)
 
 
-def lifespan(
-    h: float | np.ndarray, params: DemographicsParams | None = None
-) -> float | np.ndarray:
-    """Time a person born with happiness h lives; 0 means dead at birth."""
-    p = params or _DEFAULTS
-    return np.maximum(0.0, p.lifespan_a * (1.0 - p.lifespan_b * np.exp(-h)))
+def lifespan(h: float | np.ndarray, params: DemographicsParams) -> float | np.ndarray:
+    """Time a person born with happiness h lives under params; 0 means dead
+    at birth."""
+    return np.maximum(0.0, params.lifespan_a * (1.0 - params.lifespan_b * np.exp(-h)))
 
 
-def mating_gap(
-    h: float | np.ndarray, params: DemographicsParams | None = None
-) -> float | np.ndarray:
-    """Recovery time before a person with happiness h can mate again."""
-    p = params or _DEFAULTS
-    return p.gap_a / (np.maximum(h, 0.0) + p.gap_epsilon)
+def mating_gap(h: float | np.ndarray, params: DemographicsParams) -> float | np.ndarray:
+    """Recovery time under params before a person with happiness h can mate
+    again."""
+    return params.gap_a / (np.maximum(h, 0.0) + params.gap_epsilon)
 
 
-def crowding_term(
-    pop_size: float | np.ndarray, params: DemographicsParams | None = None
-) -> float | np.ndarray:
+def crowding_term(pop_size: float | np.ndarray, params: DemographicsParams) -> float | np.ndarray:
     """The population-pressure part of the success threshold, success_a * N."""
-    p = params or _DEFAULTS
-    return p.success_a * pop_size
+    return params.success_a * pop_size
 
 
 def reaches_crowding_bar(
-    pop_size: float, happiness: np.ndarray, params: DemographicsParams | None = None
+    pop_size: float, happiness: np.ndarray, params: DemographicsParams
 ) -> np.ndarray:
     """Whether each happiness reaches the crowding term at this population
     size: only people who do can be in a pair that passes the deterministic
@@ -154,45 +146,40 @@ def mating_success_threshold(
     pop_size: float | np.ndarray,
     h_male: float | np.ndarray,
     h_female: float | np.ndarray,
-    params: DemographicsParams | None = None,
+    params: DemographicsParams,
 ) -> float | np.ndarray:
     """Minimum happiness both partners need for a mating to succeed.
 
     Grows linearly with population size (crowding) and steeply as either
-    partner's happiness drops below zero.
+    partner's happiness drops below zero. h_male and h_female have one
+    shape: two scalars, or one entry per pair on each side.
 
     Both partners' veto terms, 1 - sigma(success_scale * h), come from one
     _logistic call on their happiness stacked as two rows, which are then
     split: the function is elementwise, so the bits are those of one call
     per partner, for half the numpy calls.
     """
-    p = params or _DEFAULTS
     if (np.asarray(pop_size) < 0).any():
         raise ConfigurationError(f"pop_size must be nonnegative, got {pop_size}")
-    both = (h_male, h_female)
-    if np.shape(h_male) != np.shape(h_female):
-        both = np.broadcast_arrays(h_male, h_female)
-    veto = 1.0 - _logistic(p.success_scale * np.array(both))
-    return crowding_term(pop_size, p) + np.maximum(veto[0], veto[1])
+    veto = 1.0 - _logistic(params.success_scale * np.array((h_male, h_female)))
+    return crowding_term(pop_size, params) + np.maximum(veto[0], veto[1])
 
 
 def mating_succeeds(
     pop_size: float | np.ndarray,
     h_male: float | np.ndarray,
     h_female: float | np.ndarray,
-    params: DemographicsParams | None = None,
-    rng: np.random.Generator | None = None,
+    params: DemographicsParams,
+    rng: np.random.Generator,
 ) -> bool | np.ndarray:
     """Whether matched pairs actually produce a child this round.
 
-    The probabilistic rule draws one uniform per pair, in pair order.
+    The deterministic rule draws nothing from rng; the probabilistic rule
+    draws one uniform per pair, in pair order.
     """
-    p = params or _DEFAULTS
-    m = mating_success_threshold(pop_size, h_male, h_female, p)
-    if p.success_rule == "deterministic":
+    m = mating_success_threshold(pop_size, h_male, h_female, params)
+    if params.success_rule == "deterministic":
         return np.minimum(h_male, h_female) >= m
-    if rng is None:
-        raise ConfigurationError("probabilistic success_rule needs a random generator")
     return rng.random(np.shape(m)) < 1.0 - np.clip(m, 0.0, 1.0)
 
 
@@ -200,23 +187,22 @@ def born_batch(
     fathers: np.ndarray,
     mothers: np.ndarray,
     rng: np.random.Generator,
-    params: DemographicsParams | None = None,
+    params: DemographicsParams,
 ) -> np.ndarray:
     """Reproduction: one child row per parent-pair row. Each gene is copied
     from a uniformly chosen parent, or redrawn uniformly on [0, 1] with
-    probability mutation_prob.
+    probability params.mutation_prob.
 
     Draws come in a fixed order (mutation mask, parent choice, fresh genes),
     each covering the whole batch.
     """
-    p = params or _DEFAULTS
     fathers = np.atleast_2d(np.asarray(fathers, dtype=np.float64))
     mothers = np.atleast_2d(np.asarray(mothers, dtype=np.float64))
     if fathers.shape != mothers.shape:
         raise ConfigurationError(
             f"parent batches differ in shape: {fathers.shape} vs {mothers.shape}"
         )
-    mutate = rng.random(fathers.shape) < p.mutation_prob
+    mutate = rng.random(fathers.shape) < params.mutation_prob
     take_father = rng.random(fathers.shape) < 0.5
     fresh = rng.random(fathers.shape)
     child = np.where(take_father, fathers, mothers)

@@ -98,10 +98,10 @@ def expected_pair_weights(
     return W
 
 
-def grid_distances(
-    y_loc: np.ndarray, z_loc: np.ndarray, metric: str = "hamming"
-) -> np.ndarray:
-    """Pairwise block distances; hamming counts unequal coordinates (0, 1, or 2)."""
+def grid_distances(y_loc: np.ndarray, z_loc: np.ndarray, metric: str) -> np.ndarray:
+    """Pairwise block distances under metric (MatchingConfig.distance):
+    hamming counts unequal coordinates (0, 1, or 2), manhattan adds the
+    coordinates' absolute differences."""
     y_loc = np.asarray(y_loc)
     z_loc = np.asarray(z_loc)
     if metric == "hamming":

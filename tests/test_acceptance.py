@@ -86,11 +86,11 @@ def test_criterion_02_formula_fidelity():
         )
         worst = max(
             worst,
-            abs(lifespan(h) - direct_lifespan),
-            abs(mating_gap(h) - direct_gap),
-            abs(mating_success_threshold(n, hm, hf) - direct_threshold),
+            abs(lifespan(h, p) - direct_lifespan),
+            abs(mating_gap(h, p) - direct_gap),
+            abs(mating_success_threshold(n, hm, hf, p) - direct_threshold),
         )
-    at_edge = abs(lifespan(math.log(10.0)))
+    at_edge = abs(lifespan(math.log(10.0), p))
     ok = worst <= 1e-12 and at_edge <= 1e-12
     report(2, ok, "formula fidelity", f"worst dev {worst:.2e}, L(ln 10) = {at_edge:.2e}")
     assert ok
@@ -101,7 +101,7 @@ def test_criterion_03_reproduction_statistics():
     father = TraitVector([0.4] * 8)
     mother = TraitVector([0.6] * 8)
     f, m = father.values[None, :], mother.values[None, :]
-    draws = np.concatenate([born_batch(f, m, rng) for _ in range(10_000)])
+    draws = np.concatenate([born_batch(f, m, rng, DemographicsParams()) for _ in range(10_000)])
 
     copied = (draws == 0.4) | (draws == 0.6)
     copy_freq = copied.mean(axis=0)

@@ -59,19 +59,19 @@ class TestClassicalMDS:
 
     def test_embedding_centered_at_origin(self):
         rng = np.random.default_rng(6)
-        emb = classical_mds(PointSet(rng.uniform(size=(25, 8)) * 4 + 10))
+        emb = classical_mds(PointSet(rng.uniform(size=(25, 8)) * 4 + 10), out_dim=2)
         np.testing.assert_allclose(emb.rows.mean(axis=0), 0.0, atol=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(30, 5))
-        base = classical_mds(PointSet(rows)).rows
-        shifted = classical_mds(PointSet(rows + 137.25)).rows
+        base = classical_mds(PointSet(rows), out_dim=2).rows
+        shifted = classical_mds(PointSet(rows + 137.25), out_dim=2).rows
         np.testing.assert_allclose(pairwise(base), pairwise(shifted), atol=1e-9)
 
     def test_identical_points_zero_embedding_with_warning(self):
         with pytest.warns(RuntimeWarning):
-            emb = classical_mds(PointSet(np.full((6, 3), 0.7)))
+            emb = classical_mds(PointSet(np.full((6, 3), 0.7)), out_dim=2)
         assert np.all(emb.rows == 0.0)
 
     def test_too_few_points_rejected(self):
@@ -154,6 +154,15 @@ class TestKMeans:
         assert sorted(res.labels.tolist()) == list(range(7))
         recon = res.centroids[res.labels]
         np.testing.assert_array_equal(recon, rows)
+
+    def test_coincident_points_seed_uniformly(self):
+        # Every point at one place leaves no distance to weight the seeding
+        # by, so each further seed is drawn uniformly; the fit is exact.
+        points = PointSet(np.ones((5, 2)))
+        res = kmeans(points, 2, np.random.default_rng(3))
+        assert res.inertia == 0.0
+        again = kmeans(points, 2, np.random.default_rng(3))
+        np.testing.assert_array_equal(again.labels, res.labels)
 
     def test_two_blobs_recovered_over_100_draws(self):
         for seed in range(100):

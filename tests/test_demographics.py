@@ -24,6 +24,9 @@ from citysim.matching import rank_pair_indices
 from reference import expected_child
 
 finite_h = st.floats(min_value=-20, max_value=20, allow_nan=False)
+DEFAULTS = DemographicsParams()
+# The generator the deterministic success rule is given; it draws nothing.
+NO_DRAWS = np.random.default_rng(0)
 
 
 class TestParams:
@@ -61,87 +64,90 @@ class TestParams:
 
 class TestLifespan:
     def test_root_at_log_ten(self):
-        assert lifespan(math.log(10)) == pytest.approx(0.0, abs=1e-12)
+        assert lifespan(math.log(10), DEFAULTS) == pytest.approx(0.0, abs=1e-12)
 
     def test_saturates_at_a(self):
-        assert lifespan(50.0) == pytest.approx(150.0, abs=1e-6)
+        assert lifespan(50.0, DEFAULTS) == pytest.approx(150.0, abs=1e-6)
 
     def test_log_twenty_gives_half_of_a(self):
-        assert lifespan(math.log(20)) == pytest.approx(75.0, abs=1e-9)
+        assert lifespan(math.log(20), DEFAULTS) == pytest.approx(75.0, abs=1e-9)
 
     def test_zero_happiness_is_clamped_to_zero(self):
         # Raw formula value at h=0 is 150 * (1 - 10) = -1350.
-        assert lifespan(0.0) == 0.0
+        assert lifespan(0.0, DEFAULTS) == 0.0
 
     def test_positive_only_above_log_ten(self):
-        assert lifespan(math.log(10) - 1e-6) == 0.0
-        assert lifespan(math.log(10) + 1e-6) > 0.0
+        assert lifespan(math.log(10) - 1e-6, DEFAULTS) == 0.0
+        assert lifespan(math.log(10) + 1e-6, DEFAULTS) > 0.0
 
     @given(finite_h, finite_h)
     def test_monotone_nondecreasing(self, h1, h2):
         lo, hi = min(h1, h2), max(h1, h2)
-        assert lifespan(lo) <= lifespan(hi) + 1e-12
+        assert lifespan(lo, DEFAULTS) <= lifespan(hi, DEFAULTS) + 1e-12
 
     def test_matches_direct_formula(self):
         hs = np.random.default_rng(101).uniform(-5, 15, size=1000)
         direct = [max(0.0, 150.0 * (1.0 - 10.0 * math.exp(-h))) for h in hs]
-        np.testing.assert_allclose(lifespan(hs), direct, rtol=0, atol=1e-12)
-        assert lifespan(float(hs[0])) == lifespan(hs)[0]
+        np.testing.assert_allclose(lifespan(hs, DEFAULTS), direct, rtol=0, atol=1e-12)
+        assert lifespan(float(hs[0]), DEFAULTS) == lifespan(hs, DEFAULTS)[0]
 
 
 class TestMatingGap:
     def test_nonpositive_happiness_hits_the_cap(self):
-        assert mating_gap(0.0) == pytest.approx(80.0, abs=1e-12)
-        assert mating_gap(-3.0) == pytest.approx(80.0, abs=1e-12)
+        assert mating_gap(0.0, DEFAULTS) == pytest.approx(80.0, abs=1e-12)
+        assert mating_gap(-3.0, DEFAULTS) == pytest.approx(80.0, abs=1e-12)
 
     def test_known_points(self):
-        assert mating_gap(0.79) == pytest.approx(1.0, abs=1e-12)
-        assert mating_gap(7.99) == pytest.approx(0.1, abs=1e-12)
+        assert mating_gap(0.79, DEFAULTS) == pytest.approx(1.0, abs=1e-12)
+        assert mating_gap(7.99, DEFAULTS) == pytest.approx(0.1, abs=1e-12)
 
     def test_always_positive(self):
-        assert mating_gap(1e9) > 0.0
+        assert mating_gap(1e9, DEFAULTS) > 0.0
 
     @given(finite_h, finite_h)
     def test_monotone_nonincreasing(self, h1, h2):
         lo, hi = min(h1, h2), max(h1, h2)
-        assert mating_gap(lo) >= mating_gap(hi) - 1e-12
+        assert mating_gap(lo, DEFAULTS) >= mating_gap(hi, DEFAULTS) - 1e-12
 
     def test_matches_direct_formula(self):
         hs = np.random.default_rng(202).uniform(-5, 15, size=1000)
         direct = [0.8 / (max(h, 0.0) + 0.01) for h in hs]
-        np.testing.assert_allclose(mating_gap(hs), direct, rtol=0, atol=1e-12)
-        assert mating_gap(float(hs[0])) == mating_gap(hs)[0]
+        np.testing.assert_allclose(mating_gap(hs, DEFAULTS), direct, rtol=0, atol=1e-12)
+        assert mating_gap(float(hs[0]), DEFAULTS) == mating_gap(hs, DEFAULTS)[0]
 
 
 class TestSuccessThreshold:
     def test_vanishes_for_empty_happy_world(self):
-        assert mating_success_threshold(0, 100.0, 100.0) == pytest.approx(0.0, abs=1e-9)
+        assert mating_success_threshold(0, 100.0, 100.0, DEFAULTS) == pytest.approx(0.0, abs=1e-9)
 
     def test_neutral_happiness_gives_half(self):
-        assert mating_success_threshold(0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert mating_success_threshold(0, 0.0, 0.0, DEFAULTS) == pytest.approx(0.5, abs=1e-12)
 
     def test_crowding_term_alone(self):
-        assert mating_success_threshold(500, 100.0, 100.0) == pytest.approx(1.0, abs=1e-9)
+        assert mating_success_threshold(500, 100.0, 100.0, DEFAULTS) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_negative_population(self):
         with pytest.raises(ConfigurationError):
-            mating_success_threshold(-1, 0.0, 0.0)
+            mating_success_threshold(-1, 0.0, 0.0, DEFAULTS)
 
     @given(st.integers(0, 5000), st.integers(0, 5000), finite_h, finite_h)
     def test_monotone_in_population(self, n1, n2, hm, hf):
         lo, hi = min(n1, n2), max(n1, n2)
-        assert mating_success_threshold(lo, hm, hf) <= mating_success_threshold(hi, hm, hf) + 1e-12
+        assert (
+            mating_success_threshold(lo, hm, hf, DEFAULTS)
+            <= mating_success_threshold(hi, hm, hf, DEFAULTS) + 1e-12
+        )
 
     @given(st.integers(0, 2000), finite_h, finite_h, finite_h)
     def test_monotone_nonincreasing_in_each_happiness(self, n, base, other, bump):
         lo, hi = min(base, base + abs(bump)), base + abs(bump)
         assert (
-            mating_success_threshold(n, hi, other)
-            <= mating_success_threshold(n, lo, other) + 1e-12
+            mating_success_threshold(n, hi, other, DEFAULTS)
+            <= mating_success_threshold(n, lo, other, DEFAULTS) + 1e-12
         )
         assert (
-            mating_success_threshold(n, other, hi)
-            <= mating_success_threshold(n, other, lo) + 1e-12
+            mating_success_threshold(n, other, hi, DEFAULTS)
+            <= mating_success_threshold(n, other, lo, DEFAULTS) + 1e-12
         )
 
     def test_matches_direct_formula(self):
@@ -154,36 +160,31 @@ class TestSuccessThreshold:
             0.002 * k + max(1 - sig(20 * a), 1 - sig(20 * b)) for k, a, b in zip(n, hm, hf)
         ]
         np.testing.assert_allclose(
-            mating_success_threshold(n, hm, hf), direct, rtol=0, atol=1e-12
+            mating_success_threshold(n, hm, hf, DEFAULTS), direct, rtol=0, atol=1e-12
         )
-        assert mating_success_threshold(int(n[0]), float(hm[0]), float(hf[0])) == pytest.approx(
-            direct[0], abs=1e-12
-        )
+        one = mating_success_threshold(int(n[0]), float(hm[0]), float(hf[0]), DEFAULTS)
+        assert one == pytest.approx(direct[0], abs=1e-12)
 
 
 class TestMatingSucceeds:
     def test_happy_pair_in_empty_city(self):
-        assert mating_succeeds(0, 1.0, 1.0)
+        assert mating_succeeds(0, 1.0, 1.0, DEFAULTS, NO_DRAWS)
 
     def test_crowding_suppresses_even_happy_pairs(self):
-        assert not mating_succeeds(1000, 1.0, 1.0)
+        assert not mating_succeeds(1000, 1.0, 1.0, DEFAULTS, NO_DRAWS)
 
     def test_miserable_pair_never_succeeds(self):
-        assert not mating_succeeds(0, -1.0, -1.0)
+        assert not mating_succeeds(0, -1.0, -1.0, DEFAULTS, NO_DRAWS)
 
     def test_gate_is_deterministic(self):
-        results = {bool(mating_succeeds(50, 0.6, 0.8)) for _ in range(10)}
+        results = {bool(mating_succeeds(50, 0.6, 0.8, DEFAULTS, NO_DRAWS)) for _ in range(10)}
         assert len(results) == 1
         # One call over arrays gives each pair its scalar verdict.
         hm = np.array([1.0, 1.0, -1.0, 0.6])
         hf = np.array([1.0, -1.0, 1.0, 0.8])
-        gate = mating_succeeds(50, hm, hf)
-        assert gate.tolist() == [bool(mating_succeeds(50, a, b)) for a, b in zip(hm, hf)]
-
-    def test_probabilistic_rule_needs_rng(self):
-        params = DemographicsParams(success_rule="probabilistic")
-        with pytest.raises(ConfigurationError):
-            mating_succeeds(0, 0.0, 0.0, params)
+        gate = mating_succeeds(50, hm, hf, DEFAULTS, NO_DRAWS)
+        one_by_one = [bool(mating_succeeds(50, a, b, DEFAULTS, NO_DRAWS)) for a, b in zip(hm, hf)]
+        assert gate.tolist() == one_by_one
 
     def test_probabilistic_rate_tracks_threshold(self):
         # pop 0 and neutral happiness put the threshold at exactly 0.5,
@@ -247,11 +248,11 @@ class TestMatingOpeningTime:
             hm = h[(sex == 0) & (avail <= t)]
             hf = h[(sex == 1) & (avail <= t)]
             iy, iz = rank_pair_indices(hm, hf)
-            assert not mating_succeeds(n, hm[iy], hf[iz], params).any()
+            assert not mating_succeeds(n, hm[iy], hf[iz], params, NO_DRAWS).any()
             k = min(len(hm), len(hf))
             ry = rng.permutation(len(hm))[:k]
             rz = rng.permutation(len(hf))[:k]
-            assert not mating_succeeds(n, hm[ry], hf[rz], params).any()
+            assert not mating_succeeds(n, hm[ry], hf[rz], params, NO_DRAWS).any()
         if np.isfinite(opens):
             # At the opening both sexes have someone available at the bar.
             reach = (h >= crowding_term(n, params)) & (avail <= opens)
@@ -266,10 +267,10 @@ class TestMatingOpeningTime:
         h = np.array([bar, bar])
         avail, sex = np.array([2.0, 3.0]), np.array([0, 1])
         assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex == 0) == 3.0
-        assert mating_succeeds(1000, h[:1], h[1:], params).all()
+        assert mating_succeeds(1000, h[:1], h[1:], params, NO_DRAWS).all()
         h[0] = np.nextafter(bar, -np.inf)
         assert mating_opening_time(reaches_crowding_bar(1000, h, params), avail, sex == 0) == np.inf
-        assert not mating_succeeds(1000, h[:1], h[1:], params).any()
+        assert not mating_succeeds(1000, h[:1], h[1:], params, NO_DRAWS).any()
 
 
 class TestBorn:
@@ -284,7 +285,7 @@ class TestBorn:
         for _ in range(100):
             f = rng.uniform(size=(1, 8))
             m = rng.uniform(size=(1, 8))
-            child = born_batch(f, m, rng)
+            child = born_batch(f, m, rng, DEFAULTS)
             assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
     def test_forced_mutation_is_uniform(self):
@@ -301,7 +302,7 @@ class TestBorn:
         # iff it was copied rather than mutated: expected rate 1 - p = 0.9.
         rng = np.random.default_rng(31)
         ones = np.ones((10_000, 8))
-        children = born_batch(ones, ones, rng)
+        children = born_batch(ones, ones, rng, DEFAULTS)
         copy_rate = (children == 1.0).mean(axis=0)
         assert np.all(np.abs(copy_rate - 0.9) < 0.02)
 
@@ -310,13 +311,13 @@ class TestBorn:
         rng = np.random.default_rng(41)
         f = np.ones((10_000, 8))
         m = np.zeros((10_000, 8))
-        children = born_batch(f, m, rng)
+        children = born_batch(f, m, rng, DEFAULTS)
         father_rate = (children == 1.0).mean(axis=0)
         assert np.all(np.abs(father_rate - 0.45) < 0.02)
 
     def test_rejects_mismatched_parents(self):
         with pytest.raises(ConfigurationError):
-            born_batch(np.zeros((1, 8)), np.zeros((1, 5)), np.random.default_rng(0))
+            born_batch(np.zeros((1, 8)), np.zeros((1, 5)), np.random.default_rng(0), DEFAULTS)
 
 
 class TestExpectedChild:
@@ -341,6 +342,7 @@ class TestExpectedChild:
             np.broadcast_to(f, (100_000, 8)).copy(),
             np.broadcast_to(m, (100_000, 8)).copy(),
             np.random.default_rng(56),
+            DEFAULTS,
         )
         assert np.all(np.abs(draws.mean(axis=0) - analytic) < 0.005)
 

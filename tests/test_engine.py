@@ -83,7 +83,7 @@ class TestInitPopulation:
         assert roster.happiness.tobytes() == expected.tobytes()
         h = float(expected[0])
         assert np.all(roster.birth == 0.0)
-        np.testing.assert_allclose(roster.death, lifespan(h), rtol=1e-9)
+        np.testing.assert_allclose(roster.death, lifespan(h, cfg.demographics), rtol=1e-9)
         assert np.all(roster.avail == cfg.demographics.maturity_age * cfg.mating_period)
 
     def test_clipping_into_unit_cube(self):
@@ -583,11 +583,6 @@ UNRUN = {
     ("demographics", "mating_success_threshold",
      'raise ConfigurationError(f"pop_size must be nonnegative, got {pop_size}")'):
         "a negative head count, which no roster or block has",
-    ("demographics", "mating_success_threshold", "both = np.broadcast_arrays(h_male, h_female)"):
-        "partners' happiness of two shapes; run() passes one value per pair on each side",
-    ("demographics", "mating_succeeds",
-     'raise ConfigurationError("probabilistic success_rule needs a random generator")'):
-        "run() always passes its success stream",
     ("demographics", "born_batch", "raise ConfigurationError("):
         "parent batches of two shapes; run() passes one row per pair on each side",
     ("matching", "grid_distances", 'raise ConfigurationError(f"unknown distance metric {metric!r}")'):

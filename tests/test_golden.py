@@ -155,7 +155,7 @@ def test_preset_definitions_match_golden():
 def experiment_digests(out_dir: Path) -> dict[str, str]:
     sweep = get_preset("lambda-sweep")
     sweep = replace(sweep, config=replace(sweep.config, max_time=PLATEAU_HORIZON))
-    sweep_lambda(sweep, [1.0, 3.0, 30.0], out_dir / "sweep")
+    sweep_lambda(sweep, [1.0, 3.0, 30.0], out_dir / "sweep", jobs=1)
     comparison = get_preset("matching-comparison")
     comparison = replace(comparison, config=replace(comparison.config, max_time=HORIZON))
     compare_matching(comparison, 3, out_dir / "compare", jobs=1)

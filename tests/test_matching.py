@@ -45,6 +45,9 @@ from citysim.society import trait_gain
 from reference import Person, Sex, expected_child, partitioned_match
 
 MATRIX = InteractionMatrix.default()
+DEFAULTS = DemographicsParams()
+# The generator the deterministic success rule is given; it draws nothing.
+NO_DRAWS = np.random.default_rng(0)
 
 
 def make_person(pid, sex, traits, happy=0.5, location=None):
@@ -231,7 +234,7 @@ class TestGridDistances:
     def test_hamming_counts_unequal_coordinates(self):
         y = np.array([[0, 0], [1, 2]])
         z = np.array([[0, 0], [1, 0], [2, 2]])
-        D = grid_distances(y, z)
+        D = grid_distances(y, z, "hamming")
         assert D.tolist() == [[0.0, 1.0, 2.0], [2.0, 1.0, 1.0]]
 
     def test_manhattan_alternative(self):
@@ -622,7 +625,7 @@ class TestGatePrefix:
 
         def passing(sel_y, sel_z):
             h = roster.happiness
-            ok = mating_succeeds(n, h[sel_y], h[sel_z], params)
+            ok = mating_succeeds(n, h[sel_y], h[sel_z], params, NO_DRAWS)
             return list(zip(sel_y[ok].tolist(), sel_z[ok].tolist()))
 
         assert passing(*cut) == passing(*full)
@@ -683,13 +686,13 @@ class TestPlanMatings:
     mating_succeeds call over the partners' happiness arrays."""
 
     def test_empty_plan(self):
-        ok = mating_succeeds(10, np.zeros(0), np.zeros(0))
+        ok = mating_succeeds(10, np.zeros(0), np.zeros(0), DEFAULTS, NO_DRAWS)
         assert ok.shape == (0,)
 
     def test_threshold_filters_unhappy_pairs(self):
-        ok = mating_succeeds(4, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+        ok = mating_succeeds(4, np.array([1.0, -1.0]), np.array([1.0, -1.0]), DEFAULTS, NO_DRAWS)
         assert ok.tolist() == [True, False]
 
     def test_all_pairs_below_threshold(self):
-        ok = mating_succeeds(2, np.array([-2.0, -2.0]), np.array([-2.0, 1.0]))
+        ok = mating_succeeds(2, np.array([-2.0, -2.0]), np.array([-2.0, 1.0]), DEFAULTS, NO_DRAWS)
         assert ok.tolist() == [False, False]

@@ -349,6 +349,20 @@ class TestScenarioRoundTripProperty:
                 scenario_from_mapping(mapping)
             assert str(from_file.value) == prefix + str(from_python.value), path
 
+    def test_seed_bound_gives_one_message(self, tmp_path):
+        # SimConfig alone bounds the seed to [0, 2^64), so Python and a
+        # scenario file accept and reject the same seeds, with one message.
+        config = scenario_from_mapping(MINIMAL).config
+        top = 2**64 - 1
+        assert dataclasses.replace(config, seed=top).seed == top
+        assert load_scenario(write_config(tmp_path, {**MINIMAL, "seed": top})).config.seed == top
+        with pytest.raises(ConfigurationError) as from_python:
+            dataclasses.replace(config, seed=top + 1)
+        with pytest.raises(ConfigurationError) as from_file:
+            load_scenario(write_config(tmp_path, {**MINIMAL, "seed": top + 1}))
+        assert str(from_python.value) == f"seed must lie in [0, 2^64), got {top + 1}"
+        assert str(from_file.value) == str(from_python.value)
+
 
 class TestPresets:
     def test_registry_names(self):
@@ -631,7 +645,7 @@ class TestCliSweep:
 
     def test_four_multipliers_four_runs(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
-        rows = sweep_lambda(sc, [1.0, 3.0, 10.0, 30.0], tmp_path / "s")
+        rows = sweep_lambda(sc, [1.0, 3.0, 10.0, 30.0], tmp_path / "s", jobs=1)
         assert [r["multiplier"] for r in rows] == [1.0, 3.0, 10.0, 30.0]
         dirs = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert dirs == [
@@ -660,7 +674,7 @@ class TestCliSweep:
         # overwriting the first, and gave the summary two rows for 1.
         sc = scenario_from_mapping(small_mapping())
         with pytest.raises(ConfigurationError, match="multipliers: 1.0 repeats"):
-            sweep_lambda(sc, [1.0, 1, 3.0], tmp_path / "s")
+            sweep_lambda(sc, [1.0, 1, 3.0], tmp_path / "s", jobs=1)
         assert not (tmp_path / "s").exists()
         cfg = write_config(tmp_path, small_mapping())
         out = tmp_path / "cli"
@@ -674,7 +688,7 @@ class TestCliSweep:
         # name, after every member had run.
         sc = get_preset("lambda-sweep")
         sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config, max_time=5.0))
-        rows = sweep_lambda(sc, [1.0, 1e300], tmp_path / "s")
+        rows = sweep_lambda(sc, [1.0, 1e300], tmp_path / "s", jobs=1)
         assert [r["multiplier"] for r in rows] == [1.0, 1e300]
         dirs = sorted(p.name for p in (tmp_path / "s").iterdir())
         assert dirs == ["multiplier-1", "multiplier-1e+300", "sweep_summary.csv"]
@@ -682,13 +696,13 @@ class TestCliSweep:
     def test_empty_multipliers_rejected(self):
         sc = scenario_from_mapping(small_mapping())
         with pytest.raises(ConfigurationError, match="multipliers"):
-            sweep_lambda(sc, [], "unused")
+            sweep_lambda(sc, [], "unused", jobs=1)
 
 
 class TestCliCompare:
     def test_report_structure(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
-        report = compare_matching(sc, 2, tmp_path)
+        report = compare_matching(sc, 2, tmp_path, jobs=1)
         assert report["seeds"] == [5, 6]
         for mode in ("optimal", "noisy"):
             assert len(report["per_run"][mode]) == 2
@@ -719,8 +733,8 @@ class TestCliCompare:
 
     def test_deterministic_report(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
-        report = compare_matching(sc, 2, tmp_path / "a")
-        compare_matching(sc, 2, tmp_path / "b")
+        report = compare_matching(sc, 2, tmp_path / "a", jobs=1)
+        compare_matching(sc, 2, tmp_path / "b", jobs=1)
         assert (tmp_path / "a" / "compare_matching.json").read_bytes() == (
             tmp_path / "b" / "compare_matching.json"
         ).read_bytes()
@@ -732,7 +746,7 @@ class TestCliCompare:
         sc = get_preset("matching-comparison")
         demographics = dataclasses.replace(sc.config.demographics, lifespan_b=1e6)
         config = dataclasses.replace(sc.config, max_time=20.0, demographics=demographics)
-        compare_matching(dataclasses.replace(sc, config=config), 2, tmp_path)
+        compare_matching(dataclasses.replace(sc, config=config), 2, tmp_path, jobs=1)
         report = load_json_strict(tmp_path / "compare_matching.json")
         for mode in ("optimal", "noisy"):
             assert [r["status"] for r in report["per_run"][mode]] == ["extinct"] * 2
@@ -753,7 +767,7 @@ class TestCliCompare:
     def test_single_seed_rejected(self, tmp_path):
         sc = scenario_from_mapping(small_mapping())
         with pytest.raises(ConfigurationError, match="seeds"):
-            compare_matching(sc, 1, tmp_path)
+            compare_matching(sc, 1, tmp_path, jobs=1)
         cfg = write_config(tmp_path, small_mapping())
         assert main(["compare-matching", "--config", str(cfg), "--seeds", "1"]) == 2
 
@@ -819,14 +833,24 @@ class TestCliAnalyze:
         assert f"{bad}:3:" in capsys.readouterr().err
 
     def test_out_of_range_trait_exits_2(self, tmp_path, capsys):
-        # A cluster mean is a TraitVector, which rejects a trait above 1.
+        # Traits are checked as the file is read, as a TraitVector checks
+        # them, before any clustering: the message names file, line and column.
         header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,a,b"
-        rows = [f"{i},male,0.0,9.0,1.0,3.0,,,0.{i},1.5" for i in range(4)]
+        rows = [f"{i},male,0.0,9.0,1.0,3.0,,,0.{i},{1.5 if i == 2 else 0.5}" for i in range(4)]
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join([header, *rows]) + "\n")
         argv = ["analyze", "--input", str(bad), "--out", str(tmp_path / "ana"), "--clusters", "1"]
         assert main(argv) == 2
-        assert "trait vector[1] must be <= 1, got 1.5" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}:4: trait b must be <= 1, got 1.5\n"
+
+    @pytest.mark.parametrize(
+        "cell,message", [("-0.25", "must be >= 0, got -0.25"), ("nan", "must be finite, got nan")]
+    )
+    def test_trait_below_zero_or_nan_exits_2(self, tmp_path, capsys, cell, message):
+        bad = tmp_path / "pop.csv"
+        bad.write_text(f"id,intellect,strength\n0,0.5,0.2\n1,0.3,{cell}\n")
+        assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "ana")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: trait strength {message}\n"
 
     def test_analyze_grid_snapshot(self, tmp_path):
         cfg = write_config(
@@ -835,7 +859,9 @@ class TestCliAnalyze:
         )
         out = tmp_path / "run"
         main(["simulate", "--config", str(cfg), "--out", str(out)])
-        payload = analyze_population(out / "population_final.csv", tmp_path / "ana")
+        payload = analyze_population(
+            out / "population_final.csv", tmp_path / "ana", clusters=2, embed_dim=2, seed=0
+        )
         assert "gx" not in payload["clusters"][0]["mean"]
 
 
