@@ -1,7 +1,7 @@
 """Co-evolution simulator: a trait-vector population and a society vector
 shaping each other through matchmaking and gradient ascent."""
 
-from .analysis import KMeansResult, PointSet, classical_mds, kmeans
+from .analysis import KMeansResult, classical_mds, kmeans
 from .core import (
     INDIVIDUAL_TRAITS,
     SOCIETY_TRAITS,
@@ -75,7 +75,6 @@ __all__ = [
     "LearningRateSchedule",
     "MatchMode",
     "MatchingConfig",
-    "PointSet",
     "PopulationGroup",
     "Scenario",
     "SimConfig",

@@ -9,10 +9,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, TraitVector
+from .core import ConfigurationError, TraitVector, require_array
 
 __all__ = [
-    "PointSet",
     "KMeansResult",
     "ClusterSummary",
     "classical_mds",
@@ -21,31 +20,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """N points in D dimensions."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or min(rows.shape) < 1:
-            raise ConfigurationError(
-                f"rows must be a nonempty N x D matrix, got shape {rows.shape}"
-            )
-        if not np.all(np.isfinite(rows)):
-            raise ConfigurationError("rows contain non-finite values")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-
-def classical_mds(points: PointSet, out_dim: int) -> PointSet:
-    """Torgerson embedding of the pairwise Euclidean geometry in out_dim
-    dimensions.
+def classical_mds(points: np.ndarray, out_dim: int) -> np.ndarray:
+    """Torgerson embedding of the (n, D) rows of points, checked by
+    require_array, in out_dim dimensions: an (n, out_dim) array with the
+    rows' pairwise Euclidean geometry.
 
     Double-centring the squared distances of Euclidean rows gives the Gram
     matrix of the centred rows, so its leading eigenpairs are their
@@ -55,17 +33,17 @@ def classical_mds(points: PointSet, out_dim: int) -> PointSet:
     zero columns. The embedding is centered at the origin and unique up to
     rotation and reflection.
     """
+    rows = require_array(points, "points", 2)
+    n = rows.shape[0]
     if out_dim < 1:
         raise ConfigurationError(f"out_dim must be >= 1, got {out_dim}")
-    if points.n < out_dim:
+    if n < out_dim:
         raise ConfigurationError(
-            f"need at least {out_dim} points to embed into {out_dim} dimensions, "
-            f"got {points.n}"
+            f"need at least {out_dim} points to embed into {out_dim} dimensions, got {n}"
         )
-    centred = points.rows - points.rows.mean(axis=0)
-    u, s, _ = np.linalg.svd(centred, full_matrices=False)
+    u, s, _ = np.linalg.svd(rows - rows.mean(axis=0), full_matrices=False)
     k = min(out_dim, s.size)
-    embedding = np.zeros((points.n, out_dim))
+    embedding = np.zeros((n, out_dim))
     # The Gram matrix's eigenvalues are the squared singular values.
     if s[0] ** 2 <= 1e-12:
         warnings.warn(
@@ -75,7 +53,7 @@ def classical_mds(points: PointSet, out_dim: int) -> PointSet:
         )
     else:
         embedding[:, :k] = u[:, :k] * s[:k]
-    return PointSet(embedding)
+    return embedding
 
 
 class KMeansResult(NamedTuple):
@@ -142,26 +120,27 @@ def _lloyd(
 
 
 def kmeans(
-    points: PointSet,
+    points: np.ndarray,
     k: int,
     rng: np.random.Generator,
     max_iter: int = 100,
     restarts: int = 10,
 ) -> KMeansResult:
-    """Lloyd's algorithm with distance-weighted greedy seeding.
+    """Lloyd's algorithm with distance-weighted greedy seeding on the
+    (n, D) rows of points, checked by require_array.
 
     Runs `restarts` independent seedings off the supplied generator and
     keeps the lowest-inertia result; ties keep the earliest restart, so a
     fixed seed fixes the output. A cluster emptied during iteration is
     reseeded at the point farthest from every current centroid.
     """
+    X = require_array(points, "points", 2)
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if points.n < k:
-        raise ConfigurationError(f"need at least k={k} points, got {points.n}")
+    if X.shape[0] < k:
+        raise ConfigurationError(f"need at least k={k} points, got {X.shape[0]}")
     if max_iter < 1 or restarts < 1:
         raise ConfigurationError("max_iter and restarts must be >= 1")
-    X = points.rows
     best: KMeansResult | None = None
     for _ in range(restarts):
         seeds = _seed_centroids(X, k, rng)
@@ -181,19 +160,15 @@ class ClusterSummary:
 
 
 def cluster_summary(population: np.ndarray, labels: Sequence[int]) -> list[ClusterSummary]:
-    """Per-cluster trait means and sizes of an (n, dim) trait matrix, ordered
-    by size descending and then by centroid lexicographically (stable under
-    relabeling)."""
-    rows = np.asarray(population, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ConfigurationError(f"population must be 2-D, got shape {rows.shape}")
+    """Per-cluster trait means and sizes of an (n, dim) trait matrix,
+    checked by require_array, ordered by size descending and then by
+    centroid lexicographically (stable under relabeling)."""
+    rows = require_array(population, "population", 2)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (rows.shape[0],):
         raise ConfigurationError(
             f"{labels.shape[0] if labels.ndim else 0} labels for {rows.shape[0]} members"
         )
-    if rows.shape[0] == 0:
-        raise ConfigurationError("population is empty")
     summaries = []
     for label in np.unique(labels):
         members = rows[labels == label]

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import PointSet, classical_mds, cluster_summary, kmeans
+from .analysis import classical_mds, cluster_summary, kmeans
 from .core import ConfigurationError, InteractionMatrix, require_unit
 from .core import _read_text, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
@@ -351,15 +351,14 @@ def analyze_population(
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     ids, traits, trait_names = _read_population_csv(Path(input_path))
-    points = PointSet(traits)
-    result = kmeans(points, clusters, np.random.default_rng(seed))
-    embedded = classical_mds(points, embed_dim)
+    result = kmeans(traits, clusters, np.random.default_rng(seed))
+    embedded = classical_mds(traits, embed_dim)
     summaries = cluster_summary(traits, result.labels)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["id", *(f"e{d}" for d in range(embed_dim)), "cluster"]
-    columns = [np.asarray(ids), *embedded.rows.T, result.labels]
+    columns = [np.asarray(ids), *embedded.T, result.labels]
     _write_csv(out / "analysis_embedding.csv", header, columns)
     payload = {
         "input": str(input_path),

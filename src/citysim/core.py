@@ -1,7 +1,8 @@
 """Trait vectors, the interaction matrix, the package's exceptions, the
-checkers every config field goes through, the reader every input goes
-through and the two writers every CSV and JSON output goes through. Every
-file is read and written as UTF-8.
+checkers every config field and every array a value type holds go through
+(require_real, require_int, require_unit, require_choice, require_array),
+the reader every input goes through and the two writers every CSV and JSON
+output goes through. Every file is read and written as UTF-8.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -139,23 +140,25 @@ def require_choice(value, choices, what: str):
     return choices(value) if isinstance(choices, type) else value
 
 
+def require_array(values, what: str, ndim: int) -> np.ndarray:
+    """values as a read-only float64 copy with ndim axes, none of them
+    empty, and every entry finite, or ConfigurationError naming what: the
+    array counterpart of require_real, and the one place an array is
+    frozen. A copy, so that freezing it leaves the caller's array writable."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ConfigurationError(f"{what} must be {ndim}-D and nonempty, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{what} contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
 def _store(obj, **values) -> None:
     """Set the named fields of frozen dataclass obj, as its __post_init__ does
     with the values it has checked."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
-
-
-def _as_float_array(values, *, what: str) -> np.ndarray:
-    # A copy, so that freezing it leaves the caller's array writable.
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ConfigurationError(f"{what} must have at least one coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{what} contains non-finite values")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +174,11 @@ class TraitVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_float_array(self.values, what="trait vector")
+        arr = require_array(self.values, "trait vector", 1)
         bad = np.flatnonzero((arr < 0.0) | (arr > 1.0))
         if bad.size:
             require_unit(arr[bad[0]], f"trait vector[{bad[0]}]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        _store(self, values=arr)
 
     @property
     def dim(self) -> int:
@@ -218,11 +220,7 @@ class InteractionMatrix:
     col_names: tuple[str, ...] = SOCIETY_TRAITS
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ConfigurationError(
-                f"interaction matrix must be two-dimensional, got shape {arr.shape}"
-            )
+        arr = require_array(self.entries, "interaction matrix", 2)
         rows = tuple(str(n) for n in self.row_names)
         cols = tuple(str(n) for n in self.col_names)
         if arr.shape != (len(rows), len(cols)):
@@ -235,12 +233,8 @@ class InteractionMatrix:
         # Names become CSV header cells, which are written unquoted.
         if any(c in name for name in rows + cols for c in ',"\r\n'):
             raise ConfigurationError("trait names must not hold a comma, quote or line break")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("interaction matrix contains non-finite entries")
         if np.any(np.abs(arr) > 1.0):
             raise ConfigurationError("interaction matrix entries must lie in [-1, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
         _store(self, entries=arr, row_names=rows, col_names=cols)
 
     @classmethod
@@ -262,7 +256,7 @@ class InteractionMatrix:
 
         The header row lists individual trait names; each following row starts
         with a society trait name and continues with one real per individual
-        trait.
+        trait. Every error, the matrix's own checks included, names the file.
         """
         reader = csv.reader(io.StringIO(_read_text(path), newline=""))
         try:
@@ -286,8 +280,10 @@ class InteractionMatrix:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
         if not printed_rows:
             raise ConfigurationError(f"{path}: no matrix rows found")
-        printed = np.asarray(printed_rows, dtype=np.float64)
-        return cls(printed.T, row_names=row_names, col_names=tuple(col_names))
+        try:
+            return cls(np.transpose(printed_rows), row_names=row_names, col_names=tuple(col_names))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def to_csv(self, path: str | Path) -> None:
         """Write the matrix in printed orientation (society rows x individual columns)."""

@@ -140,9 +140,7 @@ class PopulationGroup:
     std: tuple[float, ...] | float = 0.1
 
     def __post_init__(self) -> None:
-        count = require_int(self.count, "count")
-        if count < 0:
-            raise ConfigurationError(f"group count must be nonnegative, got {count}")
+        count = require_int(self.count, "count", 0)
         mean = self.mean if isinstance(self.mean, TraitVector) else TraitVector(self.mean)
         if isinstance(self.std, (list, tuple, np.ndarray)):
             std = tuple(require_real(s, f"std[{k}]", 0.0) for k, s in enumerate(self.std))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, InteractionMatrix
+from .core import ConfigurationError, InteractionMatrix, _store, require_array
 
 __all__ = [
     "BimatrixGame",
@@ -38,18 +38,11 @@ class BimatrixGame:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=np.float64)
-        b = np.asarray(self.B, dtype=np.float64)
-        if a.ndim != 2 or a.size == 0:
-            raise ConfigurationError(f"payoff matrix must be 2-D and nonempty, got {a.shape}")
+        a = require_array(self.A, "payoff matrix", 2)
+        b = require_array(self.B, "payoff matrix", 2)
         if a.shape != b.shape:
             raise ConfigurationError(f"payoff shapes differ: {a.shape} vs {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ConfigurationError("payoff matrices contain non-finite entries")
-        for name, arr in (("A", a), ("B", b)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _store(self, A=a, B=b)
 
     @classmethod
     def common_interest(cls, interaction: InteractionMatrix) -> "BimatrixGame":
@@ -70,10 +63,11 @@ class Equilibrium:
     supports: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        for name in ("sigma_p", "sigma_s"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _store(
+            self,
+            sigma_p=require_array(self.sigma_p, "sigma_p", 1),
+            sigma_s=require_array(self.sigma_s, "sigma_s", 1),
+        )
 
 
 @dataclass
@@ -101,8 +95,7 @@ def verify_equilibrium(game: BimatrixGame, eq: Equilibrium, tol: float = 1e-9) -
     Checking pure deviations suffices: mixed payoffs are convex combinations
     of pure ones.
     """
-    sp = np.asarray(eq.sigma_p, dtype=np.float64)
-    ss = np.asarray(eq.sigma_s, dtype=np.float64)
+    sp, ss = eq.sigma_p, eq.sigma_s
     payoff_p = float(sp @ game.A @ ss)
     payoff_s = float(sp @ game.B @ ss)
     best_row = float(np.max(game.A @ ss))

@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import kstest, spearmanr
 
-from citysim.analysis import PointSet, classical_mds, kmeans
+from citysim.analysis import classical_mds, kmeans
 from citysim.cli import compare_matching, detect_plateau
 from citysim.core import InteractionMatrix, TraitVector
 from citysim.demographics import (
@@ -346,10 +346,8 @@ def test_criterion_10_locality_viability():
 def test_criterion_11_analysis_correctness():
     rng = np.random.default_rng(20_11)
     planar = rng.normal(size=(50, 2)) * [3.0, 1.5]
-    embedded = classical_mds(PointSet(planar), out_dim=2)
-    mds_dev = float(
-        np.max(np.abs(cdist(planar, planar) - cdist(embedded.rows, embedded.rows)))
-    )
+    embedded = classical_mds(planar, out_dim=2)
+    mds_dev = float(np.max(np.abs(cdist(planar, planar) - cdist(embedded, embedded))))
     mds_ok = mds_dev <= 1e-9
 
     blob_ok = True
@@ -357,8 +355,7 @@ def test_criterion_11_analysis_correctness():
         blob_rng = np.random.default_rng(30_000 + draw)
         a = blob_rng.normal(loc=(0.0, 0.0), scale=0.5, size=(20, 2))
         b = blob_rng.normal(loc=(5.0, 0.0), scale=0.5, size=(20, 2))
-        points = PointSet(np.vstack([a, b]))
-        result = kmeans(points, 2, blob_rng)
+        result = kmeans(np.vstack([a, b]), 2, blob_rng)
         first, second = set(result.labels[:20]), set(result.labels[20:])
         if len(first) != 1 or len(second) != 1 or first == second:
             blob_ok = False

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from citysim.analysis import (
     ClusterSummary,
-    PointSet,
     classical_mds,
     cluster_summary,
     kmeans,
@@ -22,31 +21,43 @@ def pairwise(rows):
 @pytest.mark.parametrize(
     "call,field",
     [
-        (lambda ps: classical_mds(ps, out_dim=0), "out_dim"),
-        (lambda ps: kmeans(ps, 2, np.random.default_rng(0), max_iter=0), "max_iter"),
-        (lambda ps: kmeans(ps, 2, np.random.default_rng(0), restarts=0), "restarts"),
-        (lambda ps: cluster_summary(ps.rows[:, 0], [0] * ps.n), "population must be 2-D"),
-        (lambda ps: cluster_summary(ps.rows[:0], []), "population is empty"),
+        (lambda rows: classical_mds(rows, out_dim=0), "out_dim"),
+        (lambda rows: kmeans(rows, 2, np.random.default_rng(0), max_iter=0), "max_iter"),
+        (lambda rows: kmeans(rows, 2, np.random.default_rng(0), restarts=0), "restarts"),
+        (lambda rows: cluster_summary(rows[:, 0], [0] * len(rows)), "population must be 2-D"),
+        (
+            lambda rows: cluster_summary(rows[:0], []),
+            r"population must be 2-D and nonempty, got shape \(0, 2\)",
+        ),
     ],
 )
 def test_input_check_names_its_field(call, field):
     with pytest.raises(ConfigurationError, match=field):
-        call(PointSet(np.arange(8.0).reshape(4, 2)))
+        call(np.arange(8.0).reshape(4, 2))
 
 
-class TestPointSet:
-    def test_rejects_empty_and_ragged(self):
-        with pytest.raises(ConfigurationError):
-            PointSet(np.zeros((0, 3)))
-        with pytest.raises(ConfigurationError):
-            PointSet(np.zeros(5))
-        with pytest.raises(ConfigurationError):
-            PointSet(np.array([[1.0, np.nan]]))
+# classical_mds and kmeans take their (n, D) points through require_array.
+POINT_CALLS = [
+    pytest.param(lambda points: classical_mds(points, out_dim=1), id="classical_mds"),
+    pytest.param(lambda points: kmeans(points, 1, np.random.default_rng(0)), id="kmeans"),
+]
 
-    def test_rejects_zero_dimensions(self):
+
+class TestPointsCheck:
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    def test_rejects_empty_and_ragged(self, call):
+        with pytest.raises(ConfigurationError, match=r"^points must be 2-D and nonempty"):
+            call(np.zeros((0, 3)))
+        with pytest.raises(ConfigurationError, match=r"got shape \(5,\)$"):
+            call(np.zeros(5))
+        with pytest.raises(ConfigurationError, match="^points contains non-finite entries$"):
+            call(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    def test_rejects_zero_dimensions(self, call):
         # classical_mds would index an empty SVD; the error comes up front.
-        with pytest.raises(ConfigurationError, match="nonempty N x D"):
-            PointSet(np.zeros((4, 0)))
+        with pytest.raises(ConfigurationError, match=r"got shape \(4, 0\)$"):
+            call(np.zeros((4, 0)))
 
 
 class TestClassicalMDS:
@@ -54,29 +65,29 @@ class TestClassicalMDS:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(40, 2))
         rows -= rows.mean(axis=0)
-        emb = classical_mds(PointSet(rows), out_dim=2)
-        np.testing.assert_allclose(pairwise(emb.rows), pairwise(rows), atol=1e-9)
+        emb = classical_mds(rows, out_dim=2)
+        np.testing.assert_allclose(pairwise(emb), pairwise(rows), atol=1e-9)
 
     def test_embedding_centered_at_origin(self):
         rng = np.random.default_rng(6)
-        emb = classical_mds(PointSet(rng.uniform(size=(25, 8)) * 4 + 10), out_dim=2)
-        np.testing.assert_allclose(emb.rows.mean(axis=0), 0.0, atol=1e-9)
+        emb = classical_mds(rng.uniform(size=(25, 8)) * 4 + 10, out_dim=2)
+        np.testing.assert_allclose(emb.mean(axis=0), 0.0, atol=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(30, 5))
-        base = classical_mds(PointSet(rows), out_dim=2).rows
-        shifted = classical_mds(PointSet(rows + 137.25), out_dim=2).rows
+        base = classical_mds(rows, out_dim=2)
+        shifted = classical_mds(rows + 137.25, out_dim=2)
         np.testing.assert_allclose(pairwise(base), pairwise(shifted), atol=1e-9)
 
     def test_identical_points_zero_embedding_with_warning(self):
         with pytest.warns(RuntimeWarning):
-            emb = classical_mds(PointSet(np.full((6, 3), 0.7)), out_dim=2)
-        assert np.all(emb.rows == 0.0)
+            emb = classical_mds(np.full((6, 3), 0.7), out_dim=2)
+        assert np.all(emb == 0.0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigurationError):
-            classical_mds(PointSet(np.zeros((1, 4))), out_dim=2)
+            classical_mds(np.zeros((1, 4)), out_dim=2)
 
     def test_tetrahedron_matches_eigendecomposition_oracle(self):
         # Independent oracle: build the Gram matrix with explicit loops and
@@ -104,7 +115,7 @@ class TestClassicalMDS:
         w, v = w.real, v.real
         top = np.argsort(w)[::-1][:2]
         oracle = v[:, top] * np.sqrt(np.maximum(w[top], 0.0))
-        emb = classical_mds(PointSet(verts), out_dim=2).rows
+        emb = classical_mds(verts, out_dim=2)
         np.testing.assert_allclose(pairwise(emb), pairwise(oracle), atol=1e-9)
 
     @pytest.mark.parametrize("out_dim", [1, 2, 3, 5])
@@ -119,7 +130,7 @@ class TestClassicalMDS:
         w, v = np.linalg.eigh(B)
         top = np.argsort(w)[::-1][:out_dim]
         dense = v[:, top] * np.sqrt(np.maximum(w[top], 0.0))
-        emb = classical_mds(PointSet(rows), out_dim=out_dim).rows
+        emb = classical_mds(rows, out_dim=out_dim)
         assert emb.shape == (n, out_dim)
         np.testing.assert_allclose(pairwise(emb), pairwise(dense), atol=1e-6)
         assert np.all(emb[:, 3:] == 0.0)
@@ -131,7 +142,7 @@ class TestClassicalMDS:
         # data is lossless once the target rank covers the data rank.
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(n, 3), scale=2.0)
-        emb = classical_mds(PointSet(rows), out_dim=3).rows
+        emb = classical_mds(rows, out_dim=3)
         np.testing.assert_allclose(pairwise(emb), pairwise(rows), atol=1e-8)
 
 
@@ -139,7 +150,7 @@ class TestKMeans:
     def test_k1_centroid_is_mean(self):
         rng = np.random.default_rng(11)
         rows = rng.uniform(size=(30, 4))
-        res = kmeans(PointSet(rows), 1, rng)
+        res = kmeans(rows, 1, rng)
         assert set(res.labels.tolist()) == {0}
         np.testing.assert_allclose(res.centroids[0], rows.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(
@@ -149,7 +160,7 @@ class TestKMeans:
     def test_k_equals_n_zero_inertia(self):
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(7, 3))
-        res = kmeans(PointSet(rows), 7, rng)
+        res = kmeans(rows, 7, rng)
         assert res.inertia == 0.0
         assert sorted(res.labels.tolist()) == list(range(7))
         recon = res.centroids[res.labels]
@@ -158,7 +169,7 @@ class TestKMeans:
     def test_coincident_points_seed_uniformly(self):
         # Every point at one place leaves no distance to weight the seeding
         # by, so each further seed is drawn uniformly; the fit is exact.
-        points = PointSet(np.ones((5, 2)))
+        points = np.ones((5, 2))
         res = kmeans(points, 2, np.random.default_rng(3))
         assert res.inertia == 0.0
         again = kmeans(points, 2, np.random.default_rng(3))
@@ -172,25 +183,25 @@ class TestKMeans:
             b = rng.normal(loc=(10 * sigma, 0.0), scale=sigma, size=(20, 2))
             rows = np.vstack([a, b])
             truth = np.array([0] * 20 + [1] * 20)
-            res = kmeans(PointSet(rows), 2, rng)
+            res = kmeans(rows, 2, rng)
             # labels are arbitrary: compare as a partition
             same_as_truth = (res.labels == truth).all() or (res.labels == 1 - truth).all()
             assert same_as_truth, f"seed {seed} split the blobs"
 
     def test_fixed_seed_deterministic(self):
         rows = np.random.default_rng(13).normal(size=(50, 3))
-        r1 = kmeans(PointSet(rows), 3, np.random.default_rng(99))
-        r2 = kmeans(PointSet(rows), 3, np.random.default_rng(99))
+        r1 = kmeans(rows, 3, np.random.default_rng(99))
+        r2 = kmeans(rows, 3, np.random.default_rng(99))
         np.testing.assert_array_equal(r1.labels, r2.labels)
         np.testing.assert_array_equal(r1.centroids, r2.centroids)
         assert r1.inertia == r2.inertia
 
     def test_preconditions(self):
-        ps = PointSet(np.zeros((3, 2)))
+        points = np.zeros((3, 2))
         with pytest.raises(ConfigurationError):
-            kmeans(ps, 0, np.random.default_rng(1))
+            kmeans(points, 0, np.random.default_rng(1))
         with pytest.raises(ConfigurationError):
-            kmeans(ps, 4, np.random.default_rng(1))
+            kmeans(points, 4, np.random.default_rng(1))
 
     def test_empty_cluster_reseeds_at_farthest_point(self):
         # Start one centroid far outside the data so its cell is empty on
@@ -205,8 +216,8 @@ class TestKMeans:
 
     def test_restarts_never_worse_than_single(self):
         rows = np.random.default_rng(14).normal(size=(60, 2))
-        many = kmeans(PointSet(rows), 4, np.random.default_rng(0), restarts=10)
-        one = kmeans(PointSet(rows), 4, np.random.default_rng(0), restarts=1)
+        many = kmeans(rows, 4, np.random.default_rng(0), restarts=10)
+        one = kmeans(rows, 4, np.random.default_rng(0), restarts=1)
         assert many.inertia <= one.inertia + 1e-12
 
 

@@ -1,7 +1,8 @@
 """The package's public names: every name in each module's __all__, and in
 citysim.__all__, resolves and is listed once, so a name deleted from a
 module cannot stay exported. And every name a module imports is used, so
-an import cannot outlive the code that needed it."""
+an import cannot outlive the code that needed it. And only
+core.require_array freezes an array."""
 
 import ast
 import importlib
@@ -39,3 +40,29 @@ def test_every_imported_name_is_used(name):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = importlib.import_module("citysim" if name == "__init__" else f"citysim.{name}")
     assert sorted(imported - read - set(module.__all__)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_require_array_freezes_an_array(name):
+    # Every array a value type holds is frozen in core.require_array, after
+    # it is copied; a freeze anywhere else could freeze the caller's array.
+    tree = ast.parse((Path(citysim.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (name, node.name) == ("core", "require_array"):
+            allowed.update(map(id, ast.walk(node)))
+    found = [
+        f"line {node.lineno}: {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and id(node) not in allowed
+        and (
+            node.attr == "setflags"
+            or (
+                node.attr == "writeable"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "flags"
+            )
+        )
+    ]
+    assert found == []

@@ -5,6 +5,7 @@ population aggregates."""
 import dataclasses
 import math
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from citysim.core import (
     _write_csv,
     _write_json,
 )
+from citysim.analysis import classical_mds, cluster_summary, kmeans
+from citysim.equilibrium import BimatrixGame, Equilibrium
 from citysim.matching import score
 from citysim.society import trait_gain
 from conftest import load_json_strict
@@ -55,6 +58,42 @@ def matrix():
     return InteractionMatrix.default()
 
 
+@pytest.mark.parametrize(
+    "shape,build",
+    [
+        pytest.param((3,), lambda a: [TraitVector(a).values], id="TraitVector"),
+        pytest.param(
+            (2, 2),
+            lambda a: [InteractionMatrix(a, ("i1", "i2"), ("s1", "s2")).entries],
+            id="InteractionMatrix",
+        ),
+        pytest.param((2, 2), lambda a: attrgetter("A", "B")(BimatrixGame(a, a)), id="BimatrixGame"),
+        pytest.param(
+            (2,),
+            lambda a: attrgetter("sigma_p", "sigma_s")(Equilibrium(a, a, ((0, 1), (0, 1)))),
+            id="Equilibrium",
+        ),
+        pytest.param((4, 2), lambda a: [classical_mds(a, out_dim=2)], id="classical_mds"),
+        pytest.param((4, 2), lambda a: kmeans(a, 2, np.random.default_rng(0))[:2], id="kmeans"),
+        pytest.param(
+            (4, 2),
+            lambda a: [c.mean.values for c in cluster_summary(a, [0, 0, 1, 1])],
+            id="cluster_summary",
+        ),
+    ],
+)
+def test_leaves_the_callers_array_writable(shape, build):
+    # Every array input is copied before it is frozen, so the caller can
+    # still write to it, and the write reaches nothing built from it.
+    raw = np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape)
+    built = build(raw)
+    before = [np.copy(b) for b in built]
+    raw[...] = 0.5
+    assert raw.flags.writeable
+    for b, was in zip(built, before):
+        assert np.array_equal(b, was)
+
+
 class TestTraitVector:
     def test_rejects_coordinate_outside_unit_interval(self):
         # The first coordinate out of range is named by position.
@@ -63,12 +102,6 @@ class TestTraitVector:
         with pytest.raises(ConfigurationError, match=r"^trait vector\[3\] must be <= 1, got 7.5$"):
             TraitVector([0.0, 0.25, 1.0, 7.5])
         assert list(TraitVector([0.0, 0.25, 1.0])) == [0.0, 0.25, 1.0]
-
-    def test_leaves_the_callers_array_writable(self):
-        raw = np.full(3, 0.5)
-        v = TraitVector(raw)
-        raw[0] = 0.9
-        assert v[0] == 0.5
 
     def test_dimension_is_fixed(self):
         v = TraitVector(np.zeros(8))
@@ -159,7 +192,7 @@ class TestInteractionMatrix:
     @pytest.mark.parametrize(
         "build,message",
         [
-            (lambda path: InteractionMatrix(np.zeros(8)), "two-dimensional"),
+            (lambda path: InteractionMatrix(np.zeros(8)), "2-D and nonempty, got shape"),
             (
                 lambda path: InteractionMatrix(np.zeros((2, 1)), ("a", "a"), ("s",)),
                 "trait names must be unique",
@@ -168,6 +201,12 @@ class TestInteractionMatrix:
             (lambda path: InteractionMatrix.from_csv(path("")), "empty matrix file"),
             (lambda path: InteractionMatrix.from_csv(path(",i\nrow1,high\n")), ":2: could not"),
             (lambda path: InteractionMatrix.from_csv(path(",i,j\n\n")), "no matrix rows"),
+            # A blank header row loaded as a matrix of no individual traits,
+            # and a scenario using it failed later without naming the file.
+            (
+                lambda path: InteractionMatrix.from_csv(path("\ns1\ns2\n")),
+                r"m\.csv: interaction matrix must be 2-D and nonempty, got shape \(0, 2\)$",
+            ),
         ],
     )
     def test_input_check_names_its_field(self, tmp_path, build, message):

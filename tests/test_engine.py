@@ -1288,7 +1288,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "build,field",
         [
-            (lambda: PopulationGroup(-1, TraitVector([0.5] * 8)), "group count"),
+            (lambda: PopulationGroup(-1, TraitVector([0.5] * 8)), "count must be >= 0"),
             (lambda: PopulationGroup(4, TraitVector([0.5] * 8), -0.1), "std must .* -0.1"),
             (lambda: PopulationGroup(4, TraitVector([0.5] * 8), float("inf")), "std must .* inf"),
             (lambda: MatchingConfig(gamma=-1.0), "gamma"),

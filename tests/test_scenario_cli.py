@@ -216,7 +216,10 @@ class TestScenarioParsing:
                 {"population": [{"count": 4, "mean": [0.5] * 8, "std": "wide"}]},
                 r"population\[0\]: std: expected a number, got 'wide'",
             ),
-            ({"population": [{"count": -1, "mean": [0.5] * 8}]}, r"population\[0\]: group count"),
+            (
+                {"population": [{"count": -1, "mean": [0.5] * 8}]},
+                r"population\[0\]: count must be >= 0",
+            ),
             ({"interaction": 5}, "interaction: expected 'default' or a CSV path"),
             ({"interaction": "missing.csv"}, "interaction: file not found"),
             ({"name": 5}, "name: expected a nonempty string"),
