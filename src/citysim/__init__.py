@@ -1,7 +1,16 @@
 """Co-evolution simulator: a trait-vector population and a society vector
-shaping each other through matchmaking and gradient ascent."""
+shaping each other through matchmaking and gradient ascent.
 
-from .analysis import KMeansResult, classical_mds, kmeans
+Importing the package loads the simulation modules only. The analysis
+names (KMeansResult, classical_mds, kmeans) and the equilibrium names
+(BimatrixGame, DegeneracyReport, Equilibrium, pure_nash,
+support_enumeration_report, verify_equilibrium) are served on first read:
+the module is imported then, and the name is stored in this module's
+globals, so later reads are plain lookups.
+"""
+
+import importlib
+
 from .core import (
     INDIVIDUAL_TRAITS,
     SOCIETY_TRAITS,
@@ -28,14 +37,6 @@ from .engine import (
     run,
     write_run_outputs,
 )
-from .equilibrium import (
-    BimatrixGame,
-    DegeneracyReport,
-    Equilibrium,
-    pure_nash,
-    support_enumeration_report,
-    verify_equilibrium,
-)
 from .matching import (
     MatchMode,
     expected_pair_weights,
@@ -58,6 +59,32 @@ from .society import (
 )
 
 __version__ = "0.1.0"
+
+# Names read from a submodule on first use, each with its submodule.
+_LAZY = {
+    "KMeansResult": "analysis",
+    "classical_mds": "analysis",
+    "kmeans": "analysis",
+    "BimatrixGame": "equilibrium",
+    "DegeneracyReport": "equilibrium",
+    "Equilibrium": "equilibrium",
+    "pure_nash": "equilibrium",
+    "support_enumeration_report": "equilibrium",
+    "verify_equilibrium": "equilibrium",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "INDIVIDUAL_TRAITS",

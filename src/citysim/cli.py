@@ -14,27 +14,26 @@ runs. Outputs are byte-stable for identical inputs except the summary
 JSON's "meta" block, which carries wall-clock values. Every file goes
 through core's two writers, so every CSV and JSON file has one cell and
 line-end rule (see core._write_csv and core._write_json).
+
+A command imports what only it runs when it runs: the process pool for
+--jobs above 1, analysis for analyze, equilibrium for equilibria, so
+simulate pays for none of them at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import classical_mds, cluster_summary, kmeans
 from .core import ConfigurationError, InteractionMatrix, require_unit
-from .core import _read_text, _write_csv, _write_json
+from .core import _read_csv, _write_csv, _write_json
 from .engine import PERSON_COLUMNS, SimConfig, TimeSeriesLog, run, write_run_outputs
-from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
 from .matching import MatchMode
 from .presets import PRESETS, get_preset
 from .scenario import Scenario, load_scenario
@@ -129,6 +128,8 @@ def _run_many(configs: list[SimConfig], jobs: int) -> list[TimeSeriesLog]:
         raise ConfigurationError(f"jobs: need at least 1, got {jobs}")
     if jobs == 1 or len(configs) <= 1:
         return [run(c) for c in configs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return list(pool.map(_run_config, configs))
 
@@ -285,6 +286,8 @@ def compare_matching(
 def equilibrium_audit(out_dir: str | Path) -> dict:
     """Pure and support-enumerated equilibria of the default matrix game,
     written to out_dir/equilibria.json."""
+    from .equilibrium import BimatrixGame, pure_nash, support_enumeration_report
+
     game = BimatrixGame.common_interest(InteractionMatrix.default())
     pure = pure_nash(game)
     found, degeneracy = support_enumeration_report(game)
@@ -310,23 +313,28 @@ def equilibrium_audit(out_dir: str | Path) -> dict:
 
 
 def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigurationError(f"{path}: empty population file") from None
+    """Ids, traits and trait names of a population snapshot. Every nonblank
+    row has the header's width, and no column name repeats."""
+    header, records = _read_csv(path, "population")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"{path}:1: repeated column(s) {', '.join(repeated)}")
     trait_cols = [i for i, name in enumerate(header) if name not in PERSON_COLUMNS]
     if "id" not in header or not trait_cols:
         raise ConfigurationError(f"{path}: not a population snapshot CSV")
     id_col = header.index("id")
     ids, rows, lines = [], [], []
-    for record in reader:
+    for line, record in records:
+        if len(record) != len(header):
+            raise ConfigurationError(
+                f"{path}:{line}: expected {len(header)} cells, got {len(record)}"
+            )
         try:
             ids.append(int(record[id_col]))
             rows.append([float(record[i]) for i in trait_cols])
-        except (ValueError, IndexError):
-            raise ConfigurationError(f"{path}:{reader.line_num}: bad row {record!r}") from None
-        lines.append(reader.line_num)
+        except ValueError:
+            raise ConfigurationError(f"{path}:{line}: bad row {record!r}") from None
+        lines.append(line)
     if not rows:
         raise ConfigurationError(f"{path}: no rows to analyze")
     traits = np.asarray(rows, dtype=np.float64)
@@ -348,6 +356,8 @@ def analyze_population(
 ) -> dict:
     """Cluster raw traits into clusters groups (k-means seeded by seed),
     embed them in embed_dim dimensions for display, write both artifacts."""
+    from .analysis import classical_mds, cluster_summary, kmeans
+
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     ids, traits, trait_names = _read_population_csv(Path(input_path))

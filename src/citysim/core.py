@@ -1,8 +1,9 @@
 """Trait vectors, the interaction matrix, the package's exceptions, the
 checkers every config field and every array a value type holds go through
 (require_real, require_int, require_unit, require_choice, require_array),
-the reader every input goes through and the two writers every CSV and JSON
-output goes through. Every file is read and written as UTF-8.
+the reader every input goes through (with the CSV row reader both CSV
+inputs share) and the two writers every CSV and JSON output goes through.
+Every file is read and written as UTF-8.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -13,7 +14,6 @@ for life.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -258,17 +258,11 @@ class InteractionMatrix:
         with a society trait name and continues with one real per individual
         trait. Every error, the matrix's own checks included, names the file.
         """
-        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty matrix file") from None
+        header, rows = _read_csv(path, "matrix")
         row_names = tuple(name.strip() for name in header[1:])
         col_names: list[str] = []
         printed_rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        for lineno, row in rows:
             if len(row) != len(row_names) + 1:
                 raise ConfigurationError(
                     f"{path}:{lineno}: expected {len(row_names) + 1} cells, got {len(row)}"
@@ -300,6 +294,21 @@ def _read_text(path: str | Path) -> str:
         raise ConfigurationError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def _read_csv(path: str | Path, what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of a CSV file and an iterator over its other rows, each
+    with its line number. Blank rows, with no cell holding more than
+    whitespace, are skipped. A file with no header ends in "<path>: empty
+    <what> file"."""
+    import csv  # only the two input readers need it
+
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigurationError(f"{path}: empty {what} file") from None
+    return header, ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
 
 
 def _write_json(path: str | Path, obj) -> None:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import yaml
-
 from .core import ConfigurationError, InteractionMatrix, TraitVector, _read_text, require_unit
 from .demographics import DemographicsParams
 from .engine import MatchingConfig, PopulationGroup, SimConfig
@@ -151,7 +149,8 @@ def scenario_from_mapping(
         if not csv_path.exists():
             raise ConfigurationError(f"interaction: file not found: {csv_path}")
         interaction = InteractionMatrix.from_csv(csv_path)
-        source = str(csv_path)
+        # Absolute, so a dump written to any directory loads the same file.
+        source = str(csv_path.resolve())
 
     if "population" not in data:
         raise ConfigurationError("population: required")
@@ -191,6 +190,8 @@ def scenario_from_mapping(
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file."""
+    import yaml  # only scenario files and dumps need it, so presets skip its import
+
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"scenario file not found: {path}")
@@ -210,6 +211,8 @@ def dump_scenario(scenario: Scenario) -> str:
     idempotent, which is what makes the normalized form usable as a
     round-trip oracle.
     """
+    import yaml
+
     cfg = scenario.config
     doc: dict = {
         "name": scenario.name,

@@ -1,4 +1,5 @@
-"""What importing citysim loads, and which assignment solver it binds.
+"""What importing citysim loads, what each command loads on first use, and
+which assignment solver the engine binds.
 
 The engine loads scipy's solver from its own extension module,
 scipy.optimize._lsap, not through the scipy.optimize package. Each test runs
@@ -18,6 +19,11 @@ NOISY = "matching-comparison+noisy"
 
 # scipy packages no command but `citysim analyze` needs.
 HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.stats")
+# Modules only some commands need, each imported by the code that uses it.
+ON_USE = (
+    "yaml", "concurrent.futures", "multiprocessing", "csv", "citysim.analysis",
+    "citysim.equilibrium",
+)
 
 BUDGET = f"""
 import json, sys, tempfile
@@ -29,18 +35,27 @@ from citysim.engine import init_population, run, write_run_outputs
 from citysim.presets import get_preset
 
 def loaded():
-    return [name for name in {HEAVY!r} if name in sys.modules]
+    return sorted(name for name in {HEAVY + ON_USE!r} if name in sys.modules)
 
 config = get_preset("locality-grid-10x10").config
 init_population(config)
 out = {{"import": loaded(), "mode": config.matching.mode.value}}
 config = replace(config, max_time=40.0)
 log = run(config)
-out.update(run=loaded(), births=int(log.births[1:].sum()))
+out.update(births=int(log.births[1:].sum()))
 with tempfile.TemporaryDirectory() as tmp:
     write_run_outputs(log, config, Path(tmp), 0.0)
+    out.update(run=loaded())
+    scenario_file = Path(tmp, "s.yaml")
+    scenario_file.write_text("seed: 3\\npopulation: [{{count: 8, mean: {{}}}}]\\nmax_time: 4\\n")
+    small = citysim.load_scenario(scenario_file).config
+    out.update(load=loaded())
+    members = citysim.cli._run_many([small, replace(small, seed=4)], 2)
+    out.update(pool=loaded(), pooled=[m.status for m in members])
     argv = ["analyze", "--input", f"{{tmp}}/population_final.csv", "--out", f"{{tmp}}/ana"]
     out.update(exit=citysim.cli.main(argv), analyze=loaded())
+    out.update(audit=citysim.cli.main(["equilibria", "--out", f"{{tmp}}/eq"]), equilibria=loaded())
+out.update(served=citysim.kmeans is citysim.analysis.kmeans)
 print(json.dumps(out))
 """
 
@@ -71,12 +86,19 @@ def _child(code: str) -> dict:
 
 def test_import_and_run_leave_heavy_scipy_unloaded():
     # A command pays for every module it imports before it does any work:
-    # scipy.optimize's package import alone took most of citysim's start-up.
+    # scipy.optimize's package import alone took most of citysim's start-up,
+    # and YAML, the process pool, analysis and equilibrium a sixth of it.
     out = _child(BUDGET)
     assert out["import"] == [] and out["mode"] == "locality"
     # The locality rounds paired through the solver, and loaded nothing more.
     assert out["births"] > 0 and out["run"] == []
-    assert out["exit"] == 0 and "scipy.spatial" in out["analyze"]
+    assert out["load"] == ["yaml"]
+    assert {"concurrent.futures", "multiprocessing"} <= set(out["pool"]) and len(out["pooled"]) == 2
+    assert "citysim.analysis" not in out["pool"]
+    assert out["exit"] == 0 and {"citysim.analysis", "scipy.spatial"} <= set(out["analyze"])
+    assert "citysim.equilibrium" not in out["analyze"]
+    assert out["audit"] == 0 and "citysim.equilibrium" in out["equilibria"]
+    assert out["served"]
 
 
 def test_scipy_optimize_imported_later_gets_the_same_solver():

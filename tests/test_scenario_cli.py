@@ -242,6 +242,23 @@ class TestScenarioParsing:
 
 
 class TestScenarioRoundTrip:
+    def test_dump_beside_a_relative_path_loads_the_same_matrix(self, tmp_path, monkeypatch):
+        # The YAML is loaded by a path relative to the working directory, and
+        # the dump goes into the YAML's own directory: the matrix it names
+        # must still be the one beside the source, not configs/configs/m.csv.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "configs").mkdir()
+        matrix = InteractionMatrix(InteractionMatrix.default().entries * 0.5)
+        matrix.to_csv(tmp_path / "configs" / "m.csv")
+        sc = load_scenario(write_config(Path("configs"), small_mapping(interaction="m.csv")))
+        dump = Path("configs") / "dump.yaml"
+        dump.write_text(dump_scenario(sc))
+        again = load_scenario(dump)
+        assert again.interaction_source == sc.interaction_source
+        assert np.array_equal(again.config.interaction.entries, matrix.entries)
+        same_matrix = dataclasses.replace(again.config, interaction=sc.config.interaction)
+        assert dataclasses.replace(again, name=sc.name, config=same_matrix) == sc
+
     def test_dump_then_load_is_stable(self, tmp_path):
         original = write_config(
             tmp_path,
@@ -734,13 +751,14 @@ class TestCliCompare:
         assert lines[0] == "mode,seed,min_population,convergent_happiness,status"
         assert len(lines) == 5
 
-    def test_deterministic_report(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_report(self, tmp_path, jobs):
+        # A second serial run, then a pooled one, writes the serial run's bytes.
         sc = scenario_from_mapping(small_mapping())
         report = compare_matching(sc, 2, tmp_path / "a", jobs=1)
-        compare_matching(sc, 2, tmp_path / "b", jobs=1)
-        assert (tmp_path / "a" / "compare_matching.json").read_bytes() == (
-            tmp_path / "b" / "compare_matching.json"
-        ).read_bytes()
+        compare_matching(sc, 2, tmp_path / "b", jobs=jobs)
+        for name in ("compare_matching.csv", "compare_matching.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert load_json_strict(tmp_path / "a" / "compare_matching.json") == report
 
     def test_extinct_runs_write_strict_json(self, tmp_path):
@@ -824,16 +842,37 @@ class TestCliAnalyze:
         assert main(["analyze", "--input", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "bad_row", ["0,male,0.0,9.0,1.0,3.0,,,0.5,abc", "0,male,0.0,9.0,1.0,3.0,,,0.5"]
+        "bad_row",
+        [
+            "0,male,0.0,9.0,1.0,3.0,,,0.5,abc",
+            "0,male,0.0,9.0,1.0,3.0,,,0.5",
+            "0,male,0.0,9.0,1.0,3.0,,,0.3,0.4,0.9,0.9",
+        ],
     )
     def test_malformed_row_exits_2(self, tmp_path, capsys, bad_row):
-        # A non-numeric trait cell, then a row one cell short.
+        # A non-numeric trait cell, a row one cell short, a row two cells wide.
         header = "id,sex,birth_time,death_time,next_available_time,happiness,gx,gy,a,b"
         good = "1,female,0.0,9.0,1.0,3.0,,,0.5,0.5"
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{header}\n{good}\n{bad_row}\n")
         assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "ana")]) == 2
         assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_repeated_column_exits_2(self, tmp_path, capsys):
+        # Two trait columns of one name would share one "mean" key.
+        bad = tmp_path / "pop.csv"
+        bad.write_text("id,a,b,a\n0,0.5,0.2,0.9\n1,0.3,0.4,0.1\n")
+        assert main(["analyze", "--input", str(bad), "--out", str(tmp_path / "ana")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: repeated column(s) a\n"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        # As InteractionMatrix.from_csv skips them, a trailing blank line included.
+        pop = tmp_path / "pop.csv"
+        pop.write_text("id,a,b\n0,0.5,0.2\n\n1,0.3,0.4\n2,0.9,0.1\n\n")
+        argv = ["analyze", "--input", str(pop), "--out", str(tmp_path / "ana"), "--clusters", "1"]
+        assert main(argv) == 0
+        rows = (tmp_path / "ana" / "analysis_embedding.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["id", "0", "1", "2"]
 
     def test_out_of_range_trait_exits_2(self, tmp_path, capsys):
         # Traits are checked as the file is read, as a TraitVector checks
