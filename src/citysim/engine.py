@@ -284,13 +284,13 @@ class SimConfig:
 class TimeSeriesLog:
     """Per-round record of the run, plus the initial and final rosters.
 
-    run() records a row for every round, then keeps t=0, every log_every-th
-    round and the final round, which is where a run that dies out stops.
-    A kept row's births and deaths count every round since the previous
-    kept row, so population[i] = population[i-1] + births[i] - deaths[i]
-    holds for every row. theta and the happiness columns reflect the state
-    after the row's round completed; with nobody alive, mean_happiness,
-    mean_current_happiness and mean_traits are nan.
+    run() writes each round into numpy columns (head count, running totals of
+    births and deaths, total happiness, theta, mean traits, each block's head
+    count and happiness sum). The log keeps t=0, every log_every-th round and
+    the last, where a dying run stops, and derives the rest from those rows:
+    times, means, and births and deaths as differences of the totals, each
+    counting every round since the previous kept row. theta and happiness are
+    as of the end of the row's round; with nobody alive, the means are nan.
 
     On a w x h grid, block_population and block_mean_happiness (rows, w, h)
     hold each block's head count and mean happiness, 0 and nan when empty;
@@ -752,7 +752,7 @@ def _status(male: np.ndarray) -> str:
 class _RunState:
     """What one round of run() hands the next: the sequence streams, the
     initial snapshot and the roster, theta and its gain, the next id, the
-    status, a log row per round so far and k, the last round done; and the
+    status, the log columns so far and k, the last round done; and the
     run's constants. step() advances one active round or one idle stretch.
     Nothing else outlives a step, so a pickled state finishes the same run."""
 
@@ -770,10 +770,6 @@ class _RunState:
         self.gain = trait_gain(self.theta, config.interaction)
         self.next_id = self.initial.size
         self.status = _status(self.roster.sex == 0)
-        # One tuple per round from t=0 on, so row k is round k, holding the
-        # TimeSeriesLog columns in field order (times through mean_traits, and
-        # on a grid the two per-block columns).
-        self.rows: list[tuple] = []
         self.k = 0
         self.n_rounds = int(math.floor(config.max_time / config.mating_period + 1e-9))
         # Under the deterministic rule with a global crowding term, no round
@@ -789,7 +785,17 @@ class _RunState:
         self.penalty = np.negative(_block_penalty(config)) if locality else None
         # The assignment rounds' cost cells, reused until the run ends.
         self.buffers = _CostBuffers()
-        self._record(0, self.theta[None], self.gain[:, None], self.roster.mean_traits(), 0, 0)
+        # The log's columns, row k for round k, in the order log() reads them.
+        columns = [("population", int), ("births", int), ("deaths", int), ("happiness", float)]
+        columns += [("theta", float, self.theta.shape), ("x_bar", float, self.gain.shape)]
+        if (grid := config.grid) is not None:
+            columns += [("block_population", int, grid), ("block_happiness", float, grid)]
+        self.history = np.empty(0, columns)
+        self._record(0, self.theta[None], self.roster.mean_traits(), 0, 0)
+
+    def __getstate__(self) -> dict:
+        # The log's rows after k are growth slack, which no round reads.
+        return {**self.__dict__, "history": self.history[: self.k + 1]}
 
     @property
     def done(self) -> bool:
@@ -843,9 +849,8 @@ class _RunState:
             lam = config.schedule.rate(x_bar)
             thetas = society_path(self.theta, x_bar, config.interaction, lam, last - first + 1)
         # The last round's gain pairs and scores the next active round.
-        gains = trait_gain(thetas.T, config.interaction)
-        self.theta, self.gain = thetas[-1], gains[:, -1]
-        self._record(first, thetas, gains, x_bar, born, died)
+        self.theta, self.gain = thetas[-1], trait_gain(thetas[-1], config.interaction)
+        self._record(first, thetas, x_bar, born, died)
         self.k = last
 
     def _bear(
@@ -894,47 +899,45 @@ class _RunState:
         return n, died
 
     def _record(
-        self, first: int, thetas: np.ndarray, gains: np.ndarray, x_bar: np.ndarray,
-        born: int, died: int,
+        self, first: int, thetas: np.ndarray, x_bar: np.ndarray, born: int, died: int
     ) -> None:
-        """One row per row of thetas (column of gains, its I theta), for
-        rounds first on, all of the current roster: born and died go to the
-        first row, the later rows record none. Mean current happiness is
-        x_bar . (I theta), x_bar being the roster's mean trait vector."""
-        config, roster, period = self.config, self.roster, self.config.mating_period
-        n = roster.size
+        """Write rounds first on, one per row of thetas, for the roster and its
+        mean traits x_bar: born and died add to the totals from round first."""
+        roster, end = self.roster, first + len(thetas)
+        if end > len(self.history):
+            history = np.empty(max(end, 2 * len(self.history)), self.history.dtype)
+            history[:first] = self.history[:first]
+            self.history = history
+        born += self.history["births"][first - 1] if first else 0
+        died += self.history["deaths"][first - 1] if first else 0
+        rows = self.history[first:end]
+        rows["population"], rows["births"], rows["deaths"] = roster.size, born, died
         # np.add.reduce is ndarray.sum's own reduction, without its wrapper.
-        tot = float(np.add.reduce(roster.happiness))
-        mean = tot / n if n else math.nan
-        mean_cur = score(gains, x_bar).tolist()
-        tallies = [(born, died)] + [(0, 0)] * (len(thetas) - 1)
-        blocks = ()
-        if config.grid is not None:
-            # Head count and mean happiness (nan when empty) of each block.
-            size = config.grid[0] * config.grid[1]
-            counts = np.bincount(roster.block, minlength=size)
-            sums = np.bincount(roster.block, weights=roster.happiness, minlength=size)
-            means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
-            blocks = (counts.reshape(config.grid), means.reshape(config.grid))
-        for k, ((b, dd), th, cur) in enumerate(zip(tallies, thetas, mean_cur), first):
-            self.rows.append((k * period, n, b, dd, tot, mean, cur, th, x_bar, *blocks))
+        rows["happiness"] = np.add.reduce(roster.happiness)
+        rows["theta"], rows["x_bar"] = thetas, x_bar
+        if (grid := self.config.grid) is not None:
+            size = grid[0] * grid[1]
+            counts = np.bincount(roster.block, minlength=size).reshape(grid)
+            sums = np.bincount(roster.block, roster.happiness, size)
+            rows["block_population"], rows["block_happiness"] = counts, sums.reshape(grid)
 
     def log(self) -> TimeSeriesLog:
         """The log so far: the rows of t=0, every log_every-th round and the last round."""
-        config, roster, rows = self.config, self.roster, self.rows
-        # np.asarray stacks each column: Python ints give int64, and array
-        # rows give (rows, *shape) arrays. Births and deaths become running
-        # totals, so a kept row's difference counts every round since the
-        # previous kept row.
-        kept = sorted({*range(0, len(rows), config.log_every), len(rows) - 1})
-        columns = [np.asarray(column) for column in zip(*rows)]
-        columns[2:4] = (np.cumsum(c) for c in columns[2:4])
-        columns = [c[kept] for c in columns]
-        columns[2:4] = (np.diff(c, prepend=0) for c in columns[2:4])
-        if config.grid is None:
-            columns += [None, None]
+        config, roster = self.config, self.roster
+        kept = np.r_[0 : self.k : config.log_every, self.k]
+        pop, births, deaths, tot, theta, x_bar, *blocks = (
+            self.history[name][kept] for name in self.history.dtype.names
+        )
+        mean = np.divide(tot, pop, out=np.full(tot.shape, np.nan), where=pop > 0)
+        if blocks:
+            counts, sums = blocks
+            blocks[1] = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
+        births, deaths = np.diff(births, prepend=0), np.diff(deaths, prepend=0)
         return TimeSeriesLog(
-            *columns,
+            kept * config.mating_period, pop, births, deaths, tot, mean,
+            # x_bar . (I theta): the bits of each round's own score(gain, x_bar).
+            score(trait_gain(theta.T, config.interaction), x_bar.T),
+            theta, x_bar, *(blocks or (None, None)),
             trait_names=config.interaction.row_names,
             society_names=config.interaction.col_names,
             status=self.status,

@@ -854,6 +854,8 @@ class TestRunState:
         while state.k < state.n_rounds // 2:
             state.step()
         assert not state.done
+        # A log taken mid-run leaves the state's columns as they were.
+        state.log()
         saved = pickle.dumps(state)
         # Every round writes the cost cells it reads, so a pickle leaves them
         # out. With them, the locality state pickled to 1 478 889 bytes.
@@ -867,6 +869,35 @@ class TestRunState:
         assert state.status == "completed" and state.k == state.n_rounds
         assert straight.births[1:].sum() and straight.deaths[1:].sum()
         assert log_fields(state.log()) == log_fields(straight)
+
+    def test_pickle_leaves_out_the_log_slack(self):
+        # The log's columns grow by doubling; a pickle holds only the rows
+        # of the rounds done, and the state it loads to logs the same.
+        state = engine._RunState(RUN_STATE_CASES["locality"]())
+        while state.k < 100:
+            state.step()
+        assert len(state.history) > state.k + 1
+        loaded = pickle.loads(pickle.dumps(state))
+        assert len(loaded.history) == state.k + 1
+        assert loaded.history.tobytes() == state.history[: state.k + 1].tobytes()
+        assert log_fields(loaded.log()) == log_fields(state.log())
+
+    def test_idle_stretch_longer_than_the_log(self, monkeypatch):
+        # Founders who mature late shut the gate for the first rounds, so
+        # one step advances more rounds than twice the log's rows at its
+        # start: the columns must grow to fit the whole stretch at once.
+        # The person-level oracle checks every row.
+        stretches, record = [], engine._RunState._record
+
+        def spy(state, first, thetas, *args):
+            stretches.append((len(state.history), first + len(thetas)))
+            return record(state, first, thetas, *args)
+
+        monkeypatch.setattr(engine._RunState, "_record", spy)
+        crowded = TRACE_CASES["crowded"]
+        late = dataclasses.replace(crowded["demographics"], maturity_age=5.0)
+        TestReferenceTrace.check(SimConfig(**{**crowded, "demographics": late}))
+        assert any(end > 2 * rows > 0 for rows, end in stretches)
 
 
 class TestRunBehavior:

@@ -585,6 +585,60 @@ class TestReusedCostBuffers:
         assert calls == ["weights", "solve"] * calls.count("solve")
 
 
+class TestSeparableWeights:
+    """The pair weights are separable, w_ij = alpha * (a_i + b_j) + c. In a
+    full assignment each person on the shorter side adds their own
+    alpha * a_i + c whoever their partner is, so that side's scores never
+    move a pair: among the chosen people, noisy and partitioned rounds pair
+    by the noise alone. Locality is left out, as its ties are exact."""
+
+    @pytest.mark.parametrize("mode", [MatchMode.NOISY, MatchMode.PARTITIONED])
+    @pytest.mark.parametrize("relation", ["<", "=", ">"])
+    @settings(derandomize=True)
+    @given(data=st.data())
+    def test_shorter_sides_scores_move_no_pair(self, mode, relation, data):
+        short, extra = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+        ky, kz = {
+            "<": (short, short + extra),
+            "=": (short, short),
+            ">": (short + extra, short),
+        }[relation]
+        # The traits and the round's noise are continuous draws, so no two
+        # assignments tie.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        matching = MatchingConfig(
+            mode=mode,
+            partition_size=data.draw(st.integers(1, 5)),
+            noise_sigma=data.draw(st.sampled_from([0.1, 1.0])),
+        )
+        config = SimConfig(
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            groups=(PopulationGroup(1, TraitVector([0.5] * 8)),),
+            theta0=TraitVector(rng.uniform(size=13)),
+            demographics=DemographicsParams(mutation_prob=data.draw(st.sampled_from([0.0, 0.5]))),
+            matching=matching,
+        )
+        gain = trait_gain(config.theta0, MATRIX)
+        k = data.draw(st.integers(1, 1000))
+        y, z = rng.uniform(size=(ky, 8)), rng.uniform(size=(kz, 8))
+
+        def pairs(y, z):
+            roster = locality_roster(y, z, [0] * ky, [0] * kz)
+            yi, zi = np.arange(ky), ky + np.arange(kz)
+            sel_y, sel_z = _match_pairs(roster, yi, zi, gain, config, k, None, None, _CostBuffers())
+            return sel_y.tolist(), sel_z.tolist()
+
+        before = pairs(y, z)
+        # New traits, so new scores, for the shorter side: the men when the
+        # sides are equal. In a partitioned round that side is the shorter
+        # one, or as long, in every block.
+        if ky <= kz:
+            y = rng.uniform(size=y.shape)
+        else:
+            z = rng.uniform(size=z.shape)
+        assert pairs(y, z) == before
+
+
 class TestGatePrefix:
     """Under the deterministic rule with global N, the engine's optimal
     matching ranks each side only down to its lowest-scoring reacher of
