@@ -369,10 +369,10 @@ class Roster:
     axis, so a stable sort breaks ties by id.
 
     Each column is a view of the window [lo, hi) of a buffer whose last
-    axis, the capacity, has slack on either side. bury and add_born move
-    the window and write into the buffers in place, in roster order:
-    add_born copies each newborn column straight into the slack after the
-    window, so births build no roster of their own. The constructor adopts
+    axis, the capacity, has slack on either side. In place and in roster
+    order, bury advances the window's start and add_born its end, copying
+    each newborn column straight into the slack after the window, so
+    births build no roster of their own. The constructor adopts
     its arrays as the buffers, window and all, and empty() makes buffers
     with nobody in them. Built from C-contiguous traits, as take and empty
     build them, each trait row stays contiguous, with a row stride of the
@@ -418,28 +418,19 @@ class Roster:
     def bury(self, keep: np.ndarray) -> None:
         """Drop the people where keep is false, in place and in order.
 
-        Of the survivors older than the youngest dead person and those
-        younger than the oldest dead person, only the smaller group moves:
-        the older ones shift toward the end and the window's start advances,
-        or the younger ones shift toward the front and its end retreats."""
+        The survivors born before the last death shift up against it, and
+        the window's start advances by the number dead; the rest keep their
+        slots. So a burial moves at most the survivors born before the last
+        death, while its mask, keep, spans the whole roster anyway."""
         dead = np.flatnonzero(~keep)
         if not dead.size:
             return
-        first, last = int(dead[0]), int(dead[-1])
-        n_older = last + 1 - dead.size
-        n_younger = self.size - first - dead.size
-        lo = self._lo
-        if n_older <= n_younger:
-            src = lo + np.flatnonzero(keep[:last])
-            self._lo = lo + last + 1 - n_older
-            dst = slice(self._lo, self._lo + n_older)
-        else:
-            src = lo + first + 1 + np.flatnonzero(keep[first + 1 :])
-            self._hi = lo + first + n_younger
-            dst = slice(lo + first, self._hi)
+        last, lo = int(dead[-1]), self._lo
+        src = lo + np.flatnonzero(keep[:last])
+        self._lo = lo + dead.size
         for buf in self._buffers:
             if buf is not None:
-                buf[..., dst] = buf.take(src, axis=-1)
+                buf[..., self._lo : lo + last + 1] = buf.take(src, axis=-1)
         self._view()
 
     @classmethod
@@ -751,9 +742,9 @@ def _status(male: np.ndarray) -> str:
 
 class _RunState:
     """What one round of run() hands the next: the sequence streams, the
-    initial snapshot and the roster, theta and its gain, the next id, the
-    status, the log columns so far and k, the last round done; and the
-    run's constants. step() advances one active round or one idle stretch.
+    initial snapshot and the roster, theta, the next id, the status, the
+    log columns so far and k, the last round done; and the run's
+    constants. step() advances one active round or one idle stretch.
     Nothing else outlives a step, so a pickled state finishes the same run."""
 
     def __init__(self, config: SimConfig) -> None:
@@ -765,9 +756,6 @@ class _RunState:
         # snapshot.
         self.roster = self.initial.take(self.initial.death > 0.0)
         self.theta = config.theta0.values
-        # The trait payoff under the current theta: it scores the round's
-        # pairing and newborns.
-        self.gain = trait_gain(self.theta, config.interaction)
         self.next_id = self.initial.size
         self.status = _status(self.roster.sex == 0)
         self.k = 0
@@ -787,7 +775,8 @@ class _RunState:
         self.buffers = _CostBuffers()
         # The log's columns, row k for round k, in the order log() reads them.
         columns = [("population", int), ("births", int), ("deaths", int), ("happiness", float)]
-        columns += [("theta", float, self.theta.shape), ("x_bar", float, self.gain.shape)]
+        columns += [("theta", float, self.theta.shape)]
+        columns += [("x_bar", float, config.interaction.individual_dim)]
         if (grid := config.grid) is not None:
             columns += [("block_population", int, grid), ("block_happiness", float, grid)]
         self.history = np.empty(0, columns)
@@ -848,8 +837,7 @@ class _RunState:
         if roster.size:
             lam = config.schedule.rate(x_bar)
             thetas = society_path(self.theta, x_bar, config.interaction, lam, last - first + 1)
-        # The last round's gain pairs and scores the next active round.
-        self.theta, self.gain = thetas[-1], trait_gain(thetas[-1], config.interaction)
+        self.theta = thetas[-1]
         self._record(first, thetas, x_bar, born, died)
         self.k = last
 
@@ -871,8 +859,10 @@ class _RunState:
         zi = np.flatnonzero(avail ^ avail_male)
         if not (yi.size and zi.size):
             return 0, 0
+        # The trait payoff under the current theta scores the pairing and the newborns.
+        gain = trait_gain(self.theta, config.interaction)
         sel_y, sel_z = _match_pairs(
-            roster, yi, zi, self.gain, config, k, self.penalty, reach, self.buffers
+            roster, yi, zi, gain, config, k, self.penalty, reach, self.buffers
         )
         # The crowding term counts the roster, which holds only the living,
         # or with block scope the mean head count of the partners' home blocks.
@@ -894,7 +884,7 @@ class _RunState:
             block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
         roster.avail[sel_y] = t + mating_gap(h_y[ok], d)
         roster.avail[sel_z] = t + mating_gap(h_z[ok], d)
-        died = _newborns(roster, self.next_id, traits.T, t, self.gain, block, config, streams)
+        died = _newborns(roster, self.next_id, traits.T, t, gain, block, config, streams)
         self.next_id += n
         return n, died
 

@@ -334,6 +334,30 @@ class TestRosterWindow:
     def test_window_matches_compact_copies(self, n0, ops, with_block, seed):
         drive_window(n0, ops, with_block, seed)
 
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.integers(0, 300), st.integers(0, 50), st.sampled_from(BURIALS),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    def test_burial_moves_only_the_window_start(self, n0, front, kind, seed, with_block):
+        # The window's end stays, its start advances by the number dead,
+        # and each survivor born after the last death keeps its buffer
+        # slot. A first burial of the front people starts the window past
+        # the buffer's front.
+        rng = np.random.default_rng(seed)
+        roster = random_roster(rng, 0, n0, with_block)
+        roster.bury(np.arange(n0) >= front)
+        lo, hi = roster._lo, roster._hi
+        keep = burial_mask(kind, roster.size, rng)
+        ids = roster.ids[keep]
+        roster.bury(keep)
+        dead = np.flatnonzero(~keep)
+        assert (roster._lo, roster._hi) == (lo + dead.size, hi)
+        assert roster.ids.tolist() == ids.tolist()
+        later = np.flatnonzero(keep) > (dead[-1] if dead.size else -1)
+        slots = lo + np.flatnonzero(keep)[later]
+        assert (roster._lo + np.flatnonzero(later)).tolist() == slots.tolist()
+
     def test_tour_covers_every_case(self):
         events = drive_window(*WINDOW_TOUR, with_block=True)
         assert events == {*BURIALS, "slide", "grow", "add onto empty"}

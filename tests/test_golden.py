@@ -117,8 +117,8 @@ def test_plateau_case_ranks_only_the_gate_prefix(tmp_path, monkeypatch):
 
 
 def test_plateau_case_buries_in_place(tmp_path, monkeypatch):
-    # Each burial moves only the survivors on one side of the dead, so on
-    # the plateau most burial steps move fewer than half the people the
+    # Each burial moves only the survivors born before the last death, so
+    # on the plateau most burial steps move fewer than half the people the
     # roster holds, and the digests still hold.
     steps = []
     bury = engine.Roster.bury
