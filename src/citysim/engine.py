@@ -331,7 +331,7 @@ class TimeSeriesLog:
 
     def write_grid_csv(self, path: str | Path) -> None:
         if self.block_population is None:
-            raise ConfigurationError("this run has no grid log (no locality grid)")
+            raise ConfigurationError("this run has no grid log (it ran without a grid)")
         rows, w, h = self.block_population.shape
         t = np.repeat(self.times, w * h)
         xy = np.tile(_block_xy((w, h)), rows)
@@ -370,14 +370,15 @@ class Roster:
 
     Each column is a view of the window [lo, hi) of a buffer whose last
     axis, the capacity, has slack on either side. In place and in roster
-    order, bury advances the window's start and add_born its end, copying
-    each newborn column straight into the slack after the window, so
-    births build no roster of their own. The constructor adopts
-    its arrays as the buffers, window and all, and empty() makes buffers
-    with nobody in them. Built from C-contiguous traits, as take and empty
-    build them, each trait row stays contiguous, with a row stride of the
-    capacity, so mean_traits sums the same bits as over a compact copy. A
-    pickle holds only the live people."""
+    order, bury advances the window's start and add_born its end,
+    gathering the newborns who outlive their birth straight into the slack
+    after the window, so births build no roster of their own. A roster is
+    made in one of two ways: the constructor adopts its arrays as the
+    buffers, window and all, as init_population does with the founders'
+    columns, and take copies a subset. Built from C-contiguous traits, as
+    both build them, each trait row stays contiguous, with a row stride of
+    the capacity, so mean_traits sums the same bits as over a compact copy.
+    A pickle holds only the live people."""
 
     COLUMNS = ("ids", "sex", "traits", "happiness", "birth", "death", "avail", "block")
     __slots__ = (*COLUMNS, "_buffers", "_lo", "_hi")
@@ -433,37 +434,18 @@ class Roster:
                 buf[..., self._lo : lo + last + 1] = buf.take(src, axis=-1)
         self._view()
 
-    @classmethod
-    def empty(cls, capacity: int, dim: int, with_block: bool) -> "Roster":
-        """Nobody yet, in buffers that hold capacity people with dim traits
-        each, and a home block each when with_block is true."""
-        floats = (np.empty(capacity) for _ in range(4))
-        block = np.empty(capacity, dtype=np.int64) if with_block else None
-        ids, sex = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int8)
-        roster = cls(ids, sex, np.empty((dim, capacity)), *floats, block)
-        roster._hi = 0
-        roster._view()
-        return roster
-
     def add_born(
         self, first_id: int, t: float, avail: float, sex: np.ndarray, traits: np.ndarray,
         happiness: np.ndarray, death: np.ndarray, block: np.ndarray | None,
-        keep_dead: bool = False,
     ) -> int:
-        """Write the people born at t into the slack after the window, one
-        copy per column: ids first_id on, one per entry of death, with their
-        sex (0 or 1), (dim, n) traits, happiness, death time and home block
-        (None without a grid), birth t and first availability avail. Only
-        those whose death is after t join, or with keep_dead all of them, as
-        in a founding snapshot. Returns how many joined. first_id must
-        exceed this roster's ids."""
-        n = death.shape[0]
-        idx = None
-        if not keep_dead:
-            alive = death > t
-            if np.count_nonzero(alive) < n:
-                idx = np.flatnonzero(alive)
-        m = n if idx is None else idx.size
+        """Gather the people born at t who outlive it into the slack after
+        the window: of the newborns with ids first_id on, one per entry of
+        death, with their sex, (dim, n) traits, happiness, death time and
+        home block (None without a grid), those whose death is after t join,
+        born at t and first available at avail. Returns how many joined.
+        first_id must exceed this roster's ids."""
+        idx = np.flatnonzero(death > t)
+        m = idx.size
         if self.size and m and first_id <= self.ids[-1]:
             raise ConsistencyError(
                 f"roster ids must ascend: adding id {first_id} after {self.ids[-1]}"
@@ -473,17 +455,16 @@ class Roster:
         ids, sex_buf, traits_buf, happiness_buf, birth_buf, death_buf, avail_buf, block_buf = (
             self._buffers
         )
-        columns = [(sex_buf, sex), (traits_buf, traits), (happiness_buf, happiness)]
-        columns += [(death_buf, death)] + ([] if block_buf is None else [(block_buf, block)])
-        if idx is None:
-            ids[lo:hi] = np.arange(first_id, first_id + n)
-            for buf, col in columns:
-                buf[..., lo:hi] = col
-        else:
-            # mode="clip" gathers straight into the slack; every index is in range.
-            np.add(idx, first_id, out=ids[lo:hi])
-            for buf, col in columns:
-                col.take(idx, axis=-1, out=buf[..., lo:hi], mode="clip")
+        np.add(idx, first_id, out=ids[lo:hi])
+        # A child's traits are one contiguous row of traits.T, as born_batch
+        # makes them, so a row gather copies each child once; a take along
+        # traits' last axis would also copy through two temporaries.
+        traits_buf[:, lo:hi] = traits.T.take(idx, axis=0).T
+        columns = ((sex_buf, sex), (happiness_buf, happiness), (death_buf, death))
+        for buf, col in (*columns, (block_buf, block)):
+            if buf is not None:
+                # mode="clip" gathers straight into the slack; every index is in range.
+                col.take(idx, out=buf[lo:hi], mode="clip")
         birth_buf[lo:hi] = t
         avail_buf[lo:hi] = avail
         self._hi = hi
@@ -514,31 +495,24 @@ class Roster:
         return buf
 
 
-def _newborns(
-    roster: Roster,
-    first_id: int,
+def _birth(
     traits: np.ndarray,
     t: float,
     gain: np.ndarray,
-    block: np.ndarray | None,
     config: SimConfig,
     streams: dict[str, np.random.Generator],
-    keep_dead: bool = False,
-) -> int:
-    """Add to roster the people born at t with the given (dim, n) traits
-    and home blocks: ids from first_id on, sexes drawn uniformly from the
-    "sex" stream (one draw per person, the dead at birth included),
-    happiness frozen against gain, death at t + L(h), and first
-    availability once they have matured. Those dead at birth are left out
-    unless keep_dead; returns how many died at birth. Founders are
-    newborns at t=0."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The birth rule for people born at t with the given (dim, n) traits:
+    their sexes (int8, 0 male, 1 female), drawn uniformly from the "sex"
+    stream, one draw per person, the dead at birth included; their
+    happiness, frozen against gain; their deaths, at t + L(h); and the
+    time they first become available, once they have matured. Founders
+    are newborns at t=0 and children are newborns at their round's t."""
     d = config.demographics
     happiness = score(traits, gain)
-    sex = streams["sex"].integers(0, 2, size=traits.shape[1])
-    avail = t + d.maturity_age * config.mating_period
+    sex = streams["sex"].integers(0, 2, size=traits.shape[1]).astype(np.int8)
     death = t + lifespan(happiness, d)
-    joined = roster.add_born(first_id, t, avail, sex, traits, happiness, death, block, keep_dead)
-    return traits.shape[1] - joined
+    return sex, happiness, death, t + d.maturity_age * config.mating_period
 
 
 def init_population(
@@ -550,8 +524,10 @@ def init_population(
     Traits draw per coordinate from each group's normal (then clip into
     [0, 1]) on the "init" stream, group by group; home blocks draw in one
     batch of (gx, gy) rows on the "location" stream. The founders are then
-    newborns at t=0 under theta0. Rows are in group order, and ids are row
-    numbers, so id ranges identify the founding groups.
+    newborns at t=0 under theta0: _birth gives their other columns, and
+    the Roster constructor adopts them all, any founder dead at birth
+    included. Rows are in group order, and ids are row numbers, so id
+    ranges identify the founding groups.
     """
     if streams is None:
         streams = {name: named_stream(config.seed, name) for name in _SEQUENCE_STREAMS}
@@ -562,15 +538,16 @@ def init_population(
         )
         blocks.append(np.clip(raw, 0.0, 1.0))
     traits = np.ascontiguousarray(np.concatenate(blocks).T)
+    n = traits.shape[1]
     block = None
     if config.grid is not None:
         high = np.asarray(config.grid, dtype=np.int64)
-        gx, gy = streams["location"].integers(0, high, size=(traits.shape[1], 2)).T
+        gx, gy = streams["location"].integers(0, high, size=(n, 2)).T
         block = gx * high[1] + gy
     gain = trait_gain(config.theta0, config.interaction)
-    roster = Roster.empty(traits.shape[1], traits.shape[0], block is not None)
-    _newborns(roster, 0, traits, 0.0, gain, block, config, streams, keep_dead=True)
-    return roster
+    sex, happiness, death, avail = _birth(traits, 0.0, gain, config, streams)
+    ids, birth = np.arange(n, dtype=np.int64), np.zeros(n)
+    return Roster(ids, sex, traits, happiness, birth, death, np.full(n, avail), block)
 
 
 def _block_xy(grid: tuple[int, int]) -> np.ndarray:
@@ -847,9 +824,10 @@ class _RunState:
         """Round k's births at t: the available people are paired, and each
         pair that passes the gate bears one child, with the next id and the
         home block of one parent, picked uniformly. Parents recover until
-        t + gap(h). male marks the roster's men. The children who outlive t
-        are written straight into the roster's slack (Roster.add_born).
-        Returns how many were born and how many of them died at birth."""
+        t + gap(h). male marks the roster's men. _birth gives the children's
+        columns, and those who outlive t are gathered straight into the
+        roster's slack (Roster.add_born). Returns how many were born and
+        how many of them died at birth."""
         config, roster, streams = self.config, self.roster, self.streams
         d = config.demographics
         avail = roster.avail <= t
@@ -877,16 +855,17 @@ class _RunState:
         if not n:
             return 0, 0
         parents = roster.traits[:, sel_y].T, roster.traits[:, sel_z].T
-        traits = born_batch(*parents, streams["born"], d)
+        traits = born_batch(*parents, streams["born"], d).T
         block = None
         if config.grid is not None:
             pick = streams["location"].integers(0, 2, size=n)
             block = np.where(pick == 0, roster.block[sel_y], roster.block[sel_z])
         roster.avail[sel_y] = t + mating_gap(h_y[ok], d)
         roster.avail[sel_z] = t + mating_gap(h_z[ok], d)
-        died = _newborns(roster, self.next_id, traits.T, t, gain, block, config, streams)
+        sex, happiness, death, avail = _birth(traits, t, gain, config, streams)
+        joined = roster.add_born(self.next_id, t, avail, sex, traits, happiness, death, block)
         self.next_id += n
-        return n, died
+        return n, n - joined
 
     def _record(
         self, first: int, thetas: np.ndarray, x_bar: np.ndarray, born: int, died: int

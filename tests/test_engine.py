@@ -69,6 +69,9 @@ class TestInitPopulation:
         roster = init_population(cfg)
         assert roster.size == 100
         assert roster.ids.tolist() == list(range(100))
+        assert roster.ids.dtype == np.int64 and roster.sex.dtype == np.int8
+        for name in ("traits", "happiness", "birth", "death", "avail"):
+            assert getattr(roster, name).dtype == np.float64, name
         assert roster.traits.shape == (8, 100) and roster.traits.flags.c_contiguous
         assert np.all(roster.traits[:, :80] == 0.9)
         assert np.all(roster.traits[:, 80:] == 0.2)
@@ -757,16 +760,15 @@ class TestReferenceTrace:
     def test_trace_cases_actually_reproduce(self, monkeypatch):
         # Guard: each trace must include rounds with births and with deaths,
         # otherwise the comparison above proves less than it claims.
-        # Roster.add_born copies a round's children straight into the slack
-        # when all of them outlive t, and gathers the survivors otherwise:
-        # the traces must hold rounds of both kinds, so the oracle checks
-        # both branches.
+        # Roster.add_born, which only children reach, gathers the ones who
+        # outlive t into the slack: the traces must hold rounds where every
+        # child joins and rounds with gaps, so the oracle checks the gather
+        # with and without people left out.
         dead, add_born = [], Roster.add_born
 
-        def spy_add(roster, first_id, t, avail, sex, traits, h, death, block, keep_dead=False):
-            if not keep_dead:  # not the founders
-                dead.append(death <= t)
-            return add_born(roster, first_id, t, avail, sex, traits, h, death, block, keep_dead)
+        def spy_add(roster, first_id, t, avail, sex, traits, h, death, block):
+            dead.append(death <= t)
+            return add_born(roster, first_id, t, avail, sex, traits, h, death, block)
 
         monkeypatch.setattr(Roster, "add_born", spy_add)
         for case, kwargs in TRACE_CASES.items():
