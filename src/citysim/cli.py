@@ -13,7 +13,9 @@ sweep-lambda and compare-matching also take --jobs for parallel member
 runs. Outputs are byte-stable for identical inputs except the summary
 JSON's "meta" block, which carries wall-clock values. Every file goes
 through core's two writers, so every CSV and JSON file has one cell and
-line-end rule (see core._write_csv and core._write_json).
+line-end rule and its directory is made where it is written (see
+core._write_csv and core._write_json). A snapshot for analyze is read by
+core._read_csv, which holds the row-width and empty-file rules.
 
 A command imports what only it runs when it runs: the process pool for
 --jobs above 1, analysis for analyze, equilibrium for equilibria, so
@@ -186,7 +188,6 @@ def sweep_lambda(
                 "status": log.status,
             }
         )
-    out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "sweep_summary.csv", rows)
     return rows
 
@@ -274,7 +275,6 @@ def compare_matching(
     }
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_rows(
         out / "compare_matching.csv",
         [{"mode": mode, **row} for mode, runs in per_run.items() for row in runs],
@@ -306,15 +306,14 @@ def equilibrium_audit(out_dir: str | Path) -> dict:
             "pure_agrees": len(pure) == _REFERENCE_COUNTS["pure"],
         },
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "equilibria.json", report)
+    _write_json(Path(out_dir) / "equilibria.json", report)
     return report
 
 
 def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
-    """Ids, traits and trait names of a population snapshot. Every nonblank
-    row has the header's width, and no column name repeats."""
+    """Ids, traits and trait names of a population snapshot, whose column
+    names do not repeat. Row widths and the empty body are _read_csv's
+    checks."""
     header, records = _read_csv(path, "population")
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
@@ -325,18 +324,12 @@ def _read_population_csv(path: Path) -> tuple[list[int], np.ndarray, list[str]]:
     id_col = header.index("id")
     ids, rows, lines = [], [], []
     for line, record in records:
-        if len(record) != len(header):
-            raise ConfigurationError(
-                f"{path}:{line}: expected {len(header)} cells, got {len(record)}"
-            )
         try:
             ids.append(int(record[id_col]))
             rows.append([float(record[i]) for i in trait_cols])
         except ValueError:
             raise ConfigurationError(f"{path}:{line}: bad row {record!r}") from None
         lines.append(line)
-    if not rows:
-        raise ConfigurationError(f"{path}: no rows to analyze")
     traits = np.asarray(rows, dtype=np.float64)
     # Every trait is a coordinate in [0, 1], as in a TraitVector; the first
     # one outside it, NaN included, is named by its line and column.
@@ -366,7 +359,6 @@ def analyze_population(
     summaries = cluster_summary(traits, result.labels)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["id", *(f"e{d}" for d in range(embed_dim)), "cluster"]
     columns = [np.asarray(ids), *embedded.T, result.labels]
     _write_csv(out / "analysis_embedding.csv", header, columns)

@@ -3,7 +3,10 @@ checkers every config field and every array a value type holds go through
 (require_real, require_int, require_unit, require_choice, require_array),
 the reader every input goes through (with the CSV row reader both CSV
 inputs share) and the two writers every CSV and JSON output goes through.
-Every file is read and written as UTF-8.
+Each file rule is stated here once: every file is read as UTF-8 with a
+leading byte-order mark dropped, every CSV input has at least one row and
+every row the header's width, and every output is written as UTF-8 with
+"\n" line ends into a directory its writer makes.
 
 Everything downstream is built from two primitives: a bounded trait
 vector (used for both individuals and the society) and a payoff matrix
@@ -15,6 +18,7 @@ for life.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -263,17 +267,11 @@ class InteractionMatrix:
         col_names: list[str] = []
         printed_rows: list[list[float]] = []
         for lineno, row in rows:
-            if len(row) != len(row_names) + 1:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected {len(row_names) + 1} cells, got {len(row)}"
-                )
             col_names.append(row[0].strip())
             try:
                 printed_rows.append([float(cell) for cell in row[1:]])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
-        if not printed_rows:
-            raise ConfigurationError(f"{path}: no matrix rows found")
         try:
             return cls(np.transpose(printed_rows), row_names=row_names, col_names=tuple(col_names))
         except ConfigurationError as exc:
@@ -285,10 +283,11 @@ class InteractionMatrix:
 
 
 def _read_text(path: str | Path) -> str:
-    """The file's text decoded as UTF-8, line ends as they are. Bytes that
-    are not UTF-8 end in a ConfigurationError naming the file."""
+    """The file's text decoded as UTF-8, line ends as they are, and a
+    leading byte-order mark dropped. Bytes that are not UTF-8 end in a
+    ConfigurationError naming the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigurationError(
@@ -299,16 +298,34 @@ def _read_text(path: str | Path) -> str:
 def _read_csv(path: str | Path, what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The header of a CSV file and an iterator over its other rows, each
     with its line number. Blank rows, with no cell holding more than
-    whitespace, are skipped. A file with no header ends in "<path>: empty
-    <what> file"."""
+    whitespace, are skipped; every other row has the header's width, or
+    the iterator raises "<path>:<line>: expected N cells, got M". A file
+    with no header ends in "<path>: empty <what> file", and one with no
+    row under it in "<path>: no <what> rows". Rows are split into cells
+    one at a time, as the caller takes them, so a large file is never
+    held as a list of rows."""
     import csv  # only the two input readers need it
 
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigurationError(f"{path}: empty {what} file") from None
-    return header, ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
+    header = next(reader, None)
+    if header is None:
+        raise ConfigurationError(f"{path}: empty {what} file")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for row in reader:
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise ConfigurationError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            yield reader.line_num, row
+
+    body = rows()
+    first = next(body, None)
+    if first is None:
+        raise ConfigurationError(f"{path}: no {what} rows")
+    return header, itertools.chain([first], body)
 
 
 def _write_json(path: str | Path, obj) -> None:
@@ -316,7 +333,15 @@ def _write_json(path: str | Path, obj) -> None:
     float that is not finite (nan, inf) is written as null, so a strict
     parser reads the file: a first dump reads back with them as None."""
     plain = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    with _open_output(path) as fh:
+        fh.write(json.dumps(plain, indent=2, allow_nan=False) + "\n")
+
+
+def _open_output(path: str | Path):
+    """path opened for writing UTF-8 text with every "\n" written as it
+    is, on every host, once its directory is made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # _write_csv turns at most this many rows into cells at a time, which
@@ -335,7 +360,7 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.nda
     held at once."""
     last = len(columns) - 1
     rows = min((len(col) for col in columns), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, _CSV_CHUNK_ROWS):
             chunk = (col[start : start + _CSV_CHUNK_ROWS] for col in columns)

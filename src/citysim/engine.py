@@ -142,7 +142,8 @@ class PopulationGroup:
     def __post_init__(self) -> None:
         count = require_int(self.count, "count", 0)
         mean = self.mean if isinstance(self.mean, TraitVector) else TraitVector(self.mean)
-        if isinstance(self.std, (list, tuple, np.ndarray)):
+        # A 0-d array is no sequence: require_real names it as std.
+        if isinstance(self.std, (list, tuple)) or getattr(self.std, "ndim", 0) > 0:
             std = tuple(require_real(s, f"std[{k}]", 0.0) for k, s in enumerate(self.std))
         else:
             std = (require_real(self.std, "std", 0.0),) * mean.dim
@@ -202,6 +203,10 @@ class SimConfig:
         seed = require_int(self.seed, "seed", 0)
         if seed >= 2**64:
             raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
+        if not isinstance(self.groups, (list, tuple)) or not all(
+            isinstance(g, PopulationGroup) for g in self.groups
+        ):
+            raise ConfigurationError("groups: expected a list or tuple of PopulationGroup")
         groups = tuple(self.groups)
         if not groups:
             raise ConfigurationError("at least one population group is required")
@@ -962,7 +967,6 @@ def write_run_outputs(
     """Write log.csv, summary.json, both population snapshots, and (for grid
     runs) grid_log.csv into out_dir. Returns the written paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # Volatile values live only under "meta" so everything above it is
     # byte-stable for identical configs and seeds.
     now = datetime.now(timezone.utc).isoformat()

@@ -39,13 +39,25 @@ _SECTIONS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, runnable configuration plus its file-level extras."""
+    """A named, runnable configuration plus its file-level extras. Each
+    extra is checked here, so a Scenario built in Python holds only what a
+    scenario file may: dump_scenario's YAML of it loads back."""
 
     name: str
     config: SimConfig
     out_dir: str | None = None
     preset: str | None = None
     interaction_source: str = "default"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError("name: expected a nonempty string")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigurationError("out: expected a path string")
+        if self.preset is not None and not isinstance(self.preset, str):
+            raise ConfigurationError("preset: expected a string")
+        if not isinstance(self.interaction_source, str):
+            raise ConfigurationError("interaction_source: expected a string")
 
 
 def _require_mapping(obj, field: str) -> dict:
@@ -107,15 +119,10 @@ def _parse_population(data, interaction: InteractionMatrix) -> tuple[PopulationG
     groups = []
     for i, entry in enumerate(data):
         field = f"population[{i}]"
-        _require_mapping(entry, field)
-        _reject_unknown(entry, {"count", "mean", "std"}, field)
-        if "count" not in entry or "mean" not in entry:
+        if "count" not in _require_mapping(entry, field) or "mean" not in entry:
             raise ConfigurationError(f"{field}: count and mean are required")
         mean = _parse_trait_vector(entry["mean"], interaction.row_names, f"{field}.mean")
-        try:
-            groups.append(PopulationGroup(**{**entry, "mean": mean}))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{field}: {exc}") from None
+        groups.append(_parse_section(PopulationGroup, {**entry, "mean": mean}, field))
     return tuple(groups)
 
 
@@ -170,20 +177,11 @@ def scenario_from_mapping(
         grid=data.get("grid"),
         **{key: data[key] for key in _ROOT_SCALARS if key in data},
     )
-    name = data.get("name", name_default)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError("name: expected a nonempty string")
-    out_dir = data.get("out")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigurationError("out: expected a path string")
-    preset = data.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigurationError("preset: expected a string")
     return Scenario(
-        name=name,
+        name=data.get("name", name_default),
         config=config,
-        out_dir=out_dir,
-        preset=preset,
+        out_dir=data.get("out"),
+        preset=data.get("preset"),
         interaction_source=source,
     )
 

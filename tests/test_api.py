@@ -26,6 +26,12 @@ def test_every_exported_name_resolves_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_dir_lists_the_names_read_on_first_use():
+    # The lazy names are not in the package's globals until first read.
+    assert {"kmeans", "BimatrixGame", "verify_equilibrium"} <= set(dir(citysim))
+    assert dir(citysim) == sorted(dir(citysim))
+
+
 @pytest.mark.parametrize("name", ["__init__", *MODULES])
 def test_every_imported_name_is_used(name):
     # A name counts as used when the module reads it or lists it in __all__,

@@ -20,6 +20,8 @@ from citysim.core import (
     InteractionMatrix,
     TraitVector,
     _column_cells,
+    _read_csv,
+    _read_text,
     _write_csv,
     _write_json,
 )
@@ -107,6 +109,14 @@ class TestTraitVector:
         v = TraitVector(np.zeros(8))
         assert v.dim == 8
         assert len(v) == 8
+
+    def test_reads_compares_and_prints_by_value(self):
+        v = TraitVector([0.5, 1])
+        assert v[1] == 1.0 and type(v[1]) is float
+        assert repr(v) == "TraitVector([0.5, 1])"
+        assert v == TraitVector([0.5, 1.0]) and v != TraitVector([0.5, 0.9])
+        # Against another type, == falls back to identity and is False.
+        assert v != [0.5, 1.0] and v.__eq__([0.5, 1.0]) is NotImplemented
 
     def test_values_are_read_only(self):
         v = TraitVector([0.5, 0.5])
@@ -203,9 +213,10 @@ class TestInteractionMatrix:
             (lambda path: InteractionMatrix.from_csv(path(",i,j\n\n")), "no matrix rows"),
             # A blank header row loaded as a matrix of no individual traits,
             # and a scenario using it failed later without naming the file.
+            # Its first row is now too wide for it.
             (
                 lambda path: InteractionMatrix.from_csv(path("\ns1\ns2\n")),
-                r"m\.csv: interaction matrix must be 2-D and nonempty, got shape \(0, 2\)$",
+                r"m\.csv:2: expected 0 cells, got 1$",
             ),
         ],
     )
@@ -380,6 +391,34 @@ def test_write_json_nulls_every_non_finite_float(tmp_path):
     assert load_json_strict(tmp_path / "x.json") == {
         "a": None, "b": [1.5, None, {"c": None}], "d": [2, "x"]
     }
+
+
+def test_writers_make_their_directory(tmp_path):
+    _write_json(tmp_path / "a" / "b" / "x.json", {"k": 1})
+    _write_csv(tmp_path / "c" / "x.csv", ["k"], [np.arange(2)])
+    assert (tmp_path / "a" / "b" / "x.json").read_bytes() == b'{\n  "k": 1\n}\n'
+    assert (tmp_path / "c" / "x.csv").read_bytes() == b"k\n0\n1\n"
+
+
+def test_reader_drops_a_byte_order_mark(tmp_path):
+    # Some spreadsheet programs save UTF-8 CSV with one; the header's first
+    # cell read "\ufeffid".
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,a\n1,0.5\n")
+    assert _read_text(path) == "id,a\n1,0.5\n"
+    header, rows = _read_csv(path, "test")
+    assert header == ["id", "a"] and list(rows) == [(2, ["1", "0.5"])]
+
+
+def test_reader_checks_widths_as_the_rows_are_taken(tmp_path):
+    # Only the first row is read before the call returns: a ragged row
+    # further down raises when the caller reaches it, naming its line.
+    path = tmp_path / "t.csv"
+    path.write_text("id,a\n1,0.5\n\n2\n")
+    header, rows = _read_csv(path, "test")
+    assert next(rows) == (2, ["1", "0.5"])
+    with pytest.raises(ConfigurationError, match=r"t\.csv:4: expected 2 cells, got 1$"):
+        next(rows)
 
 
 def _bits(*values: int) -> np.ndarray:

@@ -1294,6 +1294,13 @@ class TestConfigValidation:
             small_config(grid=(2.9, 3))
         with pytest.raises(ConfigurationError, match="log_every"):
             small_config(log_every=True)
+        # Each raised a bare TypeError that named no field.
+        with pytest.raises(ConfigurationError, match="^std: expected a number"):
+            PopulationGroup(5, TraitVector([0.5] * 8), np.array(0.1))
+        with pytest.raises(ConfigurationError, match="^groups: expected a list or tuple of"):
+            small_config(groups=PopulationGroup(5, TraitVector([0.5] * 8)))
+        with pytest.raises(ConfigurationError, match="^groups: expected a list or tuple of"):
+            small_config(groups=(5,))
 
     def test_fields_are_stored_as_their_kind(self):
         # An integer-valued float is an integer, an integer is a float where

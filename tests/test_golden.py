@@ -5,9 +5,10 @@ compares the sha256 of every deterministic file with tests/golden/
 digests.json. Three longer cases reach the crowding plateau, where the
 gate shuts for long idle stretches of rounds: baseline-mixed to t=300,
 with and without a 10x10 grid, and high-intellect-pop-in-criminal-city,
-on the dynamic schedule, to t=1000. summary.json is left out: its
-"meta" block holds wall-clock values. A change that alters outputs on
-purpose regenerates the digests of the cases it changes once, with
+on the dynamic schedule, to t=1000. summary.json is pinned by its
+bytes before the "meta" block, which holds wall-clock values. A change
+that alters outputs on purpose regenerates the digests of the cases it
+changes once, with
 `PYTHONPATH=src python tests/test_golden.py --write CASE...` (all cases
 when none is named), and says why in CHANGES.md. tests/golden/
 presets.json pins the canned scenario text of every preset, and
@@ -84,7 +85,11 @@ def _sha256(path: Path) -> str:
 
 def digests(config, out_dir: Path) -> dict[str, str]:
     write_run_outputs(run(config), config, out_dir, 0.0)
-    return {name: _sha256(out_dir / name) for name in FILES if (out_dir / name).exists()}
+    found = {name: _sha256(out_dir / name) for name in FILES if (out_dir / name).exists()}
+    stable, meta, _ = (out_dir / "summary.json").read_bytes().partition(b'\n  "meta": ')
+    assert meta, "summary.json has no top-level meta block"
+    found["summary.json"] = hashlib.sha256(stable).hexdigest()
+    return found
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

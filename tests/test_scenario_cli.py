@@ -1,9 +1,12 @@
 """Scenario files, presets, and the command-line surface."""
 
+import concurrent.futures
 import copy
 import csv
 import dataclasses
+import functools
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -232,6 +235,22 @@ class TestScenarioParsing:
         with pytest.raises(ConfigurationError, match=message):
             scenario_from_mapping(small_mapping(**overrides), base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"name": 5}, "^name: expected a nonempty string$"),
+            ({"name": ""}, "^name: expected a nonempty string$"),
+            ({"out_dir": 3}, "^out: expected a path string$"),
+            ({"preset": 5}, "^preset: expected a string$"),
+            ({"interaction_source": None}, "^interaction_source: expected a string$"),
+        ],
+    )
+    def test_scenario_built_in_python_meets_the_file_rule(self, fields, message):
+        # Each built; a file holding the same value is rejected.
+        config = scenario_from_mapping(small_mapping()).config
+        with pytest.raises(ConfigurationError, match=message):
+            Scenario(**{"name": "s", "config": config, **fields})
+
     def test_interaction_csv_resolved_relative(self, tmp_path):
         matrix = InteractionMatrix.default()
         matrix.to_csv(tmp_path / "matrix.csv")
@@ -258,6 +277,13 @@ class TestScenarioRoundTrip:
         assert np.array_equal(again.config.interaction.entries, matrix.entries)
         same_matrix = dataclasses.replace(again.config, interaction=sc.config.interaction)
         assert dataclasses.replace(again, name=sc.name, config=same_matrix) == sc
+
+    def test_no_scenario_dumps_what_load_rejects(self):
+        # Scenario(5, config) built, and load_scenario rejected its dump
+        # with "name: expected a nonempty string".
+        config = scenario_from_mapping(small_mapping()).config
+        with pytest.raises(ConfigurationError, match="^name: expected a nonempty string$"):
+            dump_scenario(Scenario(5, config))
 
     def test_dump_then_load_is_stable(self, tmp_path):
         original = write_config(
@@ -761,6 +787,22 @@ class TestCliCompare:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert load_json_strict(tmp_path / "a" / "compare_matching.json") == report
 
+    @pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
+    def test_pooled_report_under_each_start_method(self, tmp_path, monkeypatch, start_method):
+        # A pooled run whose workers start by start_method writes the
+        # serial run's bytes.
+        sc = scenario_from_mapping(small_mapping())
+        compare_matching(sc, 2, tmp_path / "serial", jobs=1)
+        pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context(start_method),
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        compare_matching(sc, 2, tmp_path / "pooled", jobs=2)
+        for name in ("compare_matching.csv", "compare_matching.json"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "pooled" / name).read_bytes() == serial, name
+
     def test_extinct_runs_write_strict_json(self, tmp_path):
         # Everyone is dead at birth, so every convergent happiness is nan:
         # the file holds null for it, and its direction is undefined.
@@ -826,6 +868,24 @@ class TestCliAnalyze:
             "family_oriented",
             "religious",
         }
+
+    def test_snapshot_with_a_byte_order_mark_analyzes_as_without(self, tmp_path):
+        # Some spreadsheet programs save UTF-8 CSV with a BOM; such a copy
+        # was "not a population snapshot CSV", exit 2.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, small_mapping())
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        plain = out / "population_final.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for snapshot, ana in ((plain, "plain"), (bom, "bom")):
+            assert main(["analyze", "--input", str(snapshot), "--out", str(tmp_path / ana)]) == 0
+        embedding, clusters = "analysis_embedding.csv", "analysis_clusters.json"
+        assert (tmp_path / "bom" / embedding).read_bytes() == (
+            tmp_path / "plain" / embedding
+        ).read_bytes()
+        report = load_json_strict(tmp_path / "plain" / clusters)
+        assert load_json_strict(tmp_path / "bom" / clusters) == {**report, "input": str(bom)}
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # Rejected before the input is read: a missing file would exit 1.
@@ -914,7 +974,7 @@ SNAPSHOT_HEADER = "id,sex,birth_time,death_time,next_available_time,happiness,gx
     "argv,text,message",
     [
         (["analyze", "--input"], "", "{file}: empty population file"),
-        (["analyze", "--input"], SNAPSHOT_HEADER, "{file}: no rows to analyze"),
+        (["analyze", "--input"], SNAPSHOT_HEADER, "{file}: no population rows"),
         (
             ["sweep-lambda", "--multipliers", ",", "--config"],
             yaml.safe_dump(small_mapping()),
